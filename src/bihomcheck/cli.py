@@ -104,9 +104,13 @@ def _field_from_json(doc) -> FieldTag:
     if doc["kind"] == "rationals":
         return QQ
     if doc["kind"] == "prime_field":
-        if "modulus" not in doc:
-            raise ParseError("prime_field needs a modulus")
-        return GF(int(doc["modulus"]))
+        modulus = doc.get("modulus")
+        if isinstance(modulus, bool) or not isinstance(modulus, (int, str)):
+            raise ParseError("prime_field needs an integer modulus")
+        try:
+            return GF(int(modulus))
+        except ValueError as exc:
+            raise ParseError(f"bad modulus {modulus!r}") from exc
     raise ParseError(f"unknown field kind {doc['kind']!r}")
 
 
@@ -117,6 +121,9 @@ def _matrix_to_json(m: DenseMap) -> list:
 def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str) -> DenseMap:
     if not isinstance(data, list) or len(data) != dst * src:
         raise ParseError(f"{what}: expected {dst * src} entries")
+    for v in data:
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise ParseError(f"{what}: entry {json.dumps(v)} is not an integer or a string")
     return DenseMap.from_flat(field, dst, src, data)
 
 

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 from .combinat import (
     IndexSeq,
-    Permutation,
     bar,
+    flip_perm,
     hat_of,
     tilde_of,
     totals,
@@ -197,8 +197,9 @@ def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
 
     Sends the source order (tensor over rows i < n of tensors over columns
     j < p) to the transposed order (tensor over columns of tensors over rows);
-    it is the 0/1 matrix of the slot flip (i, j) -> (j, i) under the global
-    flattening.  Degenerate grids (n*p = 0) give the 1x1 identity.
+    it is the slot flip (i, j) -> (j, i) under the global flattening, i.e.
+    flip_perm(p, n), kept as a permutation map (an index array, see DenseMap).
+    Degenerate grids (n*p = 0) give the 1x1 identity.
     """
     if len(grid) != n or any(len(row) != p for row in grid):
         raise ShapeMismatch(f"grid is not {n}x{p}")
@@ -209,14 +210,7 @@ def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
         field = flat[0].field
     if any(o.field != field for o in flat):
         raise FieldMismatch("mixed fields in grid")
-    if n * p == 0:
-        return DenseMap.identity(field, 1)
-    images = [0] * (n * p)
-    for i in range(n):
-        for j in range(p):
-            images[i * p + j] = j * n + i
-    perm = Permutation(tuple(images))
-    return perm.matrix([o.dim for o in flat], field)
+    return flip_perm(p, n, [o.dim for o in flat], field)
 
 
 # ---------------------------------------------------------------------------

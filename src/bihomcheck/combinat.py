@@ -9,11 +9,12 @@ to match the usual mathematical convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, TypeVar
 
 from .errors import LengthMismatch, ShapeMismatch
-from .exactlin import DenseMap, FieldTag, _coerce, _dtype_for, _normalize
+from .exactlin import DenseMap, FieldTag
 
 import numpy as np
 
@@ -174,33 +175,17 @@ class Permutation:
         return Permutation(tuple(images))
 
     def matrix(self, dims: Sequence[int], field: FieldTag) -> DenseMap:
-        """0/1 matrix permuting the tensor factors of slots with these dims.
+        """0/1 map permuting the tensor factors of slots with these dims.
 
         dims lists the carrier dimension of each input slot; basis vectors are
         flattened big-endian, and the output slot at position images[s] has
-        dimension dims[s].
+        dimension dims[s].  The map keeps only its index array (see DenseMap).
         """
         if len(dims) != self.size:
             raise LengthMismatch(f"{len(dims)} dims for a permutation of {self.size}")
-        total = 1
-        for d in dims:
-            total *= d
-        inv = self.inverse()
-        out_dims = [dims[inv(t)] for t in range(self.size)]
-        out_strides = [0] * self.size
-        acc = 1
-        for t in range(self.size - 1, -1, -1):
-            out_strides[t] = acc
-            acc *= out_dims[t]
-        arr = np.zeros((total, total), dtype=_dtype_for(field))
-        if arr.dtype == object:
-            arr[:] = _coerce(field, 0)
-        one = _coerce(field, 1)
-        for src, multi in enumerate(np.ndindex(*dims) if dims else [()]):
-            dst = sum(multi[s] * out_strides[self.images[s]]
-                      for s in range(self.size))
-            arr[dst, src] = one
-        return DenseMap(field, total, total, _normalize(field, arr))
+        total = math.prod(dims)
+        src_of_dst = np.arange(total).reshape(dims).transpose(self.inverse().images)
+        return DenseMap.permutation(field, src_of_dst)
 
 
 def flip_perm(n: int, p: int, block_dims: Optional[Sequence[int]] = None,

@@ -1,8 +1,11 @@
-"""Exact scalar fields and dense linear algebra.
+"""Exact scalar fields and linear algebra on matrices.
 
-Every morphism handled by the kernel is a dense matrix over an exact field:
-arbitrary-precision rationals or a prime field F_p.  Matrices are stored with
-explicit source/target dimensions; a map f: V_src -> V_dst has shape
+Every morphism handled by the kernel is a matrix over an exact field:
+arbitrary-precision rationals or a prime field F_p.  Most maps hold a dense
+array; a permutation map (a tensor-factor flip such as the interchange) holds
+only the index array of its ones, is applied to another map by gathering that
+map's rows or columns, and turns dense only when its entries are read.  Maps
+carry explicit source/target dimensions; a map f: V_src -> V_dst has shape
 dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies g
 first).  Kronecker products follow the big-endian flattening convention
 
@@ -186,19 +189,33 @@ def _normalize(field: FieldTag, arr: np.ndarray) -> np.ndarray:
 
 
 class DenseMap:
-    """A linear map as a dense dst_dim x src_dim matrix over an exact field."""
+    """A linear map as a dst_dim x src_dim matrix over an exact field.
 
-    __slots__ = ("field", "dst_dim", "src_dim", "_a")
+    A permutation map keeps only src_of_dst (row i has its one in column
+    src_of_dst[i]); `_a`, the dense array, is then built on first read.
+    """
 
-    def __init__(self, field: FieldTag, dst_dim: int, src_dim: int, array: np.ndarray):
-        if array.shape != (dst_dim, src_dim):
+    __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_src_of_dst")
+
+    def __init__(self, field: FieldTag, dst_dim: int, src_dim: int,
+                 array: Optional[np.ndarray], src_of_dst: Optional[np.ndarray] = None):
+        if array is not None and array.shape != (dst_dim, src_dim):
             raise DimensionMismatch(
                 f"array shape {array.shape} != ({dst_dim}, {src_dim})"
             )
         self.field = field
         self.dst_dim = dst_dim
         self.src_dim = src_dim
-        self._a = array
+        self._dense = array
+        self._src_of_dst = src_of_dst
+
+    @property
+    def _a(self) -> np.ndarray:
+        if self._dense is None:
+            arr = DenseMap.identity(self.field, self.dst_dim)._a[self._src_of_dst]
+            arr.flags.writeable = False
+            self._dense = arr
+        return self._dense
 
     # -- constructors ------------------------------------------------------
 
@@ -234,6 +251,15 @@ class DenseMap:
         for i, v in enumerate(entries):
             flat[i] = _coerce(field, v)
         return DenseMap(field, dst_dim, src_dim, _normalize(field, arr))
+
+    @staticmethod
+    def permutation(field: FieldTag, src_of_dst) -> "DenseMap":
+        """The 0/1 map whose row i has its one in column src_of_dst[i]."""
+        idx = np.array(src_of_dst, dtype=np.intp).reshape(-1)
+        if not np.array_equal(np.sort(idx), np.arange(idx.size)):
+            raise DimensionMismatch(f"not a permutation of range({idx.size})")
+        idx.flags.writeable = False
+        return DenseMap(field, idx.size, idx.size, None, idx)
 
     @staticmethod
     def identity(field: FieldTag, n: int) -> "DenseMap":
@@ -293,13 +319,12 @@ class DenseMap:
         """First (row, col, lhs, rhs) where the two maps differ, else None."""
         if self.dst_dim != other.dst_dim or self.src_dim != other.src_dim:
             raise DimensionMismatch("comparing maps of different shapes")
-        for i in range(self.dst_dim):
-            for j in range(self.src_dim):
-                if self._a[i, j] != other._a[i, j]:
-                    return (i, j,
-                            _format(self.field, self._a[i, j]),
-                            _format(other.field, other._a[i, j]))
-        return None
+        hits = np.argwhere(self._a != other._a)
+        if not len(hits):
+            return None
+        i, j = int(hits[0, 0]), int(hits[0, 1])
+        return (i, j, _format(self.field, self._a[i, j]),
+                _format(other.field, other._a[i, j]))
 
     # -- algebra -----------------------------------------------------------
 
@@ -390,7 +415,14 @@ def compose(f: DenseMap, g: DenseMap) -> DenseMap:
         raise DimensionMismatch(
             f"compose: f is {f.dst_dim}x{f.src_dim}, g is {g.dst_dim}x{g.src_dim}"
         )
-    if f._a.dtype == object:
+    fp, gp = f._src_of_dst, g._src_of_dst
+    if fp is not None and gp is not None:
+        return DenseMap.permutation(f.field, gp[fp])
+    if fp is not None:
+        arr = g._a[fp]
+    elif gp is not None:
+        arr = f._a[:, np.argsort(gp)]
+    elif f._a.dtype == object:
         arr = _object_matmul(f.field, f._a, g._a)
     else:
         arr = np.dot(f._a, g._a).reshape(f.dst_dim, g.src_dim)
@@ -435,6 +467,9 @@ def compose_all(maps: Sequence[DenseMap]) -> DenseMap:
 def kron(f: DenseMap, g: DenseMap) -> DenseMap:
     """Kronecker product under the global big-endian index flattening."""
     f._check_field(g)
+    if f._src_of_dst is not None and g._src_of_dst is not None:
+        return DenseMap.permutation(
+            f.field, f._src_of_dst[:, None] * g.src_dim + g._src_of_dst)
     if f._a.dtype == object:
         zero = _coerce(f.field, 0)
         arr = np.empty((f.dst_dim * g.dst_dim, f.src_dim * g.src_dim),
@@ -451,8 +486,8 @@ def kron(f: DenseMap, g: DenseMap) -> DenseMap:
                 for r, c, w in g_entries:
                     arr[base_r + r, base_c + c] = v * w
     else:
-        arr = np.kron(f._a, g._a)
-        arr = arr.reshape(f.dst_dim * g.dst_dim, f.src_dim * g.src_dim)
+        arr = (f._a[:, None, :, None] * g._a[None, :, None, :]).reshape(
+            f.dst_dim * g.dst_dim, f.src_dim * g.src_dim)
     return DenseMap(f.field, f.dst_dim * g.dst_dim, f.src_dim * g.src_dim,
                     _normalize(f.field, arr))
 

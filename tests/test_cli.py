@@ -85,6 +85,44 @@ class TestSerialization:
             load_instance(str(path))
 
 
+def _set_modulus(value):
+    return lambda doc: doc["field"].__setitem__("modulus", value)
+
+
+def _set_mu_entry(value):
+    return lambda doc: doc["structures"]["twisted"]["mu"].__setitem__(0, value)
+
+
+class TestMalformedValues:
+    """Bad values in an instance file exit 2 with one error line."""
+
+    def _run(self, c3_file, edit, capsys):
+        with open(c3_file) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(c3_file, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(["check", c3_file, "--structure", "bimonoid", "--name", "twisted"])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        _set_modulus("abc"), _set_modulus(None), _set_modulus(7.0), _set_modulus(True),
+        _set_mu_entry(None), _set_mu_entry(1.5), _set_mu_entry(True), _set_mu_entry([1]),
+        _set_mu_entry({"v": 1}),
+    ], ids=["modulus-abc", "modulus-null", "modulus-float", "modulus-bool",
+            "entry-null", "entry-float", "entry-bool", "entry-list", "entry-object"])
+    def test_rejected_with_one_error_line(self, c3_file, edit, capsys):
+        rc, err = self._run(c3_file, edit, capsys)
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [_set_modulus("7"), _set_mu_entry(1), _set_mu_entry("8")],
+                             ids=["modulus-string", "entry-int", "entry-string"])
+    def test_integers_and_strings_still_accepted(self, c3_file, edit, capsys):
+        assert self._run(c3_file, edit, capsys)[0] == 0
+
+
 class TestCheckCommand:
     def test_valid_bimonoid_exits_zero(self, c3_file, capsys):
         code = main(["check", c3_file, "--structure", "bimonoid",
