@@ -10,18 +10,16 @@ round-trip tests can compare bytes.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage, parse
 or I/O failure.  Randomized commands are reproducible from the seed alone:
-trial i draws from its own generator seeded by (seed, i), so the worker count
-(BIHOM_THREADS) cannot change any result.
+trial i draws from its own generator seeded by (seed, i), so no trial's
+outcome depends on the others or on the order they run in.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,21 +266,9 @@ def _print_report(report: CheckReport) -> int:
     return 0 if report.passed else 1
 
 
-def _threads() -> int:
-    env = os.environ.get("BIHOM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _run_trials(trials: int, fn):
-    """Run fn(rng, index) for each trial on the worker pool; order-stable."""
-    workers = _threads()
-    indices = range(trials)
-    if workers == 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
+    """Run fn(index) for each trial, in order."""
+    return [fn(i) for i in range(trials)]
 
 
 def _trial_rng(seed: int, index: int) -> random.Random:

@@ -109,11 +109,6 @@ def unit_object(field: FieldTag) -> BiHomObject:
     return BiHomObject(1, field, one, one, one, one)
 
 
-def is_unit_object(obj: BiHomObject) -> bool:
-    one = DenseMap.identity(obj.field, 1)
-    return obj.dim == 1 and all(e == one for e in obj.endos().values())
-
-
 def nprod(objs: Sequence[BiHomObject], field: Optional[FieldTag] = None) -> BiHomObject:
     """n-fold monoidal product: Kronecker everything; empty product is the unit."""
     objs = list(objs)

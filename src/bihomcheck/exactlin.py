@@ -39,14 +39,33 @@ PRIME_FIELD = "prime_field"
 _INT64_MODULUS_LIMIT = 1 << 20
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; moduli past the exact range are refused."""
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ParseError(f"modulus {n} is too large to test for primality")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -112,9 +131,7 @@ def _parse(field: FieldTag, text: str):
 
 
 def _format(field: FieldTag, value) -> str:
-    if field.kind == RATIONALS:
-        return str(value)  # Fraction prints p/q in lowest terms, or plain p
-    return str(value)
+    return str(value)  # Fraction prints p/q in lowest terms, or plain p
 
 
 def _inv_value(field: FieldTag, value):

@@ -4,13 +4,15 @@ A StructureBundle attaches optional multiplication/unit/comultiplication/counit
 matrices to a BiHomObject.  The checkers verify, by exact matrix equality, the
 deformed (co)associativity and (co)unit laws: the comultiplication side is
 governed by the object's (alpha, beta) pair, the multiplication side by
-(kappa, nu).  Iterated coproducts delta_n and products mu_n are built two
-equivalent ways, and generalized (co)associativity is verified for arbitrary
-sequences of non-negative arities.
+(kappa, nu).  Each comonoid law is its monoid law read in the opposite
+category, so every law is written once (see _Side).  Iterated coproducts
+delta_n and products mu_n are built two equivalent ways, and generalized
+(co)associativity is verified for arbitrary sequences of non-negative arities.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -76,10 +78,7 @@ class StructureBundle:
                 raise MissingMap(f"structure has no {name}")
 
     def replace(self, **kwargs) -> "StructureBundle":
-        data = {"obj": self.obj, "mu": self.mu, "eta": self.eta,
-                "delta": self.delta, "epsilon": self.epsilon}
-        data.update(kwargs)
-        return StructureBundle(**data)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -120,86 +119,87 @@ def _ident(obj: BiHomObject, n: int = 1) -> DenseMap:
     return DenseMap.identity(obj.field, obj.dim ** n)
 
 
+@dataclass(frozen=True)
+class _Side:
+    """The monoid side of a structure, or its dual comonoid side.
+
+    A comonoid diagram is its monoid diagram read in the opposite category:
+    mu, eta, Psi, psi become delta, epsilon, Phi, phi, every composite is
+    taken in reverse order, and tensor products stay as they are.  So each
+    law is written once, as the monoid law, and `chain` reads it on either side.
+    """
+
+    co: bool
+    mult: str
+    unit: str
+    big: str
+    small: str
+
+    def chain(self, *maps: DenseMap) -> DenseMap:
+        return compose_all(maps[::-1] if self.co else maps)
+
+    def text(self, monoid: str, comonoid: str) -> str:
+        return comonoid if self.co else monoid
+
+
+MONOID_SIDE = _Side(False, "mu", "eta", BIG_PSI, SMALL_PSI)
+COMONOID_SIDE = _Side(True, "delta", "epsilon", BIG_PHI, SMALL_PHI)
+
+
+def morphism_sides(b: StructureBundle, name: str, e: DenseMap):
+    """(lhs, rhs) of "the structure map `name` intertwines the endomorphism e"."""
+    side = COMONOID_SIDE if name in ("delta", "epsilon") else MONOID_SIDE
+    f = getattr(b, name)
+    if name == side.unit:
+        return side.chain(e, f), f
+    return side.chain(e, f), side.chain(f, kron(e, e))
+
+
 def _map_morphism_entries(prefix: str, b: StructureBundle, name: str):
     """The structure map must commute with every present endomorphism."""
-    obj = b.obj
-    f = getattr(b, name)
     entries = []
-    for ename, e in obj.endos().items():
-        if name == "mu":
-            lhs, rhs = compose(e, f), compose(f, kron(e, e))
-        elif name == "delta":
-            lhs, rhs = compose(f, e), compose(kron(e, e), f)
-        elif name == "eta":
-            lhs, rhs = compose(e, f), f
-        else:  # epsilon
-            lhs, rhs = compose(f, e), f
+    for ename, e in b.obj.endos().items():
+        lhs, rhs = morphism_sides(b, name, e)
         entries.append(compare_entry(
             f"{prefix}/{name}-commutes-{ename}",
             f"{name} intertwines the endomorphism {ename}", lhs, rhs))
     return entries
 
 
-def _cosemigroup_entries(b: StructureBundle):
-    b.require("delta")
-    a, d = b.obj, b.delta
-    entries = _map_morphism_entries("cosemigroup", b, "delta")
-    phi21 = coherence_map((2, 1), BIG_PHI, [[a, a], [a]])
-    phi12 = coherence_map((1, 2), BIG_PHI, [[a], [a, a]])
-    lhs = compose_all([phi21, kron(d, _ident(a)), d])
-    rhs = compose_all([phi12, kron(_ident(a), d), d])
+def _semigroup_entries(b: StructureBundle, side: _Side):
+    b.require(side.mult)
+    a, m = b.obj, getattr(b, side.mult)
+    a.pair_for(side.big)  # demand kappa/nu up front on the monoid side
+    co = side.text("", "co")
+    entries = _map_morphism_entries(f"{co}semigroup", b, side.mult)
+    big21 = coherence_map((2, 1), side.big, [[a, a], [a]])
+    big12 = coherence_map((1, 2), side.big, [[a], [a, a]])
+    lhs = side.chain(m, kron(m, _ident(a)), big21)
+    rhs = side.chain(m, kron(_ident(a), m), big12)
     entries.append(compare_entry(
-        "cosemigroup/coassociativity",
-        "deformed coassociativity of the comultiplication", lhs, rhs))
+        f"{co}semigroup/{co}associativity",
+        side.text("deformed associativity of the multiplication",
+                  "deformed coassociativity of the comultiplication"), lhs, rhs))
     return entries
 
 
-def _semigroup_entries(b: StructureBundle):
-    b.require("mu")
-    a, m = b.obj, b.mu
-    a.oplax_pair()  # demand kappa/nu up front
-    entries = _map_morphism_entries("semigroup", b, "mu")
-    psi21 = coherence_map((2, 1), BIG_PSI, [[a, a], [a]])
-    psi12 = coherence_map((1, 2), BIG_PSI, [[a], [a, a]])
-    lhs = compose_all([m, kron(m, _ident(a)), psi21])
-    rhs = compose_all([m, kron(_ident(a), m), psi12])
+def _unit_entries(b: StructureBundle, side: _Side):
+    b.require(side.mult, side.unit)
+    a, m, u = b.obj, getattr(b, side.mult), getattr(b, side.unit)
+    co = side.text("", "co")
+    entries = _map_morphism_entries(f"{co}monoid", b, side.unit)
+    left = side.chain(m, kron(u, _ident(a)))
+    right = side.chain(m, kron(_ident(a), u))
     entries.append(compare_entry(
-        "semigroup/associativity",
-        "deformed associativity of the multiplication", lhs, rhs))
-    return entries
-
-
-def _comonoid_extra_entries(b: StructureBundle):
-    b.require("delta", "epsilon")
-    a, d, eps = b.obj, b.delta, b.epsilon
-    entries = _map_morphism_entries("comonoid", b, "epsilon")
-    left = compose(kron(eps, _ident(a)), d)
-    right = compose(kron(_ident(a), eps), d)
+        f"{co}monoid/{co}unit-left",
+        side.text("unit in the first leg lands on nu",
+                  "counit against the first leg lands on beta"),
+        left, coherence_map((0, 1), side.small, [[], [a]])))
     entries.append(compare_entry(
-        "comonoid/counit-left",
-        "counit against the first leg lands on beta",
-        left, coherence_map((0, 1), SMALL_PHI, [[], [a]])))
-    entries.append(compare_entry(
-        "comonoid/counit-right",
-        "counit against the second leg lands on alpha",
-        right, coherence_map((1, 0), SMALL_PHI, [[a], []])))
-    return entries
-
-
-def _monoid_extra_entries(b: StructureBundle):
-    b.require("mu", "eta")
-    a, m, e = b.obj, b.mu, b.eta
-    entries = _map_morphism_entries("monoid", b, "eta")
-    left = compose(m, kron(e, _ident(a)))
-    right = compose(m, kron(_ident(a), e))
-    entries.append(compare_entry(
-        "monoid/unit-left",
-        "unit in the first leg lands on nu",
-        left, coherence_map((0, 1), SMALL_PSI, [[], [a]])))
-    entries.append(compare_entry(
-        "monoid/unit-right",
-        "unit in the second leg lands on kappa",
-        right, coherence_map((1, 0), SMALL_PSI, [[a], []])))
+        f"{co}monoid/{co}unit-right",
+        side.text("unit in the second leg lands on kappa",
+                  "counit against the second leg lands on alpha"),
+        right, coherence_map((1, 0), side.small, [[a], []])))
     return entries
 
 
@@ -234,32 +234,33 @@ def _bimonoid_extra_entries(b: StructureBundle):
 
 
 def check_cosemigroup(b: StructureBundle) -> CheckReport:
-    return make_report("cosemigroup", _cosemigroup_entries(b))
+    return make_report("cosemigroup", _semigroup_entries(b, COMONOID_SIDE))
 
 
 def check_semigroup(b: StructureBundle) -> CheckReport:
-    return make_report("semigroup", _semigroup_entries(b))
+    return make_report("semigroup", _semigroup_entries(b, MONOID_SIDE))
 
 
 def check_comonoid(b: StructureBundle) -> CheckReport:
-    return make_report("comonoid",
-                       _cosemigroup_entries(b) + _comonoid_extra_entries(b))
+    return make_report("comonoid", _semigroup_entries(b, COMONOID_SIDE)
+                       + _unit_entries(b, COMONOID_SIDE))
 
 
 def check_monoid(b: StructureBundle) -> CheckReport:
-    return make_report("monoid",
-                       _semigroup_entries(b) + _monoid_extra_entries(b))
+    return make_report("monoid", _semigroup_entries(b, MONOID_SIDE)
+                       + _unit_entries(b, MONOID_SIDE))
 
 
 def check_bisemigroup(b: StructureBundle) -> CheckReport:
     return make_report("bisemigroup",
-                       _semigroup_entries(b) + _cosemigroup_entries(b)
+                       _semigroup_entries(b, MONOID_SIDE)
+                       + _semigroup_entries(b, COMONOID_SIDE)
                        + _bisemigroup_extra_entries(b))
 
 
 def check_bimonoid(b: StructureBundle) -> CheckReport:
-    entries = (_semigroup_entries(b) + _cosemigroup_entries(b)
-               + _monoid_extra_entries(b) + _comonoid_extra_entries(b)
+    entries = (_semigroup_entries(b, MONOID_SIDE) + _semigroup_entries(b, COMONOID_SIDE)
+               + _unit_entries(b, MONOID_SIDE) + _unit_entries(b, COMONOID_SIDE)
                + _bisemigroup_extra_entries(b) + _bimonoid_extra_entries(b))
     return make_report("bimonoid", entries)
 
@@ -267,6 +268,31 @@ def check_bimonoid(b: StructureBundle) -> CheckReport:
 # ---------------------------------------------------------------------------
 # Iterated structure maps
 # ---------------------------------------------------------------------------
+
+def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> DenseMap:
+    if n < 0:
+        raise ValueError("negative arity")
+    a = b.obj
+    if n == 0:
+        b.require(side.unit)
+        return getattr(b, side.unit)
+    if n == 1:
+        return _ident(a)
+    b.require(side.mult)
+    m = getattr(b, side.mult)
+    out = m
+    for i in range(2, n):
+        if variant == ITERATIVE:
+            big = coherence_map((1, i), side.big, [[a], [a] * i])
+            out = side.chain(m, kron(_ident(a), out), big)
+        elif variant == ALTERNATIVE:
+            big = coherence_map((2,) + (1,) * (i - 1), side.big,
+                                [[a, a]] + [[a]] * (i - 1))
+            out = side.chain(out, kron(m, _ident(a, i - 1)), big)
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+    return out
+
 
 def delta_n(b: StructureBundle, n: int, variant: str = ITERATIVE) -> DenseMap:
     """The n-fold comultiplication a -> a^(x)n.
@@ -276,54 +302,46 @@ def delta_n(b: StructureBundle, n: int, variant: str = ITERATIVE) -> DenseMap:
     (iterative) or by expanding the leftmost factor (alternative); the two
     agree exactly on any valid cosemigroup.
     """
-    if n < 0:
-        raise ValueError("negative arity")
-    a = b.obj
-    if n == 0:
-        b.require("epsilon")
-        return b.epsilon
-    if n == 1:
-        return _ident(a)
-    b.require("delta")
-    d = b.delta
-    out = d
-    for i in range(2, n):
-        if variant == ITERATIVE:
-            phi = coherence_map((1, i), BIG_PHI, [[a], [a] * i])
-            out = compose_all([phi, kron(_ident(a), out), d])
-        elif variant == ALTERNATIVE:
-            phi = coherence_map((2,) + (1,) * (i - 1), BIG_PHI,
-                                [[a, a]] + [[a]] * (i - 1))
-            out = compose_all([phi, kron(d, _ident(a, i - 1)), out])
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return out
+    return _iterated(b, n, variant, COMONOID_SIDE)
 
 
 def mu_n(b: StructureBundle, n: int, variant: str = ITERATIVE) -> DenseMap:
     """The n-fold multiplication a^(x)n -> a (n = 1 identity, n = 0 unit)."""
-    if n < 0:
-        raise ValueError("negative arity")
+    return _iterated(b, n, variant, MONOID_SIDE)
+
+
+def _generalized_report(b: StructureBundle, k: Sequence[int], side: _Side,
+                        iterated) -> CheckReport:
+    k = validate_index_seq(k)
+    b.require(side.mult)
+    if len(k) == 0 or any(v == 0 for v in k):
+        b.require(side.unit)
     a = b.obj
-    if n == 0:
-        b.require("eta")
-        return b.eta
-    if n == 1:
-        return _ident(a)
-    b.require("mu")
-    m = b.mu
-    out = m
-    for i in range(2, n):
-        if variant == ITERATIVE:
-            psi = coherence_map((1, i), BIG_PSI, [[a], [a] * i])
-            out = compose_all([m, kron(_ident(a), out), psi])
-        elif variant == ALTERNATIVE:
-            psi = coherence_map((2,) + (1,) * (i - 1), BIG_PSI,
-                                [[a, a]] + [[a]] * (i - 1))
-            out = compose_all([out, kron(m, _ident(a, i - 1)), psi])
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return out
+    n = len(k)
+    K = sum(k)
+    Z = sum(z_of(v) for v in k)
+    groups = [[a] * v for v in k]
+    unit = getattr(b, side.unit)
+
+    nested = side.chain(
+        iterated(b, n),
+        kron_all(a.field, [iterated(b, v) for v in k]),
+        coherence_map(k, side.big, groups, a.field))
+    flat = side.chain(iterated(b, K), coherence_map(k, side.small, groups, a.field))
+    padded = side.chain(
+        iterated(b, K + Z),
+        kron_all(a.field, [_ident(a, v) if v > 0 else unit for v in k]))
+
+    co = side.text("", "co")
+    tag = ",".join(map(str, k))
+    entries = [
+        compare_entry(f"{co}assoc[{tag}]/nested-vs-flat",
+                      f"nested {co}products equal the flat {co}product", nested, flat),
+        compare_entry(f"{co}assoc[{tag}]/nested-vs-padded",
+                      f"nested {co}products equal the {co}unit-padded {co}product",
+                      nested, padded),
+    ]
+    return make_report(f"generalized-{co}associativity", entries)
 
 
 def check_generalized_coassoc(b: StructureBundle, k: Sequence[int]) -> CheckReport:
@@ -332,68 +350,12 @@ def check_generalized_coassoc(b: StructureBundle, k: Sequence[int]) -> CheckRepo
     k is a sequence of non-negative integers; zero entries hit the counit, so
     epsilon is required whenever k is empty or contains a zero.
     """
-    k = validate_index_seq(k)
-    b.require("delta")
-    if len(k) == 0 or any(v == 0 for v in k):
-        b.require("epsilon")
-    a = b.obj
-    n = len(k)
-    K = sum(k)
-    Z = sum(z_of(v) for v in k)
-    groups = [[a] * v for v in k]
-
-    nested = compose_all([
-        coherence_map(k, BIG_PHI, groups, a.field),
-        kron_all(a.field, [delta_n(b, v) for v in k]),
-        delta_n(b, n),
-    ])
-    flat = compose(coherence_map(k, SMALL_PHI, groups, a.field), delta_n(b, K))
-    padded = compose(
-        kron_all(a.field, [_ident(a, v) if v > 0 else b.epsilon for v in k]),
-        delta_n(b, K + Z))
-
-    tag = ",".join(map(str, k))
-    entries = [
-        compare_entry(f"coassoc[{tag}]/nested-vs-flat",
-                      "nested coproducts equal the flat coproduct", nested, flat),
-        compare_entry(f"coassoc[{tag}]/nested-vs-padded",
-                      "nested coproducts equal the counit-padded coproduct",
-                      nested, padded),
-    ]
-    return make_report("generalized-coassociativity", entries)
+    return _generalized_report(b, k, COMONOID_SIDE, delta_n)
 
 
 def check_generalized_assoc(b: StructureBundle, k: Sequence[int]) -> CheckReport:
     """Dual of check_generalized_coassoc: zero entries hit the unit."""
-    k = validate_index_seq(k)
-    b.require("mu")
-    if len(k) == 0 or any(v == 0 for v in k):
-        b.require("eta")
-    a = b.obj
-    n = len(k)
-    K = sum(k)
-    Z = sum(z_of(v) for v in k)
-    groups = [[a] * v for v in k]
-
-    nested = compose_all([
-        mu_n(b, n),
-        kron_all(a.field, [mu_n(b, v) for v in k]),
-        coherence_map(k, BIG_PSI, groups, a.field),
-    ])
-    flat = compose(mu_n(b, K), coherence_map(k, SMALL_PSI, groups, a.field))
-    padded = compose(
-        mu_n(b, K + Z),
-        kron_all(a.field, [_ident(a, v) if v > 0 else b.eta for v in k]))
-
-    tag = ",".join(map(str, k))
-    entries = [
-        compare_entry(f"assoc[{tag}]/nested-vs-flat",
-                      "nested products equal the flat product", nested, flat),
-        compare_entry(f"assoc[{tag}]/nested-vs-padded",
-                      "nested products equal the unit-padded product",
-                      nested, padded),
-    ]
-    return make_report("generalized-associativity", entries)
+    return _generalized_report(b, k, MONOID_SIDE, mu_n)
 
 
 def coassoc_sequences(max_weight: int):
@@ -421,62 +383,46 @@ def _shared_endo_names(x: BiHomObject, a: BiHomObject):
     return [name for name in x.endos() if name in a.endos()]
 
 
-def check_module(mod: ModuleInst) -> CheckReport:
-    """Deformed associativity and unitality of a module action."""
-    x, b = mod.carrier, mod.over
+def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
+                   side: _Side) -> CheckReport:
+    """Deformed associativity and unitality of an action rho: x (x) a -> x."""
     a = b.obj
-    b.require("mu")
-    rho = mod.action
+    b.require(side.mult)
+    co = side.text("", "co")
     entries = []
     for name in _shared_endo_names(x, a):
         ex, ea = x.endos()[name], a.endos()[name]
         entries.append(compare_entry(
-            f"module/action-commutes-{name}",
-            f"action intertwines the endomorphism {name}",
-            compose(ex, rho), compose(rho, kron(ex, ea))))
-    psi12 = coherence_map((1, 2), BIG_PSI, [[x], [a, a]])
-    psi21 = coherence_map((2, 1), BIG_PSI, [[x, a], [a]])
+            f"{co}module/{co}action-commutes-{name}",
+            f"{co}action intertwines the endomorphism {name}",
+            side.chain(ex, rho), side.chain(rho, kron(ex, ea))))
+    big12 = coherence_map((1, 2), side.big, [[x], [a, a]])
+    big21 = coherence_map((2, 1), side.big, [[x, a], [a]])
     entries.append(compare_entry(
-        "module/associativity",
-        "acting after multiplying equals acting twice",
-        compose_all([rho, kron(_ident(x), b.mu), psi12]),
-        compose_all([rho, kron(rho, _ident(a)), psi21])))
-    if b.eta is not None:
+        f"{co}module/{co}associativity",
+        side.text("acting after multiplying equals acting twice",
+                  "coacting then comultiplying equals coacting twice"),
+        side.chain(rho, kron(_ident(x), getattr(b, side.mult)), big12),
+        side.chain(rho, kron(rho, _ident(a)), big21)))
+    unit = getattr(b, side.unit)
+    if unit is not None:
         entries.append(compare_entry(
-            "module/unitality",
-            "acting by the unit lands on the carrier's kappa",
-            compose(rho, kron(_ident(x), b.eta)),
-            coherence_map((1, 0), SMALL_PSI, [[x], []])))
-    return make_report("module", entries)
+            f"{co}module/{co}unitality",
+            side.text("acting by the unit lands on the carrier's kappa",
+                      "coacting into the counit lands on the carrier's alpha"),
+            side.chain(rho, kron(_ident(x), unit)),
+            coherence_map((1, 0), side.small, [[x], []])))
+    return make_report(f"{co}module", entries)
+
+
+def check_module(mod: ModuleInst) -> CheckReport:
+    """Deformed associativity and unitality of a module action."""
+    return _action_report(mod.carrier, mod.over, mod.action, MONOID_SIDE)
 
 
 def check_comodule(com: ComoduleInst) -> CheckReport:
     """Deformed coassociativity and counitality of a coaction."""
-    x, b = com.carrier, com.over
-    a = b.obj
-    b.require("delta")
-    rho = com.coaction
-    entries = []
-    for name in _shared_endo_names(x, a):
-        ex, ea = x.endos()[name], a.endos()[name]
-        entries.append(compare_entry(
-            f"comodule/coaction-commutes-{name}",
-            f"coaction intertwines the endomorphism {name}",
-            compose(rho, ex), compose(kron(ex, ea), rho)))
-    phi12 = coherence_map((1, 2), BIG_PHI, [[x], [a, a]])
-    phi21 = coherence_map((2, 1), BIG_PHI, [[x, a], [a]])
-    entries.append(compare_entry(
-        "comodule/coassociativity",
-        "coacting then comultiplying equals coacting twice",
-        compose_all([phi12, kron(_ident(x), b.delta), rho]),
-        compose_all([phi21, kron(rho, _ident(a)), rho])))
-    if b.epsilon is not None:
-        entries.append(compare_entry(
-            "comodule/counitality",
-            "coacting into the counit lands on the carrier's alpha",
-            compose(kron(_ident(x), b.epsilon), rho),
-            coherence_map((1, 0), SMALL_PHI, [[x], []])))
-    return make_report("comodule", entries)
+    return _action_report(com.carrier, com.over, com.coaction, COMONOID_SIDE)
 
 
 def check_hopf_module(mod: ModuleInst, com: ComoduleInst) -> CheckReport:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exactlin import DenseMap, compose, compose_all, invert, kron, solve_linear
 from .exactlin import NO_SOLUTION, UNIQUE
-from .structures import ModuleInst, StructureBundle, check_bimonoid
+from .structures import ModuleInst, StructureBundle, check_bimonoid, morphism_sides
 
 COMONOID = "comonoid"
 MONOID = "monoid"
@@ -56,26 +56,17 @@ class PlainStructure:
 
 
 def _classical_morphism_failures(b: StructureBundle, names, maps):
-    obj = b.obj
     failures = []
     for ename in names:
-        e = obj.endos().get(ename)
+        e = b.obj.endos().get(ename)
         if e is None:
             failures.append(f"{ename} missing")
             continue
         for mname in maps:
-            f = getattr(b, mname)
-            if f is None:
+            if getattr(b, mname) is None:
                 continue
-            if mname == "mu":
-                ok = compose(e, f) == compose(f, kron(e, e))
-            elif mname == "delta":
-                ok = compose(f, e) == compose(kron(e, e), f)
-            elif mname == "eta":
-                ok = compose(e, f) == f
-            else:
-                ok = compose(f, e) == f
-            if not ok:
+            lhs, rhs = morphism_sides(b, mname, e)
+            if lhs != rhs:
                 failures.append(f"{ename} is not a morphism for {mname}")
     return failures
 

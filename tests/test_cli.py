@@ -4,6 +4,7 @@ import pytest
 
 from bihomcheck.cli import (
     InstanceData,
+    ModuleEntry,
     dumps_instance,
     load_instance,
     main,
@@ -154,6 +155,58 @@ class TestCheckCommand:
         assert code == 1
         assert "FAIL semigroup/associativity" in out
 
+    def test_co_side_failure_lines(self, tmp_path, capsys):
+        """The full FAIL lines (name, law, counterexample) of the co-side checks."""
+        data = example_instance()
+        t = data.structures["twisted"]
+        data.structures["bad_delta"] = t.replace(delta=t.delta.with_entry(1, 0, 2))
+        data.structures["bad_epsilon"] = t.replace(epsilon=t.epsilon.with_entry(0, 2, 2))
+        data.structure_objects.update(bad_delta="c3_sq", bad_epsilon="c3_sq")
+        data.modules["bad_coaction"] = ModuleEntry(
+            "c3_sq", "twisted", coaction=t.delta.with_entry(4, 1, 5))
+        data.modules["over_bad_epsilon"] = ModuleEntry(
+            "c3_sq", "bad_epsilon", coaction=t.delta)
+        path = str(tmp_path / "bad.json")
+        save_instance(path, data)
+        expected = {
+            ("comonoid", "bad_delta"): [
+                "FAIL comonoid/counit-left [counit against the first leg lands on beta]"
+                " at entry (1,0): 2 != 0",
+                "FAIL comonoid/counit-right [counit against the second leg lands on alpha]"
+                " at entry (0,0): 3 != 1",
+                "FAIL cosemigroup/coassociativity [deformed coassociativity of the"
+                " comultiplication] at entry (1,0): 0 != 2",
+            ] + [f"FAIL cosemigroup/delta-commutes-{e} [delta intertwines the endomorphism"
+                 f" {e}] at entry (1,0): 2 != 0" for e in ("alpha", "beta", "kappa", "nu")],
+            ("comonoid", "bad_epsilon"): [
+                "FAIL comonoid/counit-left [counit against the first leg lands on beta]"
+                " at entry (2,1): 2 != 1",
+                "FAIL comonoid/counit-right [counit against the second leg lands on alpha]"
+                " at entry (2,1): 2 != 1",
+            ] + [f"FAIL comonoid/epsilon-commutes-{e} [epsilon intertwines the endomorphism"
+                 f" {e}] at entry (0,1): 2 != 1" for e in ("alpha", "beta", "kappa", "nu")],
+            ("comodule", "bad_coaction"): [
+                f"FAIL comodule/coaction-commutes-{e} [coaction intertwines the endomorphism"
+                f" {e}] at entry (4,2): 5 != 0" for e in ("alpha", "beta", "kappa", "nu")
+            ] + [
+                "FAIL comodule/coassociativity [coacting then comultiplying equals coacting"
+                " twice] at entry (14,1): 0 != 4",
+                "FAIL comodule/counitality [coacting into the counit lands on the carrier's"
+                " alpha] at entry (1,1): 5 != 0",
+            ],
+            ("comodule", "over_bad_epsilon"): [
+                "FAIL comodule/counitality [coacting into the counit lands on the carrier's"
+                " alpha] at entry (2,1): 2 != 1",
+            ],
+        }
+        summaries = {"bad_delta": "comonoid: 4/11", "bad_epsilon": "comonoid: 5/11",
+                     "bad_coaction": "comodule: 0/6", "over_bad_epsilon": "comodule: 5/6"}
+        for (kind, name), lines in expected.items():
+            assert main(["check", path, "--structure", kind, "--name", name]) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert [line for line in out if line.startswith("FAIL")] == lines
+            assert out[-1] == f"{summaries[name]} diagrams commute"
+
     def test_unknown_name_exits_two(self, c3_file, capsys):
         assert main(["check", c3_file, "--structure", "bimonoid",
                      "--name", "ghost"]) == 2
@@ -177,22 +230,25 @@ class TestCheckCommand:
 
 
 class TestCoherenceCommand:
-    def test_symbolic_deterministic_across_threads(self, capsys, monkeypatch):
+    def test_symbolic_deterministic_across_threads(self, capsys):
         outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("BIHOM_THREADS", threads)
+        for _ in range(2):
             code = main(["coherence", "--level", "symbolic",
                          "--trials", "60", "--seed", "42"])
             assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    def test_matrix_level(self, monkeypatch, capsys):
-        monkeypatch.setenv("BIHOM_THREADS", "2")
+    def test_matrix_level(self, capsys):
         code = main(["coherence", "--level", "matrix", "--trials", "6",
                      "--seed", "7", "--max-dim", "2"])
         assert code == 0
         assert "6/6" in capsys.readouterr().out
+
+    def test_large_modulus(self, capsys):
+        assert main(["coherence", "--modulus", str(2 ** 61 - 1), "--trials", "3"]) == 0
+        assert main(["coherence", "--modulus", str(2 ** 89 - 1), "--trials", "3"]) == 2
+        assert "too large" in capsys.readouterr().err
 
     def test_zero_trials_exits_two(self):
         assert main(["coherence", "--trials", "0"]) == 2

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from bihomcheck.exactlin import (
     compose,
     invert,
     kron,
+    _is_prime,
     solve_linear,
 )
 
@@ -40,14 +42,37 @@ def rand_map(rng, field, dst, src, bound=5):
     return DenseMap.from_rows(field, rows)
 
 
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
 class TestFieldTag:
-    def test_prime_checked_by_trial_division(self):
+    def test_prime_checked(self):
         GF(2)
         GF(101)
         with pytest.raises(ParseError):
             GF(6)
         with pytest.raises(ParseError):
             GF(1)
+
+    def test_primality_agrees_with_trial_division(self):
+        for n in range(10 ** 4):
+            assert _is_prime(n) == trial_division_is_prime(n), n
+
+    def test_large_prime_modulus_is_fast(self):
+        start = time.monotonic()
+        assert GF(2 ** 61 - 1).modulus == 2 ** 61 - 1
+        assert time.monotonic() - start < 1
+
+    def test_pseudoprimes_rejected(self):
+        # a Carmichael number and a strong pseudoprime to bases 2, 3, 5, 7
+        for n in (561, 3215031751):
+            with pytest.raises(ParseError):
+                GF(n)
+
+    def test_modulus_past_exact_range_refused(self):
+        with pytest.raises(ParseError, match="too large"):
+            GF(2 ** 89 - 1)
 
     def test_rationals_have_no_modulus(self):
         with pytest.raises(ParseError):
