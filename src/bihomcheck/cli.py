@@ -137,10 +137,15 @@ def _object_to_json(obj: BiHomObject) -> dict:
 
 
 def _object_from_json(field: FieldTag, name: str, doc) -> BiHomObject:
+    dim = doc.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, (int, str)):
+        raise ParseError(f"object {name}: dim must be an integer")
     try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"object {name}: bad dim") from exc
+        dim = int(dim)
+    except ValueError as exc:
+        raise ParseError(f"object {name}: bad dim {dim!r}") from exc
+    if dim < 0:
+        raise ParseError(f"object {name}: negative dim {dim}")
     maps = {}
     for key in ("alpha", "beta", "kappa", "nu"):
         if key in doc:
@@ -191,6 +196,17 @@ def dumps_instance(data: InstanceData) -> str:
     return json.dumps(instance_to_json(data), sort_keys=True, indent=2) + "\n"
 
 
+def _section(doc: dict, key: str) -> dict:
+    """The named block of JSON objects (absent means empty)."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ParseError(f"{key} must be a JSON object")
+    for name, entry in section.items():
+        if not isinstance(entry, dict):
+            raise ParseError(f"{key} entry {name!r} must be a JSON object")
+    return section
+
+
 def instance_from_json(doc) -> InstanceData:
     if not isinstance(doc, dict):
         raise ParseError("instance file must be a JSON object")
@@ -198,11 +214,11 @@ def instance_from_json(doc) -> InstanceData:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     field = _field_from_json(doc.get("field"))
     objects = {name: _object_from_json(field, name, od)
-               for name, od in doc.get("objects", {}).items()}
+               for name, od in _section(doc, "objects").items()}
     structures, structure_objects = {}, {}
-    for name, sd in doc.get("structures", {}).items():
+    for name, sd in _section(doc, "structures").items():
         oname = sd.get("object")
-        if oname not in objects:
+        if not isinstance(oname, str) or oname not in objects:
             raise UnknownName(f"structure {name}: unknown object {oname!r}")
         obj = objects[oname]
         maps = {}
@@ -214,11 +230,11 @@ def instance_from_json(doc) -> InstanceData:
         structures[name] = StructureBundle(obj, **maps)
         structure_objects[name] = oname
     modules = {}
-    for name, md in doc.get("modules", {}).items():
+    for name, md in _section(doc, "modules").items():
         cname, sname = md.get("carrier"), md.get("over")
-        if cname not in objects:
+        if not isinstance(cname, str) or cname not in objects:
             raise UnknownName(f"module {name}: unknown object {cname!r}")
-        if sname not in structures:
+        if not isinstance(sname, str) or sname not in structures:
             raise UnknownName(f"module {name}: unknown structure {sname!r}")
         x = objects[cname]
         a = structures[sname].obj

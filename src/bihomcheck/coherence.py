@@ -116,10 +116,8 @@ def nprod(objs: Sequence[BiHomObject], field: Optional[FieldTag] = None) -> BiHo
         if field is None:
             raise ValueError("field required for the empty product")
         return unit_object(field)
-    if field is not None and any(o.field != field for o in objs):
-        raise FieldMismatch("mixed fields in product")
     f = objs[0].field
-    if any(o.field != f for o in objs):
+    if any(o.field != f for o in objs) or (field is not None and field != f):
         raise FieldMismatch("mixed fields in product")
     if len(objs) == 1:
         return objs[0]
@@ -177,13 +175,15 @@ def coherence_map(k: IndexSeq, which: str,
         else:
             raise ValueError("field required for an empty coherence morphism")
     exps = phi_exponents(k, which)
-    factors = []
-    for i, g in enumerate(groups):
-        for j, obj in enumerate(g):
-            first, second = obj.pair_for(which)
-            a, b = exps[i][j]
-            factors.append(compose(first.power(a), second.power(b)))
-    return kron_all(field, factors)
+    return slot_powers(field, [(obj.pair_for(which), exps[i][j])
+                               for i, g in enumerate(groups) for j, obj in enumerate(g)])
+
+
+def slot_powers(field: FieldTag, slots) -> DenseMap:
+    """Kronecker product over slots ((first, second), (a, b)) of
+    first^a . second^b; the empty product is the 1x1 identity."""
+    return kron_all(field, [compose(first.power(a), second.power(b))
+                            for (first, second), (a, b) in slots])
 
 
 def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
@@ -338,6 +338,14 @@ _DUOIDAL_REGIONS = (
 )
 
 
+def _region_entries(regions, maps, figure: str) -> list:
+    """Compose both paths of each region (steps applied left to right) and compare."""
+    return [compare_entry(f"region-{name}", f"two boundary paths of the {figure} figure",
+                          compose_all([maps[s] for s in reversed(left)]),
+                          compose_all([maps[s] for s in reversed(right)]))
+            for name, left, right in regions]
+
+
 def _lax_maps(inst: LaxInstance):
     m, k, objs, field = inst.m, inst.k, inst.objects, inst.field
     n = len(m)
@@ -403,12 +411,7 @@ def _lax_maps(inst: LaxInstance):
 def check_lax_figure(inst: LaxInstance) -> CheckReport:
     """Verify the four regions of the lax-axiom figure plus the unit triangle."""
     maps, b = _lax_maps(inst)
-    entries = []
-    for name, left, right in _LAX_REGIONS:
-        lhs = compose_all([maps[s] for s in reversed(left)])
-        rhs = compose_all([maps[s] for s in reversed(right)])
-        entries.append(compare_entry(
-            f"region-{name}", "two boundary paths of the coherence figure", lhs, rhs))
+    entries = _region_entries(_LAX_REGIONS, maps, "coherence")
 
     row_objs = [nprod(row, inst.field) for row in b]
     n = len(row_objs)
@@ -468,13 +471,7 @@ def check_duoidal_figure(inst: DuoidalInstance) -> CheckReport:
     """Verify the four interchange regions plus the two unit triangles."""
     maps, flat_rows, c_grid = _duoidal_maps(inst)
     field = inst.field
-    entries = []
-    for name, left, right in _DUOIDAL_REGIONS:
-        lhs = compose_all([maps[s] for s in reversed(left)])
-        rhs = compose_all([maps[s] for s in reversed(right)])
-        entries.append(compare_entry(
-            f"region-{name}", "two boundary paths of the interchange figure",
-            lhs, rhs))
+    entries = _region_entries(_DUOIDAL_REGIONS, maps, "interchange")
 
     row_objs = [nprod(row, field) for row in flat_rows]
     tri_lax = xi_map(inst.n, 1, [[o] for o in row_objs], field)

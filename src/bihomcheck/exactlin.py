@@ -108,6 +108,8 @@ def _coerce(field: FieldTag, value: RawScalar):
         return value.value
     if isinstance(value, str):
         return _parse(field, value)
+    if isinstance(value, (float, np.floating)):
+        raise ParseError(f"float {value!r} is not an exact scalar")
     if field.kind == RATIONALS:
         return Fraction(value)
     if isinstance(value, Fraction):
@@ -239,22 +241,13 @@ class DenseMap:
     @staticmethod
     def from_rows(field: FieldTag, rows: Sequence[Sequence[RawScalar]],
                   src_dim: Optional[int] = None) -> "DenseMap":
-        dst = len(rows)
-        if dst == 0:
-            if src_dim is None:
-                src_dim = 0
-            arr = np.empty((0, src_dim), dtype=_dtype_for(field))
-            return DenseMap(field, 0, src_dim, _normalize(field, arr))
-        src = len(rows[0])
+        src = len(rows[0]) if len(rows) else (src_dim or 0)
         if src_dim is not None and src_dim != src:
             raise DimensionMismatch(f"row length {src} != src_dim {src_dim}")
-        arr = np.empty((dst, src), dtype=_dtype_for(field))
         for i, row in enumerate(rows):
             if len(row) != src:
                 raise RowLengthMismatch(f"row {i} has length {len(row)}, expected {src}")
-            for j, v in enumerate(row):
-                arr[i, j] = _coerce(field, v)
-        return DenseMap(field, dst, src, _normalize(field, arr))
+        return DenseMap.from_flat(field, len(rows), src, [v for row in rows for v in row])
 
     @staticmethod
     def from_flat(field: FieldTag, dst_dim: int, src_dim: int,
@@ -517,30 +510,37 @@ def kron_all(field: FieldTag, maps: Iterable[DenseMap]) -> DenseMap:
     return out
 
 
+def _row_reduce(field: FieldTag, rows: list, ncols: int) -> list:
+    """Reduce rows (lists of field values) in place to reduced row echelon form
+    on their first ncols columns, pivoting on the first nonzero row; returns
+    the pivot columns."""
+    norm = (lambda v: v) if field.kind == RATIONALS else (lambda v: v % field.modulus)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pinv = _inv_value(field, rows[r][col])
+        rows[r] = [norm(v * pinv) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                rows[i] = [norm(x - row[col] * y) for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def invert(f: DenseMap) -> Optional[DenseMap]:
-    """Exact inverse by Gauss-Jordan elimination, or None if singular."""
+    """Exact inverse by Gauss-Jordan elimination of [f | I], or None if singular."""
     if not f.is_square():
         raise NotSquare(f"inverting a {f.dst_dim}x{f.src_dim} map")
     n = f.dst_dim
-    field = f.field
-    a = [[f._a[i, j] for j in range(n)] for i in range(n)]
-    inv = [[_coerce(field, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        pinv = _inv_value(field, a[col][col])
-        a[col] = [_coerce(field, v * pinv) for v in a[col]]
-        inv[col] = [_coerce(field, v * pinv) for v in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [_coerce(field, x - factor * y) for x, y in zip(a[r], a[col])]
-            inv[r] = [_coerce(field, x - factor * y) for x, y in zip(inv[r], inv[col])]
-    return DenseMap.from_rows(field, inv)
+    rows = [row + unit for row, unit in
+            zip(f._a.tolist(), DenseMap.identity(f.field, n)._a.tolist())]
+    if len(_row_reduce(f.field, rows, n)) < n:
+        return None
+    return DenseMap.from_rows(f.field, [row[n:] for row in rows])
 
 
 UNIQUE = "unique"
@@ -571,25 +571,8 @@ def solve_linear(system: Sequence[tuple], unknowns: int,
             )
         rows.append([_coerce(field, c) for c in coeffs] + [_coerce(field, rhs)])
 
-    pivots = []
-    r = 0
-    for col in range(unknowns):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pinv = _inv_value(field, rows[r][col])
-        rows[r] = [_coerce(field, v * pinv) for v in rows[r]]
-        for i in range(len(rows)):
-            if i == r or rows[i][col] == 0:
-                continue
-            factor = rows[i][col]
-            rows[i] = [_coerce(field, x - factor * y)
-                       for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-
-    for i in range(r, len(rows)):
+    pivots = _row_reduce(field, rows, unknowns)
+    for i in range(len(pivots), len(rows)):
         if rows[i][unknowns] != 0:
             return SolveResult(NO_SOLUTION)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coherence import BiHomObject
+from .coherence import BIG_PHI, BIG_PSI, BiHomObject, slot_powers
 from .combinat import Permutation
 from .errors import (
     DimensionMismatch,
@@ -109,12 +109,9 @@ def gamma_map(objs, which: str = COMONOID, field=None) -> DenseMap:
             raise ValueError("field required for the empty twist morphism")
         field = objs[0].field
     n = len(objs)
-    out = DenseMap.identity(field, 1)
-    for i, obj in enumerate(objs, start=1):
-        first, second = (obj.alpha, obj.beta) if which == COMONOID \
-            else obj.oplax_pair()
-        out = kron(out, compose(first.power(n - i), second.power(i - 1)))
-    return out
+    kind = BIG_PHI if which == COMONOID else BIG_PSI
+    return slot_powers(field, [(obj.pair_for(kind), (n - i, i - 1))
+                               for i, obj in enumerate(objs, start=1)])
 
 
 def yau_twist(p: PlainStructure, direction: str = BIMONOID) -> StructureBundle:
@@ -194,22 +191,27 @@ class AntipodeResult:
 def _antipode_system(mu: DenseMap, delta: DenseMap, rhs: DenseMap,
                      sandwich: Optional[DenseMap]):
     """Linear system for chi in  mu.[sandwich].(1 (x) chi).delta = rhs  and
-    mu.[sandwich].(chi (x) 1).delta = rhs, as (coefficient-row, rhs) pairs."""
+    mu.[sandwich].(chi (x) 1).delta = rhs, as (coefficient-row, rhs) pairs.
+
+    pre.(1 (x) chi).delta is the sum over basis columns e_i of A.chi.B with
+    A = pre.(e_i (x) 1), B = (e_i^T (x) 1).delta, and the row-major vec of
+    A.chi.B is (A (x) B^T).vec(chi); chi (x) 1 puts e_i in the second slot."""
     pre = compose(mu, sandwich) if sandwich is not None else mu
-    d = delta.src_dim
-    a = pre.rows()
-    bm = delta.rows()
-    rh = rhs.rows()
-    system = []
-    for u in range(d):
-        for v in range(d):
-            row1 = [sum(a[u][i * d + r] * bm[i * d + c][v] for i in range(d))
-                    for r in range(d) for c in range(d)]
-            row2 = [sum(a[u][r * d + i] * bm[c * d + i][v] for i in range(d))
-                    for r in range(d) for c in range(d)]
-            system.append((row1, rh[u][v]))
-            system.append((row2, rh[u][v]))
-    return system
+    field, d = delta.field, delta.src_dim
+    one = DenseMap.identity(field, d)
+    delta_t = delta.transpose()
+
+    def term(select):  # A (x) B^T for A = pre.select, B^T = delta^T.select
+        return kron(compose(pre, select), compose(delta_t, select))
+
+    left = right = DenseMap.zero(field, d * d, d * d)
+    for i in range(d):
+        e = DenseMap.zero(field, d, 1).with_entry(i, 0, 1)
+        left = left + term(kron(e, one))
+        right = right + term(kron(one, e))
+    values = [v for row in rhs.rows() for v in row]
+    return [pair for row1, row2, v in zip(left.rows(), right.rows(), values)
+            for pair in ((row1, v), (row2, v))]
 
 
 def _verify_antipode(mu, delta, rhs, sandwich, chi) -> bool:

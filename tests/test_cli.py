@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihomcheck.cli import (
     InstanceData,
     ModuleEntry,
     dumps_instance,
+    instance_to_json,
     load_instance,
     main,
     save_instance,
@@ -86,12 +94,21 @@ class TestSerialization:
             load_instance(str(path))
 
 
+def _set(path, value):
+    """An edit that puts value at the key path of the instance document."""
+    return lambda doc: reduce(getitem, path[:-1], doc).__setitem__(path[-1], value)
+
+
 def _set_modulus(value):
-    return lambda doc: doc["field"].__setitem__("modulus", value)
+    return _set(("field", "modulus"), value)
 
 
 def _set_mu_entry(value):
-    return lambda doc: doc["structures"]["twisted"]["mu"].__setitem__(0, value)
+    return _set(("structures", "twisted", "mu", 0), value)
+
+
+def _as_list(key):
+    return lambda doc: doc.__setitem__(key, list(doc[key].values()))
 
 
 class TestMalformedValues:
@@ -111,17 +128,70 @@ class TestMalformedValues:
         _set_modulus("abc"), _set_modulus(None), _set_modulus(7.0), _set_modulus(True),
         _set_mu_entry(None), _set_mu_entry(1.5), _set_mu_entry(True), _set_mu_entry([1]),
         _set_mu_entry({"v": 1}),
+        _as_list("objects"), _as_list("structures"), _as_list("modules"),
+        _set(("structures", "extra"), 5), _set(("modules", "extra"), 5),
+        _set(("objects", "neg"), {"dim": -2, "alpha": ["1"] * 4, "beta": ["1"] * 4}),
+        _set(("objects", "c3_sq", "dim"), 3.7),
+        _set(("structures", "twisted", "object"), ["c3_sq"]),
+        _set(("modules", "regular", "over"), {"twisted": 1}),
     ], ids=["modulus-abc", "modulus-null", "modulus-float", "modulus-bool",
-            "entry-null", "entry-float", "entry-bool", "entry-list", "entry-object"])
+            "entry-null", "entry-float", "entry-bool", "entry-list", "entry-object",
+            "objects-list", "structures-list", "modules-list", "structure-int",
+            "module-int", "dim-negative", "dim-float", "object-ref-list",
+            "over-ref-object"])
     def test_rejected_with_one_error_line(self, c3_file, edit, capsys):
         rc, err = self._run(c3_file, edit, capsys)
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("edit", [_set_modulus("7"), _set_mu_entry(1), _set_mu_entry("8")],
-                             ids=["modulus-string", "entry-int", "entry-string"])
+    @pytest.mark.parametrize("edit", [_set_modulus("7"), _set_mu_entry(1), _set_mu_entry("8"),
+                                      _set(("objects", "c3_sq", "dim"), "3")],
+                             ids=["modulus-string", "entry-int", "entry-string", "dim-string"])
     def test_integers_and_strings_still_accepted(self, c3_file, edit, capsys):
         assert self._run(c3_file, edit, capsys)[0] == 0
+
+
+def _mutation_paths(node, path=()):
+    """Key paths of every dict node and of the first entry of every list."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _mutation_paths(child, path + (key,))
+    elif isinstance(node, list) and node:
+        yield from _mutation_paths(node[0], path + (0,))
+
+
+_EXAMPLE_DOC = instance_to_json(example_instance())
+_REPLACEMENTS = st.one_of(
+    st.none(), st.lists(st.integers(-2, 9), max_size=3), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+    st.integers(max_value=-1), st.floats(max_value=-0.5, allow_infinity=False))
+
+
+class TestFuzzedInstance:
+    """Any one node of a valid instance replaced by a junk value: exit 0, 1 or 2
+    with at most one line on stderr, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(list(_mutation_paths(_EXAMPLE_DOC))),
+           value=_REPLACEMENTS,
+           check=st.sampled_from([("bimonoid", "twisted"), ("comonoid", "plain"),
+                                  ("hopf-module", "regular")]))
+    def test_single_node_mutation(self, tmp_path_factory, path, value, check):
+        doc = copy.deepcopy(_EXAMPLE_DOC)
+        if path:
+            _set(path, value)(doc)
+        else:
+            doc = value
+        file = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        file.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check", str(file), "--structure", check[0], "--name", check[1]])
+        assert rc in (0, 1, 2)
+        assert err.getvalue().count("\n") <= 1
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
 
 
 class TestCheckCommand:

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -18,6 +19,7 @@ from bihomcheck.exactlin import (
     QQ,
     UNDERDETERMINED,
     UNIQUE,
+    _INT64_MODULUS_LIMIT,
     DenseMap,
     FieldTag,
     Scalar,
@@ -102,6 +104,19 @@ class TestScalar:
     def test_malformed_fraction(self):
         with pytest.raises(ParseError):
             Scalar.of(QQ, "3/0")
+
+    def test_floats_rejected(self):
+        for value in (1.5, 2.9, 2.0, np.float64(0.5)):
+            with pytest.raises(ParseError):
+                DenseMap.from_rows(QQ, [[value]])
+            with pytest.raises(ParseError):
+                DenseMap.from_flat(F7, 1, 1, [value])
+            with pytest.raises(ParseError):
+                Scalar.of(QQ, value)
+
+    def test_integers_accepted(self):
+        assert DenseMap.from_rows(QQ, [[3, np.int64(-2)]]).rows() == [[3, -2]]
+        assert DenseMap.from_flat(F7, 1, 2, [9, np.int64(-1)]).rows() == [[2, 6]]
 
 
 class TestCompose:
@@ -272,6 +287,32 @@ class TestLargeModulus:
         inv = invert(a)
         assert inv is not None
         assert compose(a, inv) == DenseMap.identity(field, 2)
+
+    @pytest.mark.parametrize("p, dtype", [(1048573, np.int64), (1048583, object)])
+    def test_int64_boundary_against_python_oracle(self, p, dtype):
+        # 1048573 is the largest prime on the int64 path, 1048583 the first past it
+        assert [q for q in range(1048573, 1048584) if _is_prime(q)] == [1048573, 1048583]
+        assert 1048573 < _INT64_MODULUS_LIMIT < 1048583
+        field = GF(p)
+        rng = random.Random(p)
+        reduce = lambda rows: [[v % p for v in row] for row in rows]
+
+        def rows(dst, src):
+            return [[rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(src)]
+                    for _ in range(dst)]
+
+        worst = [[p - 1] * 9 for _ in range(9)]  # every product is (p-1)^2
+        for a_rows, b_rows in ((rows(4, 6), rows(6, 3)), (worst, worst)):
+            a, b = DenseMap.from_rows(field, a_rows), DenseMap.from_rows(field, b_rows)
+            assert a._a.dtype == dtype
+            assert compose(a, b).rows() == reduce(naive_matmul(a_rows, b_rows))
+            assert kron(a, b).rows() == reduce(naive_kron(
+                a_rows, b_rows, (a.dst_dim, a.src_dim), (b.dst_dim, b.src_dim)))
+        square = rows(5, 5)
+        inv = invert(DenseMap.from_rows(field, square))
+        assert inv is not None
+        assert reduce(naive_matmul(square, inv.rows())) == \
+            [[int(i == j) for j in range(5)] for i in range(5)]
 
     def test_residues_canonical(self):
         field = GF(2 ** 31 - 1)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihomcheck.coherence import BiHomObject, unit_object
 from bihomcheck.errors import (
@@ -27,6 +29,8 @@ from bihomcheck.fixtures import (
     twisted_c3,
 )
 from bihomcheck.structures import StructureBundle, check_bimonoid, regular_module
+
+from conftest import mod7_matrix, rational_matrix
 from bihomcheck.twist import (
     BIMONOID,
     COMONOID,
@@ -208,6 +212,27 @@ class TestAntipode:
         system = _antipode_system(zero_mu, zero_delta, zero_rhs, None)
         res = solve_linear(system, 4, F7)
         assert res.status == UNDERDETERMINED
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_system_rows_apply_both_composites(self, data):
+        # the rows of the system times vec(chi) are the two composites, row-major
+        field = data.draw(st.sampled_from([F7, QQ]))
+        matrix = mod7_matrix if field == F7 else rational_matrix
+        d = data.draw(st.integers(1, 3))
+        mu, delta = data.draw(matrix(d, d * d)), data.draw(matrix(d * d, d))
+        chi, rhs = data.draw(matrix(d, d)), data.draw(matrix(d, d))
+        sandwich = data.draw(st.none() | matrix(d * d, d * d))
+        system = _antipode_system(mu, delta, rhs, sandwich)
+        pre = mu if sandwich is None else compose(mu, sandwich)
+        one = DenseMap.identity(field, d)
+        vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
+        for parity, composite in enumerate([kron(one, chi), kron(chi, one)]):
+            rows = system[parity::2]
+            coeffs = DenseMap.from_rows(field, [row for row, _ in rows])
+            assert compose(coeffs, vec_chi).flat_strings() == \
+                compose_all([pre, composite, delta]).flat_strings()
+            assert DenseMap.from_flat(field, d, d, [v for _, v in rows]) == rhs
 
     def test_non_unique_result_carries_witness(self):
         chi = DenseMap.identity(F7, 2)
