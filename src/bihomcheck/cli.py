@@ -26,8 +26,8 @@ from typing import Optional
 from .coherence import (
     BiHomObject,
     check_duoidal_figure,
-    check_exponent_identities,
     check_lax_figure,
+    exponent_identities,
     random_double_seq,
     random_duoidal_instance,
     random_lax_instance,
@@ -349,13 +349,10 @@ def cmd_coherence(args) -> int:
         def trial(i):
             rng = _trial_rng(args.seed, i)
             m, k = random_double_seq(rng, args.max_n, args.max_m, args.max_k)
-            n = len(m)
-            for si in range(1, n + 1):
-                for sj in range(1, m[si - 1] + 1):
-                    flags = check_exponent_identities(n, m, k, si, sj)
-                    if not all(flags):
-                        return f"trial {i}: identities {flags} fail at "\
-                               f"m={m} k={k} slot ({si},{sj})"
+            for (si, sj), flags in exponent_identities(k).items():
+                if not all(flags):
+                    return f"trial {i}: identities {flags} fail at "\
+                           f"m={m} k={k} slot ({si},{sj})"
             return None
     else:
         def trial(i):
@@ -401,6 +398,11 @@ def cmd_twist(args) -> int:
     return 0
 
 
+def _print_matrix(f: DenseMap):
+    for i in range(f.dst_dim):
+        print("  [" + " ".join(str(f.entry(i, j)) for j in range(f.src_dim)) + "]")
+
+
 def cmd_antipode(args) -> int:
     data = load_instance(args.file)
     if args.name not in data.structures:
@@ -413,10 +415,7 @@ def cmd_antipode(args) -> int:
     header = "antipode" if result.status == FOUND else \
         "NonUnique: underdetermined system; one witness"
     print(header)
-    chi = result.chi
-    for i in range(chi.dst_dim):
-        print("  [" + " ".join(str(chi.entry(i, j))
-                               for j in range(chi.src_dim)) + "]")
+    _print_matrix(result.chi)
     return 0 if result.status == FOUND else 1
 
 
@@ -427,8 +426,7 @@ def cmd_delta(args) -> int:
     bundle = data.structures[args.name]
     d = delta_n(bundle, args.n)
     print(f"delta_{args.n}: {d.dst_dim}x{d.src_dim}")
-    for i in range(d.dst_dim):
-        print("  [" + " ".join(str(d.entry(i, j)) for j in range(d.src_dim)) + "]")
+    _print_matrix(d)
     if not args.check_all_sequences:
         return 0
     bad = []

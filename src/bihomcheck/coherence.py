@@ -20,9 +20,12 @@ from .combinat import (
     IndexSeq,
     bar,
     flip_perm,
+    group_by,
     hat_of,
+    pad,
     tilde_of,
     totals,
+    validate_double_seq,
     validate_index_seq,
     z_of,
 )
@@ -209,55 +212,89 @@ def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
 
 
 # ---------------------------------------------------------------------------
-# Exponent identities
+# Region tables, the lax figure's maps and its exponent identities
 # ---------------------------------------------------------------------------
 
-def _identity_sides(m, k, i, j, ident: int, mirrored: bool):
-    """Both sides of one exponent identity at slot (i, j), 0-based.
+# Region tables: (name, steps of the first path, steps of the second path),
+# steps applied left to right.  Every named map below is an endomorphism of
+# the full slot tensor, so paths compose without reordering for the lax
+# figure; the duoidal paths carry their reorderings inside the named maps.
+_LAX_REGIONS = (
+    ("upper-left", ("Phi:m", "Phi:tilde"), ("Phi:rows", "Phi:KZ")),
+    ("upper-right", ("phi:m", "Phi:tilde"), ("Phi:flat", "phi:KZ")),
+    ("lower-left", ("phi:rows", "Phi:KZ"), ("Phi:K", "phi:hat")),
+    ("lower-right", ("phi:flat", "phi:KZ"), ("phi:K", "phi:hat")),
+)
 
-    mirrored=False gives the second-endomorphism form (sums over earlier
-    slots); mirrored=True reflects every summation range to later slots,
-    which is the first-endomorphism form.
+_DUOIDAL_REGIONS = (
+    ("upper-left", ("Phi:slotwise", "xi:flat"), ("xi:blocks", "xi:groups", "Phi:cols")),
+    ("upper-right", ("phi:slotwise", "xi:flat"), ("xi:flat", "phi:cols")),
+    ("lower-left", ("xi:flatT", "Psi:slotwise"), ("Psi:cols", "xi:groupsT", "xi:blocksT")),
+    ("lower-right", ("xi:flatT", "psi:slotwise"), ("psi:cols", "xi:flatT")),
+)
+
+# The lax regions that exponent identities 1-4 read, in order.
+_IDENTITY_REGIONS = ("upper-left", "lower-left", "upper-right", "lower-right")
+
+_LAX_STEP_KINDS = {"Phi": BIG_PHI, "phi": SMALL_PHI}
+
+
+def _lax_factors(m, k, objs, prods, unit) -> dict:
+    """Each map named in _LAX_REGIONS as its Kronecker factors (kind, sequence, groups).
+
+    objs[i][j] lists the k_ij items of slot (i, j), prods[i][j] stands for their
+    product, unit for the unit; items are objects or, for the exponents, slot labels.
     """
-    n = len(m)
-    tl = tilde_of(k)
-    ht = hat_of(k)
-    tot = totals(k)
-    Ks, Zs = tot.row_sums, tot.row_zeros
-    if not mirrored:
-        Ps = range(i)
-        Qs = range(j)
-    else:
-        Ps = range(i + 1, n)
-        Qs = range(j + 1, m[i])
+    def cat(parts):
+        return [x for part in parts for x in part]
 
-    def full(rows, f):
-        return sum(f(v) for p in Ps for v in rows[p])
+    tot, tl, ht = totals(k), tilde_of(k), hat_of(k)
+    rows = [cat(row) for row in objs]
+    shapes = {
+        "m": [(m, prods)],
+        "rows": list(zip(k, objs)),
+        "tilde": [(cat(tl), cat(group_by(r, t) for r, t in zip(rows, tl)))],
+        "KZ": [([s + z for s, z in zip(tot.row_sums, tot.row_zeros)],
+                [pad(row, ks, unit) for row, ks in zip(objs, k)])],
+        "K": [(tot.row_sums, rows)],
+        "flat": [(cat(k), cat(objs))],
+        "hat": [(cat(ht), cat(group_by(pad([r], (s,), unit), h)
+                              for r, s, h in zip(rows, tot.row_sums, ht)))],
+    }
+    return {step: [(_LAX_STEP_KINDS[kind], seq, groups) for seq, groups in shapes[shape]]
+            for _, left, right in _LAX_REGIONS for step in left + right
+            for kind, shape in [step.split(":")]}
 
-    w = lambda v: bar(v) - 1
-    if ident == 1:
-        lhs = (sum(w(m[p]) for p in Ps) + full(tl, w)
-               + sum(w(tl[i][q]) for q in Qs))
-        rhs = (sum(w(k[i][q]) for q in Qs)
-               + sum(w(Ks[p] + Zs[p]) for p in Ps))
-    elif ident == 2:
-        lhs = (sum(z_of(k[i][q]) for q in Qs)
-               + sum(w(Ks[p] + Zs[p]) for p in Ps))
-        rhs = (sum(w(Ks[p]) for p in Ps) + full(ht, z_of)
-               + sum(z_of(ht[i][q]) for q in Qs))
-    elif ident == 3:
-        lhs = (sum(z_of(m[p]) for p in Ps) + full(tl, w)
-               + sum(w(tl[i][q]) for q in Qs))
-        rhs = (full(k, w) + sum(w(k[i][q]) for q in Qs)
-               + sum(z_of(Ks[p] + Zs[p]) for p in Ps))
-    elif ident == 4:
-        lhs = (sum(Zs[p] for p in Ps) + sum(z_of(k[i][q]) for q in Qs)
-               + sum(z_of(Ks[p] + Zs[p]) for p in Ps))
-        rhs = (sum(z_of(Ks[p]) for p in Ps) + full(ht, z_of)
-               + sum(z_of(ht[i][q]) for q in Qs))
-    else:
-        raise ValueError(f"no identity {ident}")
-    return lhs, rhs
+
+def _lax_path_exponents(k) -> dict:
+    """Slot (i, j) with k_ij > 0, 1-based -> region -> (first path, second path),
+    each path's per-slot (a, b) exponents from phi_exponents summed over its steps."""
+    k = validate_double_seq(k)
+    prods = [[(i, j) for j in range(1, len(row) + 1)] for i, row in enumerate(k, 1)]
+    labels = [[[slot] * v for slot, v in zip(p, row)] for p, row in zip(prods, k)]
+    exps = {}
+    for step, factors in _lax_factors(tuple(map(len, k)), k, labels, prods, None).items():
+        at = exps[step] = {}
+        for kind, seq, groups in factors:
+            for group, pairs in zip(groups, phi_exponents(seq, kind)):
+                at.update(zip(group, pairs))
+
+    def path(steps, slot):
+        return tuple(map(sum, zip(*(exps[s][slot] for s in steps))))
+
+    return {slot: {name: (path(left, slot), path(right, slot))
+                   for name, left, right in _LAX_REGIONS}
+            for p, row in zip(prods, k) for slot, v in zip(p, row) if v}
+
+
+def exponent_identities(k) -> dict:
+    """check_exponent_identities at every slot (i, j) with k_ij > 0 at once.
+
+    Identity r is the lax region _IDENTITY_REGIONS[r - 1] read on exponents: both
+    its paths give the slot equal second (plain form) and first (mirrored) exponents.
+    """
+    return {slot: tuple(sides[r][0] == sides[r][1] for r in _IDENTITY_REGIONS)
+            for slot, sides in _lax_path_exponents(k).items()}
 
 
 def check_exponent_identities(n: int, m: IndexSeq, k, i: int, j: int):
@@ -279,14 +316,7 @@ def check_exponent_identities(n: int, m: IndexSeq, k, i: int, j: int):
         raise SlotOutOfRange(f"slot ({i}, {j}) outside rows {m}")
     if k[i - 1][j - 1] == 0:
         return (True, True, True, True)
-    out = []
-    for ident in (1, 2, 3, 4):
-        ok = True
-        for mirrored in (False, True):
-            lhs, rhs = _identity_sides(m, k, i - 1, j - 1, ident, mirrored)
-            ok = ok and lhs == rhs
-        out.append(ok)
-    return tuple(out)
+    return exponent_identities(k)[(i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +349,6 @@ class DuoidalInstance:
 LAX_LEVEL = "lax"
 DUOIDAL_LEVEL = "duoidal"
 
-# Region tables: (name, steps of the first path, steps of the second path),
-# steps applied left to right.  Every named map below is an endomorphism of
-# the full slot tensor, so paths compose without reordering for the lax
-# figure; the duoidal paths carry their reorderings inside the named maps.
-_LAX_REGIONS = (
-    ("upper-left", ("Phi:m", "Phi:tilde"), ("Phi:rows", "Phi:KZ")),
-    ("upper-right", ("phi:m", "Phi:tilde"), ("Phi:flat", "phi:KZ")),
-    ("lower-left", ("phi:rows", "Phi:KZ"), ("Phi:K", "phi:hat")),
-    ("lower-right", ("phi:flat", "phi:KZ"), ("phi:K", "phi:hat")),
-)
-
-_DUOIDAL_REGIONS = (
-    ("upper-left", ("Phi:slotwise", "xi:flat"), ("xi:blocks", "xi:groups", "Phi:cols")),
-    ("upper-right", ("phi:slotwise", "xi:flat"), ("xi:flat", "phi:cols")),
-    ("lower-left", ("xi:flatT", "Psi:slotwise"), ("Psi:cols", "xi:groupsT", "xi:blocksT")),
-    ("lower-right", ("xi:flatT", "psi:slotwise"), ("psi:cols", "xi:flatT")),
-)
-
-
 def _region_entries(regions, maps, figure: str) -> list:
     """Compose both paths of each region (steps applied left to right) and compare."""
     return [compare_entry(f"region-{name}", f"two boundary paths of the {figure} figure",
@@ -347,65 +358,15 @@ def _region_entries(regions, maps, figure: str) -> list:
 
 
 def _lax_maps(inst: LaxInstance):
-    m, k, objs, field = inst.m, inst.k, inst.objects, inst.field
-    n = len(m)
-    tot = totals(k)
-    unit = unit_object(field)
+    field = inst.field
+    b = [[nprod(g, field) for g in row] for row in inst.objects]
 
-    row_flat = [[o for g in objs[i] for o in g] for i in range(n)]
-    b = [[nprod(objs[i][j], field) for j in range(m[i])] for i in range(n)]
+    def build(factors):
+        maps = [coherence_map(seq, kind, groups, field) for kind, seq, groups in factors]
+        return maps[0] if len(maps) == 1 else kron_all(field, maps)
 
-    tilde_seq, tilde_groups = [], []
-    for i in range(n):
-        if m[i] > 0:
-            tilde_seq.extend(k[i])
-            tilde_groups.extend(objs[i])
-        else:
-            tilde_seq.append(0)
-            tilde_groups.append([])
-
-    padded_rows = []
-    for i in range(n):
-        padded = []
-        for j in range(m[i]):
-            padded.extend(objs[i][j] if k[i][j] > 0 else [unit])
-        padded_rows.append(padded)
-
-    hat_seq, hat_groups = [], []
-    for i in range(n):
-        if m[i] == 0:
-            hat_seq.append(1)
-            hat_groups.append([unit])
-        elif tot.row_sums[i] > 0:
-            hat_seq.extend(k[i])
-            hat_groups.extend(objs[i])
-        else:
-            hat_seq.extend([1] + [0] * (m[i] - 1))
-            hat_groups.append([unit])
-            hat_groups.extend([[]] * (m[i] - 1))
-
-    flat_seq = [v for row in k for v in row]
-    flat_groups = [g for row in objs for g in row]
-
-    def cm(which, seq, groups):
-        return coherence_map(tuple(seq), which, groups, field)
-
-    return {
-        "Phi:m": cm(BIG_PHI, m, b),
-        "phi:m": cm(SMALL_PHI, m, b),
-        "Phi:rows": kron_all(field, [cm(BIG_PHI, k[i], objs[i]) for i in range(n)]),
-        "phi:rows": kron_all(field, [cm(SMALL_PHI, k[i], objs[i]) for i in range(n)]),
-        "Phi:tilde": cm(BIG_PHI, tilde_seq, tilde_groups),
-        "Phi:KZ": cm(BIG_PHI, [ks + zs for ks, zs in zip(tot.row_sums, tot.row_zeros)],
-                     padded_rows),
-        "phi:KZ": cm(SMALL_PHI, [ks + zs for ks, zs in zip(tot.row_sums, tot.row_zeros)],
-                     padded_rows),
-        "Phi:K": cm(BIG_PHI, tot.row_sums, row_flat),
-        "phi:K": cm(SMALL_PHI, tot.row_sums, row_flat),
-        "Phi:flat": cm(BIG_PHI, flat_seq, flat_groups),
-        "phi:flat": cm(SMALL_PHI, flat_seq, flat_groups),
-        "phi:hat": cm(SMALL_PHI, hat_seq, hat_groups),
-    }, b
+    factors = _lax_factors(inst.m, inst.k, inst.objects, b, unit_object(field))
+    return {step: build(f) for step, f in factors.items()}, b
 
 
 def check_lax_figure(inst: LaxInstance) -> CheckReport:

@@ -200,6 +200,14 @@ def _dtype_for(field: FieldTag):
     return object
 
 
+def _zeros(field: FieldTag, rows: int, cols: int) -> np.ndarray:
+    """A writable rows x cols array of the field's zero."""
+    arr = np.zeros((rows, cols), dtype=_dtype_for(field))
+    if arr.dtype == object:
+        arr[:] = _coerce(field, 0)
+    return arr
+
+
 def _normalize(field: FieldTag, arr: np.ndarray) -> np.ndarray:
     if field.kind == PRIME_FIELD:
         arr = arr % field.modulus
@@ -273,19 +281,15 @@ class DenseMap:
 
     @staticmethod
     def identity(field: FieldTag, n: int) -> "DenseMap":
-        arr = np.zeros((n, n), dtype=_dtype_for(field))
-        if arr.dtype == object:
-            arr[:] = _coerce(field, 0)
-        for i in range(n):
-            arr[i, i] = _coerce(field, 1)
+        arr = _zeros(field, n, n)
+        diag = np.arange(n)
+        arr[diag, diag] = _coerce(field, 1)
         return DenseMap(field, n, n, _normalize(field, arr))
 
     @staticmethod
     def zero(field: FieldTag, dst_dim: int, src_dim: int) -> "DenseMap":
-        arr = np.zeros((dst_dim, src_dim), dtype=_dtype_for(field))
-        if arr.dtype == object:
-            arr[:] = _coerce(field, 0)
-        return DenseMap(field, dst_dim, src_dim, _normalize(field, arr))
+        return DenseMap(field, dst_dim, src_dim,
+                        _normalize(field, _zeros(field, dst_dim, src_dim)))
 
     # -- views -------------------------------------------------------------
 
@@ -400,11 +404,9 @@ def _object_matmul(field: FieldTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diagonal-shaped blocks, so treating every zero as work makes rational
     chains quadratically slower than they need to be.
     """
-    zero = _coerce(field, 0)
     rows, inner = a.shape
     cols = b.shape[1]
-    out = np.empty((rows, cols), dtype=object)
-    out[:] = zero
+    out = _zeros(field, rows, cols)
     b_rows = [[(j, b[t, j]) for j in range(cols) if b[t, j] != 0]
               for t in range(inner)]
     for i in range(rows):
@@ -465,13 +467,15 @@ def compose_all(maps: Sequence[DenseMap]) -> DenseMap:
                     best, split[i][j] = c, s
             cost[i][j] = best
 
-    def build(i, j):
-        if i == j:
-            return maps[i]
-        s = split[i][j]
-        return compose(build(i, s), build(s + 1, j))
+    return _compose_split(maps, split, 0, n - 1)
 
-    return build(0, n - 1)
+
+def _compose_split(maps, split, i: int, j: int) -> DenseMap:
+    """maps[i] . ... . maps[j], associated as the table split says."""
+    if i == j:
+        return maps[i]
+    s = split[i][j]
+    return compose(_compose_split(maps, split, i, s), _compose_split(maps, split, s + 1, j))
 
 
 def kron(f: DenseMap, g: DenseMap) -> DenseMap:
@@ -481,10 +485,7 @@ def kron(f: DenseMap, g: DenseMap) -> DenseMap:
         return DenseMap.permutation(
             f.field, f._src_of_dst[:, None] * g.src_dim + g._src_of_dst)
     if f._a.dtype == object:
-        zero = _coerce(f.field, 0)
-        arr = np.empty((f.dst_dim * g.dst_dim, f.src_dim * g.src_dim),
-                       dtype=object)
-        arr[:] = zero
+        arr = _zeros(f.field, f.dst_dim * g.dst_dim, f.src_dim * g.src_dim)
         g_entries = [(r, c, g._a[r, c]) for r in range(g.dst_dim)
                      for c in range(g.src_dim) if g._a[r, c] != 0]
         for i in range(f.dst_dim):

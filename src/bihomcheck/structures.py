@@ -203,15 +203,21 @@ def _unit_entries(b: StructureBundle, side: _Side):
     return entries
 
 
+def _interchange_entry(name: str, law: str, x: BiHomObject, b: StructureBundle,
+                       action: DenseMap, coaction: DenseMap):
+    """Coacting on an action of a on x equals acting and coacting factorwise
+    through the middle interchange of x (x) a (x) a (x) a."""
+    xi = xi_map(2, 2, [[x, b.obj], [b.obj, b.obj]])
+    return compare_entry(name, law, compose(coaction, action),
+                         compose_all([kron(action, b.mu), xi, kron(coaction, b.delta)]))
+
+
 def _bisemigroup_extra_entries(b: StructureBundle):
     b.require("mu", "delta")
-    a = b.obj
-    xi = xi_map(2, 2, [[a, a], [a, a]])
-    lhs = compose(b.delta, b.mu)
-    rhs = compose_all([kron(b.mu, b.mu), xi, kron(b.delta, b.delta)])
-    return [compare_entry(
+    return [_interchange_entry(
         "bisemigroup/compatibility",
-        "comultiplication of a product via the middle interchange", lhs, rhs)]
+        "comultiplication of a product via the middle interchange",
+        b.obj, b, b.mu, b.delta)]
 
 
 def _bimonoid_extra_entries(b: StructureBundle):
@@ -431,14 +437,10 @@ def check_hopf_module(mod: ModuleInst, com: ComoduleInst) -> CheckReport:
         raise MixedStructures("module and comodule disagree on carrier or structure")
     b = mod.over
     b.require("mu", "delta")
-    x, a = mod.carrier, b.obj
     entries = list(check_module(mod).entries) + list(check_comodule(com).entries)
-    xi = xi_map(2, 2, [[x, a], [a, a]])
-    lhs = compose(com.coaction, mod.action)
-    rhs = compose_all([kron(mod.action, b.mu), xi, kron(com.coaction, b.delta)])
-    entries.append(compare_entry(
-        "hopf-module/compatibility",
-        "coaction of an action via the middle interchange", lhs, rhs))
+    entries.append(_interchange_entry(
+        "hopf-module/compatibility", "coaction of an action via the middle interchange",
+        mod.carrier, b, mod.action, com.coaction))
     return make_report("hopf-module", entries)
 
 

@@ -147,25 +147,18 @@ def untwist(b: StructureBundle) -> PlainStructure:
     """Invert the twist: delta~ = (alpha^-1 (x) beta^-1) . delta and
     mu~ = mu . (kappa^-1 (x) nu^-1); units and counits are untouched."""
     obj = b.obj
-    mu = eta = delta = epsilon = None
+    mu = delta = None
     if b.delta is not None:
         ai = _inverse_or_raise(obj, "alpha")
         bi = _inverse_or_raise(obj, "beta")
         delta = compose(kron(ai, bi), b.delta)
-        epsilon = b.epsilon
     if b.mu is not None:
         ki = _inverse_or_raise(obj, "kappa")
         ni = _inverse_or_raise(obj, "nu")
         mu = compose(b.mu, kron(ki, ni))
-        eta = b.eta
     if mu is None and delta is None:
         raise MissingMap("nothing to untwist")
-    if b.delta is None:
-        epsilon = b.epsilon
-    if b.mu is None:
-        eta = b.eta
-    return PlainStructure(StructureBundle(obj, mu=mu, eta=eta,
-                                          delta=delta, epsilon=epsilon))
+    return PlainStructure(b.replace(mu=mu, delta=delta))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ from bihomcheck.coherence import (
     BiHomObject,
     DuoidalInstance,
     LaxInstance,
+    _lax_path_exponents,
     check_duoidal_figure,
     check_exponent_identities,
     check_figure_axioms,
     check_lax_figure,
     coherence_map,
+    exponent_identities,
     nprod,
     phi_exponents,
     random_double_seq,
@@ -27,6 +29,7 @@ from bihomcheck.coherence import (
     unit_object,
     xi_map,
 )
+from bihomcheck import cli, coherence
 from bihomcheck.combinat import Permutation
 from bihomcheck.errors import (
     GroupShapeMismatch,
@@ -251,10 +254,21 @@ class TestExponentIdentities:
                 assert all(check_exponent_identities(n, m, (k,), 1, j))
 
     def test_hand_example_both_sides_one(self):
-        from bihomcheck.coherence import _identity_sides
-        lhs, rhs = _identity_sides((2, 0), ((0, 3), ()), 0, 1, 2, False)
-        assert (lhs, rhs) == (1, 1)
+        # identity 2, plain form, at slot (1, 2) of m = (2, 0), k = ((0, 3), ()):
+        # the second exponents summed along the lower-left region's two paths
+        first, second = _lax_path_exponents(((0, 3), ()))[(1, 2)]["lower-left"]
+        assert (first[1], second[1]) == (1, 1)
         assert all(check_exponent_identities(2, (2, 0), ((0, 3), ()), 1, 2))
+
+    def test_whole_sequence_matches_per_slot(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            m, k = random_double_seq(rng, 4, 3, 4)
+            table = exponent_identities(k)
+            assert list(table) == [(i, j) for i in range(1, len(m) + 1)
+                                   for j in range(1, m[i - 1] + 1) if k[i - 1][j - 1]]
+            for (i, j), flags in table.items():
+                assert flags == check_exponent_identities(len(m), m, k, i, j)
 
     def test_slot_out_of_range(self):
         with pytest.raises(SlotOutOfRange):
@@ -275,6 +289,50 @@ class TestExponentIdentities:
         for i in range(1, n + 1):
             for j in range(1, m[i - 1] + 1):
                 assert all(check_exponent_identities(n, m, k, i, j)), (m, k, i, j)
+
+
+def _substituted(region, old, new):
+    return tuple((name, *(tuple(new if name == region and s == old else s for s in path)
+                          for path in paths))
+                 for name, *paths in coherence._LAX_REGIONS)
+
+
+class TestOneRegionTable:
+    """Both levels read the lax figure from _LAX_REGIONS, so a wrong step in
+    one region is caught by the exponent identities and by the matrices."""
+
+    # Phi:tilde -> Phi:flat is no test: bar(0) - 1 = 0, so the empty rows
+    # tilde adds shift no exponent and the two maps are equal.
+    SUBSTITUTIONS = [("upper-left", "Phi:tilde", "Phi:K"),
+                     ("upper-right", "phi:KZ", "Phi:KZ"),
+                     ("lower-left", "phi:hat", "phi:flat"),
+                     ("lower-right", "phi:K", "Phi:K")]
+
+    @pytest.mark.parametrize("region, old, new", SUBSTITUTIONS)
+    def test_symbolic_level_reports_the_region(self, monkeypatch, region, old, new):
+        monkeypatch.setattr(coherence, "_LAX_REGIONS", _substituted(region, old, new))
+        r = coherence._IDENTITY_REGIONS.index(region)
+        rng = random.Random(0)
+        flags = [f for _ in range(200)
+                 for f in exponent_identities(random_double_seq(rng)[1]).values()]
+        assert any(not f[r] for f in flags)
+        assert all(all(f[:r] + f[r + 1:]) for f in flags)
+
+    @pytest.mark.parametrize("region, old, new", SUBSTITUTIONS)
+    def test_matrix_level_reports_the_region(self, monkeypatch, region, old, new):
+        monkeypatch.setattr(coherence, "_LAX_REGIONS", _substituted(region, old, new))
+        rng = random.Random(0)
+        failed = {e.name for _ in range(40)
+                  for e in check_lax_figure(random_lax_instance(rng, F7)).failures()}
+        assert failed == {f"region-{region}"}
+
+    def test_cli_symbolic_level_names_a_failing_slot(self, monkeypatch, capsys):
+        monkeypatch.setattr(coherence, "_LAX_REGIONS",
+                            _substituted("upper-left", "Phi:tilde", "Phi:K"))
+        assert cli.main(["coherence", "--level", "symbolic", "--trials", "20"]) == 1
+        out = capsys.readouterr().out
+        assert "identities (False, True, True, True) fail at" in out
+        assert out.endswith("trials passed (symbolic, seed 0)\n")
 
 
 class TestFigures:

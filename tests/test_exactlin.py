@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from bihomcheck import exactlin
 from bihomcheck.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -24,6 +26,7 @@ from bihomcheck.exactlin import (
     FieldTag,
     Scalar,
     compose,
+    compose_all,
     invert,
     kron,
     _is_prime,
@@ -156,6 +159,35 @@ class TestCompose:
         a = as_rational_map([[Fraction(2, 3)]])
         b = as_rational_map([[Fraction(3, 4)]])
         assert str(compose(a, b).entry(0, 0)) == "1/2"
+
+
+class TestComposeAll:
+    def test_association_order_minimises_work(self, monkeypatch):
+        shapes = []
+
+        def recording(f, g):
+            shapes.append((f.dst_dim, f.src_dim, g.src_dim))
+            return compose(f, g)
+
+        monkeypatch.setattr(exactlin, "compose", recording)
+        dims = [2, 5, 1, 4, 3, 6, 1]
+        compose_all([DenseMap.zero(F7, dims[i], dims[i + 1]) for i in range(len(dims) - 1)])
+        # (A B)((C D)(E F)): 10 + 12 + 18 + 3 + 2 multiply-adds
+        assert shapes == [(2, 5, 1), (1, 4, 3), (3, 6, 1), (1, 3, 1), (2, 1, 1)]
+
+    def test_leaves_no_reference_cycles(self):
+        # Garbage held in cycles keeps the input maps alive until the cyclic
+        # collector runs; the chain must free everything by reference counting.
+        rng = random.Random(4)
+        maps = [rand_map(rng, F7, 3, 2), rand_map(rng, F7, 2, 4), rand_map(rng, F7, 4, 3)]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                compose_all(maps)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestKron:
