@@ -420,6 +420,8 @@ def cmd_antipode(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    if args.n < 0 or args.max_K < 0:
+        raise ParseError("-n and --max-K must be non-negative")
     data = load_instance(args.file)
     if args.name not in data.structures:
         raise UnknownName(f"no structure named {args.name!r}")

@@ -12,6 +12,7 @@ figures region by region on explicit instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -147,13 +148,9 @@ def phi_exponents(k: IndexSeq, which: str = BIG_PHI):
     if which not in (BIG_PHI, SMALL_PHI, BIG_PSI, SMALL_PSI):
         raise ValueError(f"unknown coherence kind {which!r}")
     weight = (lambda v: bar(v) - 1) if which in _BIG_KINDS else z_of
-    n = len(k)
-    out = []
-    for i in range(n):
-        a_exp = sum(weight(k[p]) for p in range(i + 1, n))
-        b_exp = sum(weight(k[p]) for p in range(i))
-        out.append([(a_exp, b_exp)] * k[i])
-    return out
+    before = [0, *itertools.accumulate(weight(v) for v in k)]  # weights of groups < i
+    total = before[-1]
+    return [[(total - before[i + 1], before[i])] * v for i, v in enumerate(k)]
 
 
 def coherence_map(k: IndexSeq, which: str,

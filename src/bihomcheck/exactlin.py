@@ -2,9 +2,11 @@
 
 Every morphism handled by the kernel is a matrix over an exact field:
 arbitrary-precision rationals or a prime field F_p.  Most maps hold a dense
-array; a permutation map (a tensor-factor flip such as the interchange) holds
-only the index array of its ones, is applied to another map by gathering that
-map's rows or columns, and turns dense only when its entries are read.  Maps
+array; a permutation map (every identity, and each tensor-factor flip such as
+the interchange) holds only the index array of its ones, is applied to another
+map by gathering that map's rows or columns, and turns dense only when its
+entries are read.  Index arrays are read-only and are checked to be bijections
+once, where they enter through DenseMap.permutation.  Maps
 carry explicit source/target dimensions; a map f: V_src -> V_dst has shape
 dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies g
 first).  Kronecker products follow the big-endian flattening convention
@@ -132,10 +134,6 @@ def _parse(field: FieldTag, text: str):
         raise ParseError(f"bad residue {text!r}: {exc}") from exc
 
 
-def _format(field: FieldTag, value) -> str:
-    return str(value)  # Fraction prints p/q in lowest terms, or plain p
-
-
 def _inv_value(field: FieldTag, value):
     if field.kind == RATIONALS:
         if value == 0:
@@ -155,43 +153,8 @@ class Scalar:
     def of(field: FieldTag, value: RawScalar) -> "Scalar":
         return Scalar(field, _coerce(field, value))
 
-    def _lift(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{other.field} vs {self.field}")
-            return other
-        return Scalar.of(self.field, other)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Scalar.of(self.field, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar.of(self.field, -self.value)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return Scalar.of(self.field, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return self * Scalar(self.field, _inv_value(self.field, o.value))
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field, _inv_value(self.field, self.value))
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
     def __str__(self):
-        return _format(self.field, self.value)
+        return str(self.value)  # a Fraction prints p/q in lowest terms, or plain p
 
 
 def _dtype_for(field: FieldTag):
@@ -215,11 +178,18 @@ def _normalize(field: FieldTag, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
+    """The permutation map of an index array already known to be a bijection."""
+    src_of_dst.flags.writeable = False
+    return DenseMap(field, src_of_dst.size, src_of_dst.size, None, src_of_dst)
+
+
 class DenseMap:
     """A linear map as a dst_dim x src_dim matrix over an exact field.
 
-    A permutation map keeps only src_of_dst (row i has its one in column
-    src_of_dst[i]); `_a`, the dense array, is then built on first read.
+    A permutation map (identities included) keeps only src_of_dst (row i has
+    its one in column src_of_dst[i]); `_a`, the dense array, is then built on
+    first read.
     """
 
     __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_src_of_dst")
@@ -239,7 +209,8 @@ class DenseMap:
     @property
     def _a(self) -> np.ndarray:
         if self._dense is None:
-            arr = DenseMap.identity(self.field, self.dst_dim)._a[self._src_of_dst]
+            arr = _zeros(self.field, self.dst_dim, self.src_dim)
+            arr[np.arange(self.dst_dim), self._src_of_dst] = _coerce(self.field, 1)
             arr.flags.writeable = False
             self._dense = arr
         return self._dense
@@ -276,15 +247,11 @@ class DenseMap:
         idx = np.array(src_of_dst, dtype=np.intp).reshape(-1)
         if not np.array_equal(np.sort(idx), np.arange(idx.size)):
             raise DimensionMismatch(f"not a permutation of range({idx.size})")
-        idx.flags.writeable = False
-        return DenseMap(field, idx.size, idx.size, None, idx)
+        return _index_map(field, idx)
 
     @staticmethod
     def identity(field: FieldTag, n: int) -> "DenseMap":
-        arr = _zeros(field, n, n)
-        diag = np.arange(n)
-        arr[diag, diag] = _coerce(field, 1)
-        return DenseMap(field, n, n, _normalize(field, arr))
+        return _index_map(field, np.arange(n))
 
     @staticmethod
     def zero(field: FieldTag, dst_dim: int, src_dim: int) -> "DenseMap":
@@ -302,7 +269,7 @@ class DenseMap:
                 for i in range(self.dst_dim)]
 
     def flat_strings(self):
-        return [_format(self.field, v) for v in self._a.reshape(-1)]
+        return [str(v) for v in self._a.reshape(-1)]
 
     @property
     def entries(self):
@@ -337,8 +304,7 @@ class DenseMap:
         if not len(hits):
             return None
         i, j = int(hits[0, 0]), int(hits[0, 1])
-        return (i, j, _format(self.field, self._a[i, j]),
-                _format(other.field, other._a[i, j]))
+        return (i, j, str(self._a[i, j]), str(other._a[i, j]))
 
     # -- algebra -----------------------------------------------------------
 
@@ -429,7 +395,7 @@ def compose(f: DenseMap, g: DenseMap) -> DenseMap:
         )
     fp, gp = f._src_of_dst, g._src_of_dst
     if fp is not None and gp is not None:
-        return DenseMap.permutation(f.field, gp[fp])
+        return _index_map(f.field, gp[fp])
     if fp is not None:
         arr = g._a[fp]
     elif gp is not None:
@@ -482,8 +448,8 @@ def kron(f: DenseMap, g: DenseMap) -> DenseMap:
     """Kronecker product under the global big-endian index flattening."""
     f._check_field(g)
     if f._src_of_dst is not None and g._src_of_dst is not None:
-        return DenseMap.permutation(
-            f.field, f._src_of_dst[:, None] * g.src_dim + g._src_of_dst)
+        return _index_map(
+            f.field, (f._src_of_dst[:, None] * g.src_dim + g._src_of_dst).reshape(-1))
     if f._a.dtype == object:
         arr = _zeros(f.field, f.dst_dim * g.dst_dim, f.src_dim * g.src_dim)
         g_entries = [(r, c, g._a[r, c]) for r in range(g.dst_dim)

@@ -416,3 +416,11 @@ class TestDeltaCommand:
                      "--check-all-sequences", "--max-K", "3"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bounds", [["-n", "-1"],
+                                        ["--check-all-sequences", "--max-K", "-2"]])
+    def test_negative_bounds_exit_two(self, c3_file, capsys, bounds):
+        assert main(["delta", c3_file, "--name", "twisted"] + bounds) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

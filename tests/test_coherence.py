@@ -30,7 +30,7 @@ from bihomcheck.coherence import (
     xi_map,
 )
 from bihomcheck import cli, coherence
-from bihomcheck.combinat import Permutation
+from bihomcheck.combinat import Permutation, bar, z_of
 from bihomcheck.errors import (
     GroupShapeMismatch,
     InvariantViolation,
@@ -107,6 +107,22 @@ class TestPhiExponents:
 
     def test_psi_uses_same_exponents(self):
         assert phi_exponents((3, 0, 2), BIG_PSI) == phi_exponents((3, 0, 2), BIG_PHI)
+
+    @given(st.lists(st.integers(0, 5), max_size=8),
+           st.sampled_from([BIG_PHI, SMALL_PHI, BIG_PSI, SMALL_PSI]))
+    def test_matches_from_scratch_sums(self, k, which):
+        # reference: both weight sums of every group recomputed from scratch
+        weight = (lambda v: bar(v) - 1) if which in (BIG_PHI, BIG_PSI) else z_of
+        n = len(k)
+        want = [[(sum(weight(k[p]) for p in range(i + 1, n)),
+                  sum(weight(k[p]) for p in range(i)))] * k[i] for i in range(n)]
+        assert phi_exponents(k, which) == want
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="negative entry"):
+            phi_exponents((1, -1), BIG_PHI)
+        with pytest.raises(ValueError, match="unknown coherence kind"):
+            phi_exponents((1, 2), "Chi")
 
 
 class TestCoherenceMap:
