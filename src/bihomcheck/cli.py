@@ -9,9 +9,10 @@ is canonical (sorted keys, lowest-terms scalars, two-space indent) so
 round-trip tests can compare bytes.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage, parse
-or I/O failure.  Randomized commands are reproducible from the seed alone:
-trial i draws from its own generator seeded by (seed, i), so no trial's
-outcome depends on the others or on the order they run in.
+or I/O failure, or a dense map past exactlin.ENTRY_BUDGET.  Randomized
+commands are reproducible from the seed alone: trial i draws from its own
+generator seeded by (seed, i), so no trial's outcome depends on the others or
+on the order they run in.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .coherence import (
     random_duoidal_instance,
     random_lax_instance,
 )
-from .errors import BihomError, ParseError, UnknownName
+from .errors import BihomError, ParseError, TooLarge, UnknownName
 from .exactlin import GF, QQ, DenseMap, FieldTag, RATIONALS
 from .report import CheckReport
 from .structures import (
@@ -255,7 +256,7 @@ def load_instance(path: str) -> InstanceData:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     return instance_from_json(doc)
 
@@ -497,10 +498,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UnknownName) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, UnknownName, TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BihomError as exc:

@@ -63,3 +63,7 @@ class ParseError(BihomError):
 
 class UnknownName(BihomError):
     pass
+
+
+class TooLarge(BihomError):
+    """A dense map past exactlin.ENTRY_BUDGET entries was asked for."""

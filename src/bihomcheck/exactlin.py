@@ -1,12 +1,16 @@
 """Exact scalar fields and linear algebra on matrices.
 
 Every morphism handled by the kernel is a matrix over an exact field:
-arbitrary-precision rationals or a prime field F_p.  Most maps hold a dense
-array; a permutation map (every identity, and each tensor-factor flip such as
-the interchange) holds only the index array of its ones, is applied to another
+arbitrary-precision rationals or a prime field F_p.  Both fields share one
+integer kernel (see DenseMap): numerators over a common denominator, in int64
+where a per-call bound rules out overflow and in Python ints otherwise.  A
+permutation map (every identity, and each tensor-factor flip such as the
+interchange) holds only the index array of its ones, is applied to another
 map by gathering that map's rows or columns, and turns dense only when its
 entries are read.  Index arrays are read-only and are checked to be bijections
-once, where they enter through DenseMap.permutation.  Maps
+once, where they enter through DenseMap.permutation.  No operation builds a
+dense array of more than ENTRY_BUDGET entries; it raises TooLarge, which the
+CLI reports with exit code 2.  Maps
 carry explicit source/target dimensions; a map f: V_src -> V_dst has shape
 dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies g
 first).  Kronecker products follow the big-endian flattening convention
@@ -20,6 +24,7 @@ every operation is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -32,13 +37,15 @@ from .errors import (
     NotSquare,
     ParseError,
     RowLengthMismatch,
+    TooLarge,
 )
 
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 
-# int64 matmul is safe as long as src_dim * (p-1)^2 stays below 2^63.
-_INT64_MODULUS_LIMIT = 1 << 20
+_INT64_ENTRY_LIMIT = 1 << 62  # stored numerators below it are int64
+# No operation builds a dense array of more entries (1 GiB of int64).
+ENTRY_BUDGET = 1 << 27
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound.
@@ -157,25 +164,34 @@ class Scalar:
         return str(self.value)  # a Fraction prints p/q in lowest terms, or plain p
 
 
-def _dtype_for(field: FieldTag):
-    if field.kind == PRIME_FIELD and field.modulus < _INT64_MODULUS_LIMIT:
-        return np.int64
-    return object
+def _check_budget(rows: int, cols: int):
+    if rows * cols > ENTRY_BUDGET:
+        raise TooLarge(f"a dense {rows}x{cols} map is past the budget of "
+                       f"{ENTRY_BUDGET} entries")
 
 
-def _zeros(field: FieldTag, rows: int, cols: int) -> np.ndarray:
-    """A writable rows x cols array of the field's zero."""
-    arr = np.zeros((rows, cols), dtype=_dtype_for(field))
-    if arr.dtype == object:
-        arr[:] = _coerce(field, 0)
-    return arr
+def _operands(f: "DenseMap", g: "DenseMap", inner: int = 1):
+    """The numerators of f and g for a product: as stored when max|f| * max|g|
+    * inner < 2^63 rules out int64 overflow, else as Python ints."""
+    if f._bound() * g._bound() * inner < 1 << 63:
+        return f._num, g._num
+    return f._num.astype(object), g._num.astype(object)
 
 
-def _normalize(field: FieldTag, arr: np.ndarray) -> np.ndarray:
+def _canonical(field: FieldTag, dst_dim: int, src_dim: int,
+               num: np.ndarray, den: int = 1) -> "DenseMap":
+    """The map num/den, brought to canonical form: residues mod p, or lowest
+    terms over Q; stored as int64 when every |numerator| < 2^62."""
     if field.kind == PRIME_FIELD:
-        arr = arr % field.modulus
-    arr.flags.writeable = False
-    return arr
+        num = (num.astype(object) if field.modulus > _INT64_ENTRY_LIMIT else num) % field.modulus
+    elif den != 1:
+        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        num, den = (num // g, den // g) if num.any() else (num, 1)
+    if field.kind == RATIONALS or num.dtype == object:  # residues mod p <= 2^62 fit
+        small = int(np.abs(num).max(initial=0)) < _INT64_ENTRY_LIMIT
+        num = num.astype(np.int64 if small else object, copy=False)
+    num.flags.writeable = False
+    return DenseMap(field, dst_dim, src_dim, num, den=den)
 
 
 def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
@@ -187,15 +203,21 @@ def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
 class DenseMap:
     """A linear map as a dst_dim x src_dim matrix over an exact field.
 
-    A permutation map (identities included) keeps only src_of_dst (row i has
-    its one in column src_of_dst[i]); `_a`, the dense array, is then built on
-    first read.
+    The entries are integer numerators `_num` over one positive denominator
+    `_den`, kept canonical: residues mod p over F_p (`_den` is 1), lowest
+    terms over Q (so `_den` is 1 for every integral map).  `_num` is int64
+    while every |numerator| < 2^62, so a sum of two cannot overflow, and
+    Python ints otherwise; compose and kron work in int64 whenever
+    max|A| * max|B| * inner < 2^63.  A permutation map (identities included)
+    keeps only src_of_dst (row i has its one in column src_of_dst[i]); its
+    dense numerators are built on first read.
     """
 
-    __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_src_of_dst")
+    __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_den", "_src_of_dst")
 
     def __init__(self, field: FieldTag, dst_dim: int, src_dim: int,
-                 array: Optional[np.ndarray], src_of_dst: Optional[np.ndarray] = None):
+                 array: Optional[np.ndarray], src_of_dst: Optional[np.ndarray] = None,
+                 den: int = 1):
         if array is not None and array.shape != (dst_dim, src_dim):
             raise DimensionMismatch(
                 f"array shape {array.shape} != ({dst_dim}, {src_dim})"
@@ -204,16 +226,39 @@ class DenseMap:
         self.dst_dim = dst_dim
         self.src_dim = src_dim
         self._dense = array
+        self._den = den
         self._src_of_dst = src_of_dst
 
     @property
-    def _a(self) -> np.ndarray:
+    def _num(self) -> np.ndarray:
         if self._dense is None:
-            arr = _zeros(self.field, self.dst_dim, self.src_dim)
-            arr[np.arange(self.dst_dim), self._src_of_dst] = _coerce(self.field, 1)
+            _check_budget(self.dst_dim, self.src_dim)
+            arr = np.zeros((self.dst_dim, self.src_dim), dtype=np.int64)
+            arr[np.arange(self.dst_dim), self._src_of_dst] = 1
             arr.flags.writeable = False
             self._dense = arr
         return self._dense
+
+    @property
+    def _a(self) -> np.ndarray:
+        """The entry values; integral ones as the numerators themselves."""
+        return self._num if self._den == 1 else self._values()
+
+    def _values(self) -> np.ndarray:
+        """The entries as field values: Fractions over Q, ints over F_p."""
+        if self.field.kind == PRIME_FIELD:
+            return self._num
+        return np.frompyfunc(Fraction, 2, 1)(self._num.astype(object), self._den)
+
+    def _bound(self) -> int:
+        """An upper bound on every |numerator|; over F_p it needs no scan."""
+        if self.field.kind == PRIME_FIELD:
+            return self.field.modulus - 1
+        return int(np.abs(self._num).max(initial=0))
+
+    def _value(self, i: int, j: int) -> Union[Fraction, int]:
+        v = int(self._num[i, j])
+        return Fraction(v, self._den) if self.field.kind == RATIONALS else v
 
     # -- constructors ------------------------------------------------------
 
@@ -235,11 +280,12 @@ class DenseMap:
             raise DimensionMismatch(
                 f"{len(entries)} entries for a {dst_dim}x{src_dim} map"
             )
-        arr = np.empty((dst_dim, src_dim), dtype=_dtype_for(field))
-        flat = arr.reshape(-1)
-        for i, v in enumerate(entries):
-            flat[i] = _coerce(field, v)
-        return DenseMap(field, dst_dim, src_dim, _normalize(field, arr))
+        values, den = [_coerce(field, v) for v in entries], 1
+        if field.kind == RATIONALS:
+            den = math.lcm(*(v.denominator for v in values))
+            values = [v.numerator * (den // v.denominator) for v in values]
+        num = np.array(values, dtype=object).reshape(dst_dim, src_dim)
+        return _canonical(field, dst_dim, src_dim, num, den)
 
     @staticmethod
     def permutation(field: FieldTag, src_of_dst) -> "DenseMap":
@@ -255,25 +301,24 @@ class DenseMap:
 
     @staticmethod
     def zero(field: FieldTag, dst_dim: int, src_dim: int) -> "DenseMap":
-        return DenseMap(field, dst_dim, src_dim,
-                        _normalize(field, _zeros(field, dst_dim, src_dim)))
+        return _canonical(field, dst_dim, src_dim,
+                          np.zeros((dst_dim, src_dim), dtype=np.int64))
 
     # -- views -------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
-        return Scalar.of(self.field, self._a[i, j])
+        return Scalar(self.field, self._value(i, j))
 
     def rows(self):
         """Entries as nested lists of canonical raw values (row-major)."""
-        return [[self._a[i, j] for j in range(self.src_dim)]
-                for i in range(self.dst_dim)]
+        return self._values().tolist()
 
     def flat_strings(self):
-        return [str(v) for v in self._a.reshape(-1)]
+        return [str(v) for v in self._a.reshape(-1).tolist()]
 
     @property
     def entries(self):
-        return tuple(Scalar.of(self.field, v) for v in self._a.reshape(-1))
+        return tuple(Scalar(self.field, v) for v in self._values().reshape(-1).tolist())
 
     def is_square(self) -> bool:
         return self.dst_dim == self.src_dim
@@ -290,21 +335,23 @@ class DenseMap:
         return (self.field == other.field
                 and self.dst_dim == other.dst_dim
                 and self.src_dim == other.src_dim
-                and bool(np.array_equal(self._a, other._a)))
+                and self._den == other._den
+                and bool(np.array_equal(self._num, other._num)))
 
     def __hash__(self):
-        return hash((self.field, self.dst_dim, self.src_dim,
-                     tuple(self._a.reshape(-1))))
+        return hash((self.field, self.dst_dim, self.src_dim, self._den,
+                     tuple(self._num.reshape(-1).tolist())))
 
     def first_difference(self, other: "DenseMap"):
         """First (row, col, lhs, rhs) where the two maps differ, else None."""
         if self.dst_dim != other.dst_dim or self.src_dim != other.src_dim:
             raise DimensionMismatch("comparing maps of different shapes")
-        hits = np.argwhere(self._a != other._a)
+        a, b, _ = _common_denominator(self, other)
+        hits = np.argwhere(a != b)
         if not len(hits):
             return None
         i, j = int(hits[0, 0]), int(hits[0, 1])
-        return (i, j, str(self._a[i, j]), str(other._a[i, j]))
+        return (i, j, str(self._value(i, j)), str(other._value(i, j)))
 
     # -- algebra -----------------------------------------------------------
 
@@ -315,34 +362,33 @@ class DenseMap:
     def __matmul__(self, other: "DenseMap") -> "DenseMap":
         return compose(self, other)
 
-    def __add__(self, other: "DenseMap") -> "DenseMap":
+    def _entrywise(self, other: "DenseMap", op, verb: str) -> "DenseMap":
         self._check_field(other)
         if (self.dst_dim, self.src_dim) != (other.dst_dim, other.src_dim):
-            raise DimensionMismatch("adding maps of different shapes")
-        return DenseMap(self.field, self.dst_dim, self.src_dim,
-                        _normalize(self.field, self._a + other._a))
+            raise DimensionMismatch(f"{verb} maps of different shapes")
+        a, b, den = _common_denominator(self, other)
+        return _canonical(self.field, self.dst_dim, self.src_dim, op(a, b), den)
+
+    def __add__(self, other: "DenseMap") -> "DenseMap":
+        return self._entrywise(other, np.add, "adding")
 
     def __sub__(self, other: "DenseMap") -> "DenseMap":
-        self._check_field(other)
-        if (self.dst_dim, self.src_dim) != (other.dst_dim, other.src_dim):
-            raise DimensionMismatch("subtracting maps of different shapes")
-        return DenseMap(self.field, self.dst_dim, self.src_dim,
-                        _normalize(self.field, self._a - other._a))
+        return self._entrywise(other, np.subtract, "subtracting")
 
     def scale(self, value: RawScalar) -> "DenseMap":
         v = _coerce(self.field, value)
-        return DenseMap(self.field, self.dst_dim, self.src_dim,
-                        _normalize(self.field, self._a * v))
+        return _canonical(self.field, self.dst_dim, self.src_dim,
+                          self._num.astype(object) * v.numerator, self._den * v.denominator)
 
     def with_entry(self, i: int, j: int, value: RawScalar) -> "DenseMap":
-        arr = self._a.copy()
-        arr[i, j] = _coerce(self.field, value)
-        return DenseMap(self.field, self.dst_dim, self.src_dim,
-                        _normalize(self.field, arr))
+        v = _coerce(self.field, value)
+        num = self._num.astype(object) * v.denominator
+        num[i, j] = v.numerator * self._den
+        return _canonical(self.field, self.dst_dim, self.src_dim, num, self._den * v.denominator)
 
     def transpose(self) -> "DenseMap":
-        return DenseMap(self.field, self.src_dim, self.dst_dim,
-                        _normalize(self.field, self._a.T.copy()))
+        return _canonical(self.field, self.src_dim, self.dst_dim,
+                          self._num.T.copy(), self._den)
 
     def power(self, k: int) -> "DenseMap":
         """k-th composition power by repeated squaring (k >= 0, square map)."""
@@ -360,30 +406,15 @@ class DenseMap:
         return result
 
     def column(self, j: int):
-        return [self._a[i, j] for i in range(self.dst_dim)]
+        return [self._value(i, j) for i in range(self.dst_dim)]
 
 
-def _object_matmul(field: FieldTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product for object-dtype arrays, skipping zero entries.
-
-    Coherence morphisms are Kronecker products of tiny permutation- and
-    diagonal-shaped blocks, so treating every zero as work makes rational
-    chains quadratically slower than they need to be.
-    """
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = _zeros(field, rows, cols)
-    b_rows = [[(j, b[t, j]) for j in range(cols) if b[t, j] != 0]
-              for t in range(inner)]
-    for i in range(rows):
-        acc = out[i]
-        for t in range(inner):
-            v = a[i, t]
-            if v == 0:
-                continue
-            for j, w in b_rows[t]:
-                acc[j] = acc[j] + v * w
-    return out
+def _common_denominator(f: DenseMap, g: DenseMap):
+    """The numerators of f and g over one denominator, and that denominator.
+    Stored numerators are below 2^62, so int64 sums of two cannot overflow."""
+    if f._den == g._den:
+        return f._num, g._num, f._den
+    return f._num.astype(object) * g._den, g._num.astype(object) * f._den, f._den * g._den
 
 
 def compose(f: DenseMap, g: DenseMap) -> DenseMap:
@@ -397,14 +428,13 @@ def compose(f: DenseMap, g: DenseMap) -> DenseMap:
     if fp is not None and gp is not None:
         return _index_map(f.field, gp[fp])
     if fp is not None:
-        arr = g._a[fp]
+        num = g._num[fp]
     elif gp is not None:
-        arr = f._a[:, np.argsort(gp)]
-    elif f._a.dtype == object:
-        arr = _object_matmul(f.field, f._a, g._a)
+        num = f._num[:, np.argsort(gp)]
     else:
-        arr = np.dot(f._a, g._a).reshape(f.dst_dim, g.src_dim)
-    return DenseMap(f.field, f.dst_dim, g.src_dim, _normalize(f.field, arr))
+        _check_budget(f.dst_dim, g.src_dim)
+        num = np.dot(*_operands(f, g, f.src_dim))
+    return _canonical(f.field, f.dst_dim, g.src_dim, num, f._den * g._den)
 
 
 def compose_all(maps: Sequence[DenseMap]) -> DenseMap:
@@ -450,23 +480,12 @@ def kron(f: DenseMap, g: DenseMap) -> DenseMap:
     if f._src_of_dst is not None and g._src_of_dst is not None:
         return _index_map(
             f.field, (f._src_of_dst[:, None] * g.src_dim + g._src_of_dst).reshape(-1))
-    if f._a.dtype == object:
-        arr = _zeros(f.field, f.dst_dim * g.dst_dim, f.src_dim * g.src_dim)
-        g_entries = [(r, c, g._a[r, c]) for r in range(g.dst_dim)
-                     for c in range(g.src_dim) if g._a[r, c] != 0]
-        for i in range(f.dst_dim):
-            for j in range(f.src_dim):
-                v = f._a[i, j]
-                if v == 0:
-                    continue
-                base_r, base_c = i * g.dst_dim, j * g.src_dim
-                for r, c, w in g_entries:
-                    arr[base_r + r, base_c + c] = v * w
-    else:
-        arr = (f._a[:, None, :, None] * g._a[None, :, None, :]).reshape(
-            f.dst_dim * g.dst_dim, f.src_dim * g.src_dim)
-    return DenseMap(f.field, f.dst_dim * g.dst_dim, f.src_dim * g.src_dim,
-                    _normalize(f.field, arr))
+    dst_dim, src_dim = f.dst_dim * g.dst_dim, f.src_dim * g.src_dim
+    _check_budget(dst_dim, src_dim)
+    a, b = _operands(f, g)
+    num = a[:, None, :, None] * b[None, :, None, :]
+    return _canonical(f.field, dst_dim, src_dim, num.reshape(dst_dim, src_dim),
+                      f._den * g._den)
 
 
 def kron_all(field: FieldTag, maps: Iterable[DenseMap]) -> DenseMap:
@@ -504,7 +523,7 @@ def invert(f: DenseMap) -> Optional[DenseMap]:
         raise NotSquare(f"inverting a {f.dst_dim}x{f.src_dim} map")
     n = f.dst_dim
     rows = [row + unit for row, unit in
-            zip(f._a.tolist(), DenseMap.identity(f.field, n)._a.tolist())]
+            zip(f.rows(), DenseMap.identity(f.field, n).rows())]
     if len(_row_reduce(f.field, rows, n)) < n:
         return None
     return DenseMap.from_rows(f.field, [row[n:] for row in rows])

@@ -287,6 +287,32 @@ class TestCheckCommand:
         assert main(["check", str(path), "--structure", "bimonoid",
                      "--name", "x"]) == 2
 
+    @pytest.mark.parametrize("content", [b'{"format_version": "\xff1"}',
+                                         b"[" * 200_000 + b"]" * 200_000],
+                             ids=["non-utf8", "nested-200k"])
+    def test_undecodable_file_exits_two(self, tmp_path, content, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["check", str(path), "--structure", "bimonoid",
+                     "--name", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_dense_map_past_entry_budget_exits_two(self, tmp_path, capsys):
+        # coherence_map((2, 1)) on a 23-dim object would be 12167 x 12167 entries
+        n = 23
+        ident = [str(int(i == j)) for i in range(n) for j in range(n)]
+        doc = {"format_version": "1", "field": {"kind": "prime_field", "modulus": 7},
+               "objects": {"big": {"dim": n, "alpha": ident, "beta": ident,
+                                   "kappa": ident, "nu": ident}},
+               "structures": {"s": {"object": "big", "mu": ["0"] * n ** 3}}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--structure", "semigroup", "--name", "s"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "12167x12167" in err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json"),
                      "--structure", "bimonoid", "--name", "x"]) == 2

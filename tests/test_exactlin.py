@@ -1,11 +1,13 @@
 import gc
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihomcheck import exactlin
 from bihomcheck.errors import (
@@ -14,6 +16,7 @@ from bihomcheck.errors import (
     NotSquare,
     ParseError,
     RowLengthMismatch,
+    TooLarge,
 )
 from bihomcheck.exactlin import (
     GF,
@@ -21,7 +24,6 @@ from bihomcheck.exactlin import (
     QQ,
     UNDERDETERMINED,
     UNIQUE,
-    _INT64_MODULUS_LIMIT,
     DenseMap,
     FieldTag,
     Scalar,
@@ -33,7 +35,13 @@ from bihomcheck.exactlin import (
     solve_linear,
 )
 
-from conftest import as_rational_map, naive_kron, naive_matmul, rational_matrix
+from conftest import (
+    as_rational_map,
+    naive_kron,
+    naive_matmul,
+    rational_matrix,
+    small_fracs,
+)
 
 F7 = GF(7)
 
@@ -300,7 +308,7 @@ class TestSolveLinear:
 
 
 class TestLargeModulus:
-    # moduli past the int64 fast-path limit fall back to python integers
+    # products past the int64 bound fall back to python integers
     def test_arithmetic_over_mersenne_prime(self):
         p = 2 ** 31 - 1
         field = GF(p)
@@ -316,9 +324,12 @@ class TestLargeModulus:
 
     @pytest.mark.parametrize("p, dtype", [(1048573, np.int64), (1048583, object)])
     def test_int64_boundary_against_python_oracle(self, p, dtype):
-        # 1048573 is the largest prime on the int64 path, 1048583 the first past it
+        # the primes on either side of 2^20, where the per-call guard
+        # (p-1)^2 * inner < 2^63 turns at inner 2^23
         assert [q for q in range(1048573, 1048584) if _is_prime(q)] == [1048573, 1048583]
-        assert 1048573 < _INT64_MODULUS_LIMIT < 1048583
+        one = DenseMap.from_rows(GF(p), [[p - 1]])
+        assert exactlin._operands(one, one, 2 ** 23)[0].dtype == dtype
+        assert exactlin._operands(one, one, 9)[0].dtype == np.int64
         field = GF(p)
         rng = random.Random(p)
         reduce = lambda rows: [[v % p for v in row] for row in rows]
@@ -330,7 +341,7 @@ class TestLargeModulus:
         worst = [[p - 1] * 9 for _ in range(9)]  # every product is (p-1)^2
         for a_rows, b_rows in ((rows(4, 6), rows(6, 3)), (worst, worst)):
             a, b = DenseMap.from_rows(field, a_rows), DenseMap.from_rows(field, b_rows)
-            assert a._a.dtype == dtype
+            assert a._num.dtype == b._num.dtype == np.int64
             assert compose(a, b).rows() == reduce(naive_matmul(a_rows, b_rows))
             assert kron(a, b).rows() == reduce(naive_kron(
                 a_rows, b_rows, (a.dst_dim, a.src_dim), (b.dst_dim, b.src_dim)))
@@ -357,3 +368,102 @@ class TestPowers:
 
     def test_zero_power_is_identity(self):
         assert DenseMap.zero(QQ, 2, 2).power(0) == DenseMap.identity(QQ, 2)
+
+
+# Fields on both sides of the point where the int64 guard
+# (p-1)^2 * inner < 2^63 turns: F_7 never crosses it, F_(2^31-1) crosses it
+# between inner 2 and 3, and (p-1)^2 >= 2^63 for 3037000507 (even at inner 1)
+# and for 2^64 - 59, whose residues need not fit int64 at all.
+GUARD_FIELDS = (QQ, F7, GF(2 ** 31 - 1), GF(3037000507), GF(2 ** 64 - 59))
+
+# numerators near and past 2^62, where stored maps and products leave int64
+big_fracs = st.builds(
+    Fraction,
+    st.sampled_from([2 ** 62 - 1, 2 ** 62, 2 ** 63 + 5, 3 ** 40, 2 ** 31 + 1]).flatmap(
+        lambda n: st.sampled_from([n, -n])),
+    st.sampled_from([1, 1, 2, 3, 7]))
+
+
+def field_entries(field):
+    if field == QQ:
+        return st.one_of(small_fracs, big_fracs)
+    p = field.modulus
+    return st.one_of(st.integers(0, p - 1), st.sampled_from([p - 1, p - 2, -1]))
+
+
+@st.composite
+def kernel_case(draw):
+    field = draw(st.sampled_from(GUARD_FIELDS))
+    dst, inner, src = (draw(st.integers(1, 4)) for _ in range(3))
+    entries = field_entries(field)
+
+    def rows(r, c):
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    a, b, c = rows(dst, inner), rows(inner, src), rows(dst, inner)
+    i, j = draw(st.integers(0, dst - 1)), draw(st.integers(0, inner - 1))
+    return field, a, b, c, (i, j, draw(entries))
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_case())
+def test_kernel_against_fraction_reference(case):
+    field, a_rows, b_rows, c_rows, (i, j, v) = case
+    canon = Fraction if field == QQ else (lambda x: x % field.modulus)
+
+    def ref(rows):
+        return [[canon(x) for x in row] for row in rows]
+
+    ra, rb, rc = ref(a_rows), ref(b_rows), ref(c_rows)
+    a, b, c = (DenseMap.from_rows(field, rows) for rows in (a_rows, b_rows, c_rows))
+    assert a.rows() == ra
+    ab, rab = compose(a, b), ref(naive_matmul(ra, rb))
+    assert ab.rows() == rab
+    assert (ab + ab).rows() == [[canon(2 * x) for x in row] for row in rab]
+    assert kron(a, b).rows() == ref(naive_kron(
+        ra, rb, (a.dst_dim, a.src_dim), (b.dst_dim, b.src_dim)))
+    assert (a + c).rows() == [[canon(x + y) for x, y in zip(r, s)] for r, s in zip(ra, rc)]
+    assert (a - c).rows() == [[canon(x - y) for x, y in zip(r, s)] for r, s in zip(ra, rc)]
+    assert a.transpose().rows() == [list(col) for col in zip(*ra)]
+    edited = [list(row) for row in ra]
+    edited[i][j] = canon(v)
+    assert a.with_entry(i, j, v).rows() == edited
+    assert a.scale(v).rows() == [[canon(x * canon(v)) for x in row] for row in ra]
+
+    rebuilt = (a + c) - c
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert (a == c) == (ra == rc)
+    expected = next(((r, k, str(x), str(y))
+                     for r, (row_a, row_c) in enumerate(zip(ra, rc))
+                     for k, (x, y) in enumerate(zip(row_a, row_c)) if x != y), None)
+    assert a.first_difference(c) == expected
+    if field == QQ:
+        for m in (a, compose(a, b), DenseMap.identity(QQ, 2), DenseMap.zero(QQ, 1, 2)):
+            assert all(type(x) is Fraction for row in m.rows() for x in row)
+
+
+def test_int64_results_past_2_62_are_widened():
+    # (2^31 + 1)^2 lies in [2^62, 2^63): the product runs in int64, and the
+    # result must be stored as Python ints so that a sum of two is exact
+    a = DenseMap.from_rows(QQ, [[2 ** 31 + 1]])
+    for m in (compose(a, a), kron(a, a)):
+        assert (m + m).rows() == [[2 * (2 ** 31 + 1) ** 2]]
+
+
+class TestEntryBudget:
+    def test_past_budget_raises_before_allocating(self):
+        wide = DenseMap.zero(F7, 1, 2 ** 14)
+        tall = wide.transpose()
+        builds = (lambda: kron(wide, wide),                       # dense kron
+                  lambda: compose(tall, wide),                    # np.dot branch
+                  lambda: DenseMap.identity(F7, 2 ** 14).rows())  # dense view
+        tracemalloc.start()
+        try:
+            for build in builds:
+                with pytest.raises(TooLarge):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
