@@ -37,6 +37,7 @@ from .errors import BihomError, ParseError, TooLarge, UnknownName
 from .exactlin import GF, QQ, DenseMap, FieldTag, RATIONALS
 from .report import CheckReport
 from .structures import (
+    MAP_SHAPES,
     ComoduleInst,
     ModuleInst,
     StructureBundle,
@@ -158,13 +159,9 @@ def _object_from_json(field: FieldTag, name: str, doc) -> BiHomObject:
                        maps.get("kappa"), maps.get("nu"))
 
 
-_MAP_SHAPES = {"mu": lambda d: (d, d * d), "eta": lambda d: (d, 1),
-               "delta": lambda d: (d * d, d), "epsilon": lambda d: (1, d)}
-
-
 def _structure_to_json(bundle: StructureBundle, object_name: str) -> dict:
     doc = {"object": object_name}
-    for key in _MAP_SHAPES:
+    for key in MAP_SHAPES:
         m = getattr(bundle, key)
         if m is not None:
             doc[key] = _matrix_to_json(m)
@@ -223,7 +220,7 @@ def instance_from_json(doc) -> InstanceData:
             raise UnknownName(f"structure {name}: unknown object {oname!r}")
         obj = objects[oname]
         maps = {}
-        for key, shape in _MAP_SHAPES.items():
+        for key, shape in MAP_SHAPES.items():
             if key in sd:
                 dst, src = shape(obj.dim)
                 maps[key] = _matrix_from_json(field, dst, src, sd[key],

@@ -10,10 +10,12 @@ map by gathering that map's rows or columns, and turns dense only when its
 entries are read.  Index arrays are read-only and are checked to be bijections
 once, where they enter through DenseMap.permutation.  No operation builds a
 dense array of more than ENTRY_BUDGET entries; it raises TooLarge, which the
-CLI reports with exit code 2.  Maps
-carry explicit source/target dimensions; a map f: V_src -> V_dst has shape
-dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies g
-first).  Kronecker products follow the big-endian flattening convention
+CLI reports with exit code 2.  Elimination is fraction-free Gauss-Jordan
+on the same integer numerators.
+
+Maps carry explicit source/target dimensions; a map f: V_src -> V_dst has
+shape dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies
+g first).  Kronecker products follow the big-endian flattening convention
 
     index of slot (i_f, i_g) in f (x) g  =  i_f * dim_g + i_g,
 
@@ -141,14 +143,6 @@ def _parse(field: FieldTag, text: str):
         raise ParseError(f"bad residue {text!r}: {exc}") from exc
 
 
-def _inv_value(field: FieldTag, value):
-    if field.kind == RATIONALS:
-        if value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / value
-    return pow(int(value), -1, field.modulus)
-
-
 @dataclass(frozen=True)
 class Scalar:
     """A field element tagged with its field."""
@@ -181,11 +175,17 @@ def _operands(f: "DenseMap", g: "DenseMap", inner: int = 1):
 def _canonical(field: FieldTag, dst_dim: int, src_dim: int,
                num: np.ndarray, den: int = 1) -> "DenseMap":
     """The map num/den, brought to canonical form: residues mod p, or lowest
-    terms over Q; stored as int64 when every |numerator| < 2^62."""
+    terms over Q with a positive denominator; stored as int64 when every
+    |numerator| < 2^62.  Over F_p num is reduced in place, so it must be a
+    fresh array."""
     if field.kind == PRIME_FIELD:
-        num = (num.astype(object) if field.modulus > _INT64_ENTRY_LIMIT else num) % field.modulus
+        if den != 1:  # only elimination divides over F_p, on Python ints
+            num, den = num * pow(den, -1, field.modulus), 1
+        elif field.modulus > _INT64_ENTRY_LIMIT:
+            num = num.astype(object, copy=False)
+        np.remainder(num, field.modulus, out=num)
     elif den != 1:
-        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        g = math.gcd(den, int(np.gcd.reduce(num, axis=None))) * (1 if den > 0 else -1)
         num, den = (num // g, den // g) if num.any() else (num, 1)
     if field.kind == RATIONALS or num.dtype == object:  # residues mod p <= 2^62 fit
         small = int(np.abs(num).max(initial=0)) < _INT64_ENTRY_LIMIT
@@ -496,37 +496,41 @@ def kron_all(field: FieldTag, maps: Iterable[DenseMap]) -> DenseMap:
     return out
 
 
-def _row_reduce(field: FieldTag, rows: list, ncols: int) -> list:
-    """Reduce rows (lists of field values) in place to reduced row echelon form
-    on their first ncols columns, pivoting on the first nonzero row; returns
-    the pivot columns."""
-    norm = (lambda v: v) if field.kind == RATIONALS else (lambda v: v % field.modulus)
-    pivots = []
+def _row_reduce(field: FieldTag, num: np.ndarray, ncols: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    of the integer object array num, in place, on its first ncols columns;
+    the pivot is the first nonzero row at or below the current one.  Each
+    other row becomes (pivot * row - row[col] * pivot_row) / d for the
+    previous pivot d: an exact quotient over Q, a product with d^-1 mod p over
+    F_p.  Returns the pivot columns and the last pivot d; every pivot entry
+    ends equal to d, so num / d is the reduced row echelon form."""
+    p = field.modulus
+    pivots, d = [], 1
     for col in range(ncols):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
+        nonzero = np.flatnonzero(num[r:, col])
+        if not nonzero.size:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pinv = _inv_value(field, rows[r][col])
-        rows[r] = [norm(v * pinv) for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col] != 0:
-                rows[i] = [norm(x - row[col] * y) for x, y in zip(row, rows[r])]
+        num[[r, r + nonzero[0]]] = num[[r + nonzero[0], r]]
+        others = np.arange(len(num)) != r
+        new = num[r, col] * num[others] - num[others, col:col + 1] * num[r]
+        num[others] = new // d if p is None else new * pow(d, -1, p) % p
+        d = num[r, col]
         pivots.append(col)
-    return pivots
+    return pivots, d
 
 
 def invert(f: DenseMap) -> Optional[DenseMap]:
-    """Exact inverse by Gauss-Jordan elimination of [f | I], or None if singular."""
+    """Exact inverse by elimination of [num(f) | I], or None if singular."""
     if not f.is_square():
         raise NotSquare(f"inverting a {f.dst_dim}x{f.src_dim} map")
     n = f.dst_dim
-    rows = [row + unit for row, unit in
-            zip(f.rows(), DenseMap.identity(f.field, n).rows())]
-    if len(_row_reduce(f.field, rows, n)) < n:
+    num = np.hstack((f._num.astype(object), np.identity(n, dtype=object)))
+    pivots, d = _row_reduce(f.field, num, n)
+    if len(pivots) < n:
         return None
-    return DenseMap.from_rows(f.field, [row[n:] for row in rows])
+    # [num(f) | I] reduces to [d I | d num(f)^-1], and f^-1 = den(f) num(f)^-1
+    return _canonical(f.field, n, n, num[:, n:] * f._den, d)
 
 
 UNIQUE = "unique"
@@ -549,23 +553,20 @@ class SolveResult:
 def solve_linear(system: Sequence[tuple], unknowns: int,
                  field: FieldTag) -> SolveResult:
     """Classify and solve a linear system given as (coefficient-row, rhs) pairs."""
-    rows = []
-    for idx, (coeffs, rhs) in enumerate(system):
+    for idx, (coeffs, _) in enumerate(system):
         if len(coeffs) != unknowns:
             raise RowLengthMismatch(
                 f"row {idx} has {len(coeffs)} coefficients, expected {unknowns}"
             )
-        rows.append([_coerce(field, c) for c in coeffs] + [_coerce(field, rhs)])
-
-    pivots = _row_reduce(field, rows, unknowns)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][unknowns] != 0:
-            return SolveResult(NO_SOLUTION)
+    augmented = DenseMap.from_flat(field, len(system), unknowns + 1,
+                                   [v for coeffs, rhs in system for v in (*coeffs, rhs)])
+    num = augmented._num.astype(object)  # the rows scaled by the common denominator
+    pivots, d = _row_reduce(field, num, unknowns)
+    if num[len(pivots):, unknowns].any():
+        return SolveResult(NO_SOLUTION)
 
     # particular solution: free unknowns set to zero
-    solution = [_coerce(field, 0)] * unknowns
-    for row_idx, col in enumerate(pivots):
-        solution[col] = rows[row_idx][unknowns]
-
+    solution = np.zeros((unknowns, 1), dtype=object)
+    solution[pivots, 0] = num[:len(pivots), unknowns]
     status = UNIQUE if len(pivots) == unknowns else UNDERDETERMINED
-    return SolveResult(status, tuple(Scalar.of(field, v) for v in solution))
+    return SolveResult(status, _canonical(field, unknowns, 1, solution, d).entries)

@@ -51,6 +51,11 @@ def _expect_shape(name: str, m: DenseMap, dst: int, src: int, field):
         )
 
 
+# The (dst, src) shape of each structure map on an object of dimension d.
+MAP_SHAPES = {"mu": lambda d: (d, d * d), "eta": lambda d: (d, 1),
+              "delta": lambda d: (d * d, d), "epsilon": lambda d: (1, d)}
+
+
 @dataclass(frozen=True)
 class StructureBundle:
     """Optional structure maps mu, eta, delta, epsilon on a BiHomObject."""
@@ -62,15 +67,10 @@ class StructureBundle:
     epsilon: Optional[DenseMap] = None
 
     def __post_init__(self):
-        d, f = self.obj.dim, self.obj.field
-        if self.mu is not None:
-            _expect_shape("mu", self.mu, d, d * d, f)
-        if self.eta is not None:
-            _expect_shape("eta", self.eta, d, 1, f)
-        if self.delta is not None:
-            _expect_shape("delta", self.delta, d * d, d, f)
-        if self.epsilon is not None:
-            _expect_shape("epsilon", self.epsilon, 1, d, f)
+        for name, shape in MAP_SHAPES.items():
+            m = getattr(self, name)
+            if m is not None:
+                _expect_shape(name, m, *shape(self.obj.dim), self.obj.field)
 
     def require(self, *names: str):
         for name in names:

@@ -22,6 +22,7 @@ from bihomcheck.exactlin import (
     GF,
     NO_SOLUTION,
     QQ,
+    RATIONALS,
     UNDERDETERMINED,
     UNIQUE,
     DenseMap,
@@ -467,3 +468,150 @@ class TestEntryBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestProductPeak:
+    def test_f7_products_reduce_in_place(self):
+        # an F_p product is reduced mod p in the array it was computed in,
+        # so no operation holds a second output-sized array
+        rng = np.random.default_rng(11)
+        tall = DenseMap.from_flat(F7, 1024, 4, rng.integers(0, 7, 4096).tolist())
+        wide = tall.transpose()
+        square = compose(tall, wide)
+        perm = DenseMap.permutation(F7, rng.permutation(1024))
+        small = DenseMap.from_flat(F7, 32, 32, rng.integers(0, 7, 1024).tolist())
+        builds = (lambda: compose(tall, wide),     # np.dot branch
+                  lambda: compose(perm, square),   # row gather
+                  lambda: compose(square, perm),   # column gather
+                  lambda: kron(small, small))      # broadcast product
+        tracemalloc.start()
+        try:
+            for build in builds:
+                tracemalloc.reset_peak()
+                out = build()
+                peak = tracemalloc.get_traced_memory()[1]
+                assert out.dst_dim * out.src_dim >= 1 << 20
+                assert peak < 1.25 * out._num.nbytes
+                del out
+        finally:
+            tracemalloc.stop()
+
+
+# The elimination behind invert and solve_linear as it was written on Fraction
+# lists, kept verbatim as the reference for the fraction-free one.
+
+def _inv_value(field: FieldTag, value):
+    if field.kind == RATIONALS:
+        if value == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / value
+    return pow(int(value), -1, field.modulus)
+
+
+def reference_row_reduce(field: FieldTag, rows: list, ncols: int) -> list:
+    norm = (lambda v: v) if field.kind == RATIONALS else (lambda v: v % field.modulus)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pinv = _inv_value(field, rows[r][col])
+        rows[r] = [norm(v * pinv) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                rows[i] = [norm(x - row[col] * y) for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def reference_invert(f):
+    n = f.dst_dim
+    rows = [row + unit for row, unit in
+            zip(f.rows(), DenseMap.identity(f.field, n).rows())]
+    if len(reference_row_reduce(f.field, rows, n)) < n:
+        return None
+    return DenseMap.from_rows(f.field, [row[n:] for row in rows])
+
+
+def reference_solve(system, unknowns, field):
+    rows = []
+    for coeffs, rhs in system:
+        rows.append([exactlin._coerce(field, c) for c in coeffs]
+                    + [exactlin._coerce(field, rhs)])
+    pivots = reference_row_reduce(field, rows, unknowns)
+    for i in range(len(pivots), len(rows)):
+        if rows[i][unknowns] != 0:
+            return exactlin.SolveResult(NO_SOLUTION)
+    solution = [exactlin._coerce(field, 0)] * unknowns
+    for row_idx, col in enumerate(pivots):
+        solution[col] = rows[row_idx][unknowns]
+    status = UNIQUE if len(pivots) == unknowns else UNDERDETERMINED
+    return exactlin.SolveResult(status, tuple(Scalar.of(field, v) for v in solution))
+
+
+ELIMINATION_FIELDS = (QQ, GF(2), F7, GF(2 ** 61 - 1))
+
+
+@st.composite
+def linear_system(draw, square=False):
+    """A system whose rows are random, or combinations of a few base rows
+    (rank-deficient), with one right-hand side optionally knocked off."""
+    field = draw(st.sampled_from(ELIMINATION_FIELDS))
+    unknowns = draw(st.integers(0, 4))
+    n_rows = unknowns if square else draw(st.integers(0, 5))
+    entries = field_entries(field) if field == QQ else st.one_of(
+        field_entries(field), st.sampled_from([2 ** 62 + 1, -(3 ** 40)]))
+    width = unknowns + 1
+
+    def row():
+        return draw(st.lists(entries, min_size=width, max_size=width))
+
+    if draw(st.booleans()):
+        rows = [row() for _ in range(n_rows)]
+    else:
+        base = [row() for _ in range(draw(st.integers(1, 3)))]
+        rows = []
+        for _ in range(n_rows):
+            coeffs = draw(st.lists(st.sampled_from([-1, 0, 1, 2]),
+                                   min_size=len(base), max_size=len(base)))
+            rows.append([sum(c * b[k] for c, b in zip(coeffs, base)) for k in range(width)])
+        if rows and draw(st.booleans()):
+            rows[-1][-1] += 1
+    return field, unknowns, [(r[:unknowns], r[unknowns]) for r in rows]
+
+
+def _typed(result):
+    return result.status, result.solution and [
+        (type(s.value), s.value) for s in result.solution]
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_system())
+def test_solve_linear_against_fraction_reference(case):
+    field, unknowns, system = case
+    assert _typed(solve_linear(system, unknowns, field)) == \
+        _typed(reference_solve(system, unknowns, field))
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_system(square=True))
+def test_invert_against_fraction_reference(case):
+    field, n, system = case
+    f = DenseMap.from_flat(field, n, n, [v for coeffs, _ in system for v in coeffs])
+    assert invert(f) == reference_invert(f)
+
+
+def test_elimination_edge_cases():
+    for field in ELIMINATION_FIELDS:
+        assert invert(DenseMap.zero(field, 0, 0)) == DenseMap.zero(field, 0, 0)
+        assert solve_linear([], 0, field) == exactlin.SolveResult(UNIQUE, ())
+        assert solve_linear([([], 1)], 0, field).status == NO_SOLUTION
+        res = solve_linear([], 2, field)
+        assert res.status == UNDERDETERMINED
+        assert [s.value for s in res.solution] == [0, 0]
+    # the witness sets the free unknown to zero: x + y = 1/2, 2x + 2y = 1
+    res = solve_linear([([1, 1], Fraction(1, 2)), ([2, 2], 1)], 2, QQ)
+    assert res.status == UNDERDETERMINED
+    assert [s.value for s in res.solution] == [Fraction(1, 2), 0]
