@@ -397,8 +397,9 @@ def cmd_twist(args) -> int:
 
 
 def _print_matrix(f: DenseMap):
+    strings = f.flat_strings()
     for i in range(f.dst_dim):
-        print("  [" + " ".join(str(f.entry(i, j)) for j in range(f.src_dim)) + "]")
+        print("  [" + " ".join(strings[i * f.src_dim:(i + 1) * f.src_dim]) + "]")
 
 
 def cmd_antipode(args) -> int:
@@ -491,8 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, UnknownName, TooLarge, OSError) as exc:

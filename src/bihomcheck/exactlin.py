@@ -112,7 +112,8 @@ RawScalar = Union[int, Fraction, str, "Scalar"]
 
 
 def _coerce(field: FieldTag, value: RawScalar):
-    """Normalize a raw value into the field's internal representation."""
+    """Normalize a raw value into the field: a residue mod p, or over Q a
+    Python int for an int or an integer string and a Fraction otherwise."""
     if isinstance(value, Scalar):
         if value.field != field:
             raise FieldMismatch(f"scalar over {value.field}, expected {field}")
@@ -122,7 +123,7 @@ def _coerce(field: FieldTag, value: RawScalar):
     if isinstance(value, (float, np.floating)):
         raise ParseError(f"float {value!r} is not an exact scalar")
     if field.kind == RATIONALS:
-        return Fraction(value)
+        return value if type(value) is int else Fraction(value)
     if isinstance(value, Fraction):
         if value.denominator != 1:
             raise FieldMismatch(f"non-integral value {value} in {field}")
@@ -133,6 +134,10 @@ def _coerce(field: FieldTag, value: RawScalar):
 def _parse(field: FieldTag, text: str):
     text = text.strip()
     if field.kind == RATIONALS:
+        try:  # every string int() accepts, Fraction() accepts with the same value
+            return int(text)
+        except ValueError:
+            pass
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -152,7 +157,8 @@ class Scalar:
 
     @staticmethod
     def of(field: FieldTag, value: RawScalar) -> "Scalar":
-        return Scalar(field, _coerce(field, value))
+        v = _coerce(field, value)
+        return Scalar(field, Fraction(v) if field.kind == RATIONALS else v)
 
     def __str__(self):
         return str(self.value)  # a Fraction prints p/q in lowest terms, or plain p
@@ -281,8 +287,9 @@ class DenseMap:
                 f"{len(entries)} entries for a {dst_dim}x{src_dim} map"
             )
         values, den = [_coerce(field, v) for v in entries], 1
-        if field.kind == RATIONALS:
-            den = math.lcm(*(v.denominator for v in values))
+        fractions = [v for v in values if type(v) is not int]  # empty over F_p
+        if fractions:
+            den = math.lcm(*(v.denominator for v in fractions))
             values = [v.numerator * (den // v.denominator) for v in values]
         num = np.array(values, dtype=object).reshape(dst_dim, src_dim)
         return _canonical(field, dst_dim, src_dim, num, den)
@@ -560,13 +567,21 @@ def solve_linear(system: Sequence[tuple], unknowns: int,
             )
     augmented = DenseMap.from_flat(field, len(system), unknowns + 1,
                                    [v for coeffs, rhs in system for v in (*coeffs, rhs)])
-    num = augmented._num.astype(object)  # the rows scaled by the common denominator
-    pivots, d = _row_reduce(field, num, unknowns)
-    if num[len(pivots):, unknowns].any():
+    status, solution, d = _solve(augmented)
+    if status == NO_SOLUTION:
         return SolveResult(NO_SOLUTION)
+    return SolveResult(status, _canonical(field, unknowns, 1, solution, d).entries)
 
-    # particular solution: free unknowns set to zero
+
+def _solve(augmented: DenseMap):
+    """Reduce the augmented map [C | b] and classify C x = b.  Returns the
+    status, then the numerators of a solution as a fresh column (free unknowns
+    set to zero) and their denominator; both are None when there is none."""
+    unknowns = augmented.src_dim - 1
+    num = augmented._num.astype(object)  # the rows scaled by the common denominator
+    pivots, d = _row_reduce(augmented.field, num, unknowns)
+    if num[len(pivots):, unknowns].any():
+        return NO_SOLUTION, None, None
     solution = np.zeros((unknowns, 1), dtype=object)
     solution[pivots, 0] = num[:len(pivots), unknowns]
-    status = UNIQUE if len(pivots) == unknowns else UNDERDETERMINED
-    return SolveResult(status, _canonical(field, unknowns, 1, solution, d).entries)
+    return (UNIQUE if len(pivots) == unknowns else UNDERDETERMINED), solution, d

@@ -14,8 +14,11 @@ whose invertibility detects Hopf-ness in the invertible case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .coherence import BIG_PHI, BIG_PSI, BiHomObject, slot_powers
 from .combinat import Permutation
@@ -26,7 +29,7 @@ from .errors import (
     MissingMap,
     NotInvertible,
 )
-from .exactlin import DenseMap, compose, compose_all, invert, kron, solve_linear
+from .exactlin import DenseMap, _canonical, _solve, compose, compose_all, invert, kron
 from .exactlin import NO_SOLUTION, UNIQUE
 from .structures import ModuleInst, StructureBundle, check_bimonoid, morphism_sides
 
@@ -182,9 +185,10 @@ class AntipodeResult:
 
 
 def _antipode_system(mu: DenseMap, delta: DenseMap, rhs: DenseMap,
-                     sandwich: Optional[DenseMap]):
+                     sandwich: Optional[DenseMap]) -> DenseMap:
     """Linear system for chi in  mu.[sandwich].(1 (x) chi).delta = rhs  and
-    mu.[sandwich].(chi (x) 1).delta = rhs, as (coefficient-row, rhs) pairs.
+    mu.[sandwich].(chi (x) 1).delta = rhs, as one augmented map
+    [coefficients | rhs] whose rows alternate between the two equations.
 
     pre.(1 (x) chi).delta is the sum over basis columns e_i of A.chi.B with
     A = pre.(e_i (x) 1), B = (e_i^T (x) 1).delta, and the row-major vec of
@@ -202,9 +206,12 @@ def _antipode_system(mu: DenseMap, delta: DenseMap, rhs: DenseMap,
         e = DenseMap.zero(field, d, 1).with_entry(i, 0, 1)
         left = left + term(kron(e, one))
         right = right + term(kron(one, e))
-    values = [v for row in rhs.rows() for v in row]
-    return [pair for row1, row2, v in zip(left.rows(), right.rows(), values)
-            for pair in ((row1, v), (row2, v))]
+    den = math.lcm(left._den, right._den, rhs._den)
+    num = np.empty((2 * d * d, d * d + 1), dtype=object)
+    num[0::2, :-1] = left._num.astype(object) * (den // left._den)
+    num[1::2, :-1] = right._num.astype(object) * (den // right._den)
+    num[:, -1] = np.repeat(rhs._num.reshape(-1).astype(object) * (den // rhs._den), 2)
+    return _canonical(field, 2 * d * d, d * d + 1, num, den)
 
 
 def _verify_antipode(mu, delta, rhs, sandwich, chi) -> bool:
@@ -241,15 +248,13 @@ def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    system = _antipode_system(mu, delta, rhs, sandwich)
-    result = solve_linear(system, obj.dim * obj.dim, obj.field)
-    if result.status == NO_SOLUTION:
+    status, solution, den = _solve(_antipode_system(mu, delta, rhs, sandwich))
+    if status == NO_SOLUTION:
         return AntipodeResult(None, method, False, NO_ANTIPODE)
-    chi = DenseMap.from_flat(obj.field, obj.dim, obj.dim,
-                             [s.value for s in result.solution])
+    chi = _canonical(obj.field, obj.dim, obj.dim, solution.reshape(obj.dim, obj.dim), den)
     if not _verify_antipode(mu, delta, rhs, sandwich, chi):
         raise InvariantViolation("solved antipode failed re-verification")
-    status = FOUND if result.status == UNIQUE else NON_UNIQUE
+    status = FOUND if status == UNIQUE else NON_UNIQUE
     return AntipodeResult(chi, method, True, status)
 
 

@@ -416,6 +416,20 @@ class TestAntipodeCommand:
         assert main(["antipode", non_hopf_file, "--name", "nohopf"]) == 1
         assert "NoAntipode" in capsys.readouterr().out
 
+    def test_rejected_call_leaves_next_call_unchanged(self, c3_file, capsys):
+        # the parser is built once per process: neither another call's options
+        # nor a call that argparse rejects may change what the next call does
+        argv = ["antipode", c3_file, "--name", "twisted"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv + ["--method", "untwist"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["antipode"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
+
 
 class TestDeltaCommand:
     def test_prints_and_sweeps(self, c3_file, capsys):

@@ -1,4 +1,6 @@
 import gc
+import json
+import math
 import random
 import time
 import tracemalloc
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihomcheck import exactlin
+from bihomcheck.cli import InstanceData, load_instance, save_instance
 from bihomcheck.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -35,6 +38,8 @@ from bihomcheck.exactlin import (
     _is_prime,
     solve_linear,
 )
+from bihomcheck.fixtures import cyclic_group_bundle
+from bihomcheck.twist import PlainStructure, yau_twist
 
 from conftest import (
     as_rational_map,
@@ -615,3 +620,123 @@ def test_elimination_edge_cases():
     res = solve_linear([([1, 1], Fraction(1, 2)), ([2, 2], 1)], 2, QQ)
     assert res.status == UNDERDETERMINED
     assert [s.value for s in res.solution] == [Fraction(1, 2), 0]
+
+
+# The ingest of from_flat as it was written, one Fraction per entry over Q,
+# kept as the reference for the integer path.
+
+def reference_coerce(field: FieldTag, value):
+    if isinstance(value, Scalar):
+        if value.field != field:
+            raise FieldMismatch(f"scalar over {value.field}, expected {field}")
+        return value.value
+    if isinstance(value, str):
+        text = value.strip()
+        if field.kind == RATIONALS:
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad rational {text!r}: {exc}") from exc
+        try:
+            return int(text, 10) % field.modulus
+        except ValueError as exc:
+            raise ParseError(f"bad residue {text!r}: {exc}") from exc
+    if field.kind == RATIONALS:
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            raise FieldMismatch(f"non-integral value {value} in {field}")
+        value = value.numerator
+    return int(value) % field.modulus
+
+
+def reference_from_flat(field: FieldTag, dst: int, src: int, entries) -> DenseMap:
+    values, den = [reference_coerce(field, v) for v in entries], 1
+    if field.kind == RATIONALS:
+        den = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (den // v.denominator) for v in values]
+    num = np.array(values, dtype=object).reshape(dst, src)
+    return exactlin._canonical(field, dst, src, num, den)
+
+
+def _integer_text(n: int, style: tuple) -> str:
+    sign, pad, grouped = style
+    digits = f"{abs(n):_}" if grouped else str(abs(n))
+    return pad + ("-" if n < 0 else sign) + digits + pad
+
+
+huge_ints = st.sampled_from([2 ** 62 - 1, 2 ** 62, 2 ** 63 + 5, 3 ** 40, 10 ** 30]).flatmap(
+    lambda n: st.sampled_from([n, -n]))
+any_ints = st.integers(-10 ** 4, 10 ** 4) | huge_ints
+integer_strings = st.builds(
+    _integer_text, any_ints,
+    st.tuples(st.sampled_from(["", "+"]), st.sampled_from(["", " ", "\t", "\n "]),
+              st.booleans()))
+ratio_strings = st.builds(lambda a, b: f"{a}/{b}", any_ints, st.integers(-3, 12))
+odd_strings = st.text(alphabet="0123456789+-_/. eE١x", max_size=6)
+
+
+def ingest_entries(field: FieldTag):
+    fractions = st.builds(Fraction, any_ints, st.integers(1, 7))
+    scalars = any_ints | fractions if field == QQ else any_ints
+    return st.one_of(any_ints, integer_strings, ratio_strings, odd_strings, fractions,
+                     st.sampled_from(["1.5", "-2e3", " 7/14 ", "0", "-0"]),
+                     st.builds(lambda v: Scalar.of(field, v), scalars))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_from_flat_against_fraction_ingest(data):
+    field = data.draw(st.sampled_from([QQ, F7]))
+    dst, src = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    entries = data.draw(st.lists(ingest_entries(field), min_size=dst * src,
+                                 max_size=dst * src))
+    try:
+        expected = reference_from_flat(field, dst, src, entries)
+    except (ParseError, FieldMismatch) as exc:
+        with pytest.raises(type(exc)) as got:
+            DenseMap.from_flat(field, dst, src, entries)
+        assert str(got.value) == str(exc)
+        return
+    got = DenseMap.from_flat(field, dst, src, entries)
+    assert got == expected and got._num.dtype == expected._num.dtype
+    assert all(type(v) is int for v in got._num.reshape(-1).tolist())
+    assert got.rows() == expected.rows()
+
+
+def test_integer_strings_parse_as_ints():
+    assert exactlin._parse(QQ, " -1_000 ") == -1000
+    assert type(exactlin._parse(QQ, "+7")) is int
+    assert exactlin._parse(QQ, "2/4") == Fraction(1, 2)
+    assert type(Scalar.of(QQ, "3").value) is Fraction
+    assert type(Scalar.of(QQ, 3).value) is Fraction
+    for text in ("3/0", "1.2.3", "", "١/0"):
+        with pytest.raises(ParseError) as exc:
+            exactlin._parse(QQ, text)
+        with pytest.raises(ParseError) as ref:
+            reference_coerce(QQ, text)
+        assert str(exc.value) == str(ref.value)
+
+
+def test_integral_instance_loads_without_fractions(tmp_path, monkeypatch):
+    t = yau_twist(PlainStructure(cyclic_group_bundle(QQ, 4, 3)))
+    path = str(tmp_path / "c4.json")
+    save_instance(path, InstanceData(QQ, {"A": t.obj}, {"t": t}, {"t": "A"}, {}))
+    calls = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            calls.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(exactlin, "Fraction", CountingFraction)
+    assert load_instance(path).structures["t"] == t
+    assert calls == []
+    # the counter sees the Fractions a non-integral entry still builds
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["objects"]["A"]["alpha"][0] = "1/2"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    load_instance(path)
+    assert calls

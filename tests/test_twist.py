@@ -16,6 +16,7 @@ from bihomcheck.exactlin import (
     DenseMap,
     compose,
     compose_all,
+    invert,
     kron,
     solve_linear,
 )
@@ -170,6 +171,23 @@ class TestAntipode:
         assert direct.status == via.status == FOUND
         assert direct.chi == via.chi == group_power_endo(F7, 3, 2)
 
+    def test_rational_change_of_basis_conjugates_the_antipode(self):
+        # a non-integral basis P of twisted Q[C_3]: the system has fractional
+        # coefficients, and the antipode must come out as P.chi.P^-1
+        t = yau_twist(PlainStructure(cyclic_group_bundle(QQ, 3, 2)))
+        p = DenseMap.from_rows(QQ, [["1/2", 1, 0], [0, "2/3", "-1/5"], [3, 0, "7/4"]])
+        q = invert(p)
+        endo = compose_all([p, t.obj.alpha, q])
+        obj = BiHomObject(3, QQ, endo, endo, endo, endo)
+        conj = StructureBundle(obj, mu=compose_all([p, t.mu, kron(q, q)]),
+                               eta=compose(p, t.eta),
+                               delta=compose_all([kron(p, p), t.delta, q]),
+                               epsilon=compose(t.epsilon, q))
+        expected = compose_all([p, antipode_solve(t, DIRECT).chi, q])
+        for method in (DIRECT, VIA_UNTWIST):
+            res = antipode_solve(conj, method)
+            assert res.status == FOUND and res.chi == expected
+
     def test_twisted_chi_reverifies_by_explicit_composition(self):
         t = twisted_c3()
         chi = antipode_solve(t, DIRECT).chi
@@ -209,7 +227,8 @@ class TestAntipode:
         zero_mu = DenseMap.zero(F7, 2, 4)
         zero_delta = DenseMap.zero(F7, 4, 2)
         zero_rhs = DenseMap.zero(F7, 2, 2)
-        system = _antipode_system(zero_mu, zero_delta, zero_rhs, None)
+        system = [(row[:-1], row[-1])
+                  for row in _antipode_system(zero_mu, zero_delta, zero_rhs, None).rows()]
         res = solve_linear(system, 4, F7)
         assert res.status == UNDERDETERMINED
 
@@ -223,7 +242,7 @@ class TestAntipode:
         mu, delta = data.draw(matrix(d, d * d)), data.draw(matrix(d * d, d))
         chi, rhs = data.draw(matrix(d, d)), data.draw(matrix(d, d))
         sandwich = data.draw(st.none() | matrix(d * d, d * d))
-        system = _antipode_system(mu, delta, rhs, sandwich)
+        system = [(row[:-1], row[-1]) for row in _antipode_system(mu, delta, rhs, sandwich).rows()]
         pre = mu if sandwich is None else compose(mu, sandwich)
         one = DenseMap.identity(field, d)
         vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
