@@ -37,6 +37,7 @@ from .errors import BihomError, ParseError, TooLarge, UnknownName
 from .exactlin import GF, QQ, DenseMap, FieldTag, RATIONALS
 from .report import CheckReport
 from .structures import (
+    ACTION_SHAPES,
     MAP_SHAPES,
     ComoduleInst,
     ModuleInst,
@@ -114,10 +115,6 @@ def _field_from_json(doc) -> FieldTag:
     raise ParseError(f"unknown field kind {doc['kind']!r}")
 
 
-def _matrix_to_json(m: DenseMap) -> list:
-    return m.flat_strings()
-
-
 def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str) -> DenseMap:
     if not isinstance(data, list) or len(data) != dst * src:
         raise ParseError(f"{what}: expected {dst * src} entries")
@@ -127,14 +124,15 @@ def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str) -> D
     return DenseMap.from_flat(field, dst, src, data)
 
 
-def _object_to_json(obj: BiHomObject) -> dict:
-    doc = {"dim": obj.dim,
-           "alpha": _matrix_to_json(obj.alpha),
-           "beta": _matrix_to_json(obj.beta)}
-    if obj.kappa is not None:
-        doc["kappa"] = _matrix_to_json(obj.kappa)
-    if obj.nu is not None:
-        doc["nu"] = _matrix_to_json(obj.nu)
+def _maps_from_json(field: FieldTag, doc: dict, shapes: dict, what: str) -> dict:
+    """The named maps doc holds, each read at its (dst, src) shape."""
+    return {key: _matrix_from_json(field, *shape, doc[key], f"{what}.{key}")
+            for key, shape in shapes.items() if key in doc}
+
+
+def _maps_to_json(doc: dict, maps: dict) -> dict:
+    """doc with every present named map added as its flat entry strings."""
+    doc.update((key, m.flat_strings()) for key, m in maps.items() if m is not None)
     return doc
 
 
@@ -148,45 +146,29 @@ def _object_from_json(field: FieldTag, name: str, doc) -> BiHomObject:
         raise ParseError(f"object {name}: bad dim {dim!r}") from exc
     if dim < 0:
         raise ParseError(f"object {name}: negative dim {dim}")
-    maps = {}
-    for key in ("alpha", "beta", "kappa", "nu"):
-        if key in doc:
-            maps[key] = _matrix_from_json(field, dim, dim, doc[key],
-                                          f"object {name}.{key}")
+    shapes = dict.fromkeys(("alpha", "beta", "kappa", "nu"), (dim, dim))
+    maps = _maps_from_json(field, doc, shapes, f"object {name}")
     if "alpha" not in maps or "beta" not in maps:
         raise ParseError(f"object {name}: alpha and beta are required")
-    return BiHomObject(dim, field, maps["alpha"], maps["beta"],
-                       maps.get("kappa"), maps.get("nu"))
-
-
-def _structure_to_json(bundle: StructureBundle, object_name: str) -> dict:
-    doc = {"object": object_name}
-    for key in MAP_SHAPES:
-        m = getattr(bundle, key)
-        if m is not None:
-            doc[key] = _matrix_to_json(m)
-    return doc
+    return BiHomObject(dim, field, **maps)
 
 
 def instance_to_json(data: InstanceData) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "field": _field_to_json(data.field),
-        "objects": {name: _object_to_json(o) for name, o in data.objects.items()},
+        "objects": {name: _maps_to_json({"dim": o.dim}, o.endos())
+                    for name, o in data.objects.items()},
         "structures": {
-            name: _structure_to_json(b, data.structure_objects[name])
+            name: _maps_to_json({"object": data.structure_objects[name]},
+                                {key: getattr(b, key) for key in MAP_SHAPES})
             for name, b in data.structures.items()},
     }
     if data.modules:
-        mods = {}
-        for name, entry in data.modules.items():
-            m = {"carrier": entry.carrier, "over": entry.over}
-            if entry.action is not None:
-                m["action"] = _matrix_to_json(entry.action)
-            if entry.coaction is not None:
-                m["coaction"] = _matrix_to_json(entry.coaction)
-            mods[name] = m
-        doc["modules"] = mods
+        doc["modules"] = {
+            name: _maps_to_json({"carrier": e.carrier, "over": e.over},
+                                {key: getattr(e, key) for key in ACTION_SHAPES})
+            for name, e in data.modules.items()}
     return doc
 
 
@@ -219,13 +201,9 @@ def instance_from_json(doc) -> InstanceData:
         if not isinstance(oname, str) or oname not in objects:
             raise UnknownName(f"structure {name}: unknown object {oname!r}")
         obj = objects[oname]
-        maps = {}
-        for key, shape in MAP_SHAPES.items():
-            if key in sd:
-                dst, src = shape(obj.dim)
-                maps[key] = _matrix_from_json(field, dst, src, sd[key],
-                                              f"structure {name}.{key}")
-        structures[name] = StructureBundle(obj, **maps)
+        shapes = {key: shape(obj.dim) for key, shape in MAP_SHAPES.items()}
+        structures[name] = StructureBundle(
+            obj, **_maps_from_json(field, sd, shapes, f"structure {name}"))
         structure_objects[name] = oname
     modules = {}
     for name, md in _section(doc, "modules").items():
@@ -234,18 +212,12 @@ def instance_from_json(doc) -> InstanceData:
             raise UnknownName(f"module {name}: unknown object {cname!r}")
         if not isinstance(sname, str) or sname not in structures:
             raise UnknownName(f"module {name}: unknown structure {sname!r}")
-        x = objects[cname]
-        a = structures[sname].obj
-        action = coaction = None
-        if "action" in md:
-            action = _matrix_from_json(field, x.dim, x.dim * a.dim, md["action"],
-                                       f"module {name}.action")
-        if "coaction" in md:
-            coaction = _matrix_from_json(field, x.dim * a.dim, x.dim, md["coaction"],
-                                         f"module {name}.coaction")
-        if action is None and coaction is None:
+        x, a = objects[cname], structures[sname].obj
+        shapes = {key: shape(x.dim, a.dim) for key, shape in ACTION_SHAPES.items()}
+        maps = _maps_from_json(field, md, shapes, f"module {name}")
+        if not maps:
             raise ParseError(f"module {name}: needs an action or a coaction")
-        modules[name] = ModuleEntry(cname, sname, action, coaction)
+        modules[name] = ModuleEntry(cname, sname, **maps)
     return InstanceData(field, objects, structures, structure_objects, modules)
 
 

@@ -120,8 +120,9 @@ def _coerce(field: FieldTag, value: RawScalar):
         return value.value
     if isinstance(value, str):
         return _parse(field, value)
-    if isinstance(value, (float, np.floating)):
-        raise ParseError(f"float {value!r} is not an exact scalar")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, Fraction)):
+        kind = "float" if isinstance(value, (float, np.floating)) else type(value).__name__
+        raise ParseError(f"{kind} {value!r} is not an exact scalar")
     if field.kind == RATIONALS:
         return value if type(value) is int else Fraction(value)
     if isinstance(value, Fraction):

@@ -54,6 +54,8 @@ def _expect_shape(name: str, m: DenseMap, dst: int, src: int, field):
 # The (dst, src) shape of each structure map on an object of dimension d.
 MAP_SHAPES = {"mu": lambda d: (d, d * d), "eta": lambda d: (d, 1),
               "delta": lambda d: (d * d, d), "epsilon": lambda d: (1, d)}
+# The (dst, src) shape of a (co)action with carrier dimension x over dimension a.
+ACTION_SHAPES = {"action": lambda x, a: (x, x * a), "coaction": lambda x, a: (x * a, x)}
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class ModuleInst:
         x, a = self.carrier, self.over.obj
         if x.field != a.field:
             raise FieldMismatch("module carrier and structure over different fields")
-        _expect_shape("action", self.action, x.dim, x.dim * a.dim, x.field)
+        _expect_shape("action", self.action, *ACTION_SHAPES["action"](x.dim, a.dim), x.field)
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,8 @@ class ComoduleInst:
         x, a = self.carrier, self.over.obj
         if x.field != a.field:
             raise FieldMismatch("comodule carrier and structure over different fields")
-        _expect_shape("coaction", self.coaction, x.dim * a.dim, x.dim, x.field)
+        _expect_shape("coaction", self.coaction, *ACTION_SHAPES["coaction"](x.dim, a.dim),
+                      x.field)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +130,7 @@ class _Side:
     mu, eta, Psi, psi become delta, epsilon, Phi, phi, every composite is
     taken in reverse order, and tensor products stay as they are.  So each
     law is written once, as the monoid law, and `chain` reads it on either side.
+    `endos` names the endomorphism pair that governs the side.
     """
 
     co: bool
@@ -134,6 +138,7 @@ class _Side:
     unit: str
     big: str
     small: str
+    endos: tuple
 
     def chain(self, *maps: DenseMap) -> DenseMap:
         return compose_all(maps[::-1] if self.co else maps)
@@ -142,8 +147,8 @@ class _Side:
         return comonoid if self.co else monoid
 
 
-MONOID_SIDE = _Side(False, "mu", "eta", BIG_PSI, SMALL_PSI)
-COMONOID_SIDE = _Side(True, "delta", "epsilon", BIG_PHI, SMALL_PHI)
+MONOID_SIDE = _Side(False, "mu", "eta", BIG_PSI, SMALL_PSI, ("kappa", "nu"))
+COMONOID_SIDE = _Side(True, "delta", "epsilon", BIG_PHI, SMALL_PHI, ("alpha", "beta"))
 
 
 def morphism_sides(b: StructureBundle, name: str, e: DenseMap):

@@ -15,6 +15,7 @@ whose invertibility detects Hopf-ness in the invertible case.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,9 +30,10 @@ from .errors import (
     MissingMap,
     NotInvertible,
 )
-from .exactlin import DenseMap, _canonical, _solve, compose, compose_all, invert, kron
+from .exactlin import DenseMap, _canonical, _operands, _solve, compose, compose_all, invert, kron
 from .exactlin import NO_SOLUTION, UNIQUE
-from .structures import ModuleInst, StructureBundle, check_bimonoid, morphism_sides
+from .structures import COMONOID_SIDE, MAP_SHAPES, MONOID_SIDE, ModuleInst, StructureBundle
+from .structures import check_bimonoid, morphism_sides
 
 COMONOID = "comonoid"
 MONOID = "monoid"
@@ -58,42 +60,29 @@ class PlainStructure:
     bundle: StructureBundle
 
 
-def _classical_morphism_failures(b: StructureBundle, names, maps):
-    failures = []
-    for ename in names:
-        e = b.obj.endos().get(ename)
-        if e is None:
-            failures.append(f"{ename} missing")
-            continue
-        for mname in maps:
-            if getattr(b, mname) is None:
-                continue
-            lhs, rhs = morphism_sides(b, mname, e)
-            if lhs != rhs:
-                failures.append(f"{ename} is not a morphism for {mname}")
-    return failures
-
-
-def _designated(direction: str):
-    if direction == COMONOID:
-        return ("alpha", "beta"), ("delta", "epsilon")
-    if direction == MONOID:
-        return ("kappa", "nu"), ("mu", "eta")
-    if direction == BIMONOID:
-        return ("alpha", "beta", "kappa", "nu"), ("mu", "eta", "delta", "epsilon")
-    raise ValueError(f"unknown twist direction {direction!r}")
+# The sides each direction twists; the comonoid side comes first, which fixes
+# the order of the checks and of the errors they raise.
+_TWISTED_SIDES = {COMONOID: (COMONOID_SIDE,), MONOID: (MONOID_SIDE,),
+                  BIMONOID: (COMONOID_SIDE, MONOID_SIDE)}
 
 
 def validate_plain(p: PlainStructure, direction: str):
     """Raise InvariantViolation unless the designated endomorphisms are
     morphisms of the classical structure being twisted."""
-    names, maps = _designated(direction)
-    b = p.bundle
-    if direction in (COMONOID, BIMONOID):
-        b.require("delta")
-    if direction in (MONOID, BIMONOID):
-        b.require("mu")
-    failures = _classical_morphism_failures(b, names, maps)
+    if direction not in _TWISTED_SIDES:
+        raise ValueError(f"unknown twist direction {direction!r}")
+    sides, b = _TWISTED_SIDES[direction], p.bundle
+    b.require(*(side.mult for side in sides))
+    maps = [m for m in MAP_SHAPES if any(m in (side.mult, side.unit) for side in sides)
+            and getattr(b, m) is not None]
+    failures = []
+    for ename in (name for side in sides for name in side.endos):
+        e = b.obj.endos().get(ename)
+        if e is None:
+            failures.append(f"{ename} missing")
+            continue
+        failures += [f"{ename} is not a morphism for {m}" for m in maps
+                     if operator.ne(*morphism_sides(b, m, e))]
     if failures:
         raise InvariantViolation("; ".join(failures))
 
@@ -125,15 +114,11 @@ def yau_twist(p: PlainStructure, direction: str = BIMONOID) -> StructureBundle:
     """
     validate_plain(p, direction)
     b = p.bundle
-    obj = b.obj
-    mu = eta = delta = epsilon = None
-    if direction in (COMONOID, BIMONOID):
-        delta = compose(gamma_map([obj, obj], COMONOID), b.delta)
-        epsilon = b.epsilon
-    if direction in (MONOID, BIMONOID):
-        mu = compose(b.mu, gamma_map([obj, obj], MONOID))
-        eta = b.eta
-    return StructureBundle(obj, mu=mu, eta=eta, delta=delta, epsilon=epsilon)
+    maps = {}
+    for side in _TWISTED_SIDES[direction]:
+        maps[side.mult] = side.chain(getattr(b, side.mult), kron(*b.obj.pair_for(side.big)))
+        maps[side.unit] = getattr(b, side.unit)
+    return StructureBundle(b.obj, **maps)
 
 
 def _inverse_or_raise(obj: BiHomObject, name: str) -> DenseMap:
@@ -149,19 +134,15 @@ def _inverse_or_raise(obj: BiHomObject, name: str) -> DenseMap:
 def untwist(b: StructureBundle) -> PlainStructure:
     """Invert the twist: delta~ = (alpha^-1 (x) beta^-1) . delta and
     mu~ = mu . (kappa^-1 (x) nu^-1); units and counits are untouched."""
-    obj = b.obj
-    mu = delta = None
-    if b.delta is not None:
-        ai = _inverse_or_raise(obj, "alpha")
-        bi = _inverse_or_raise(obj, "beta")
-        delta = compose(kron(ai, bi), b.delta)
-    if b.mu is not None:
-        ki = _inverse_or_raise(obj, "kappa")
-        ni = _inverse_or_raise(obj, "nu")
-        mu = compose(b.mu, kron(ki, ni))
-    if mu is None and delta is None:
+    maps = {}
+    for side in _TWISTED_SIDES[BIMONOID]:
+        m = getattr(b, side.mult)
+        if m is not None:
+            inverses = (_inverse_or_raise(b.obj, name) for name in side.endos)
+            maps[side.mult] = side.chain(m, kron(*inverses))
+    if not maps:
         raise MissingMap("nothing to untwist")
-    return PlainStructure(b.replace(mu=mu, delta=delta))
+    return PlainStructure(b.replace(**maps))
 
 
 @dataclass(frozen=True)
@@ -190,26 +171,19 @@ def _antipode_system(mu: DenseMap, delta: DenseMap, rhs: DenseMap,
     mu.[sandwich].(chi (x) 1).delta = rhs, as one augmented map
     [coefficients | rhs] whose rows alternate between the two equations.
 
-    pre.(1 (x) chi).delta is the sum over basis columns e_i of A.chi.B with
-    A = pre.(e_i (x) 1), B = (e_i^T (x) 1).delta, and the row-major vec of
-    A.chi.B is (A (x) B^T).vec(chi); chi (x) 1 puts e_i in the second slot."""
+    With P = pre and D = delta read as d x d x d arrays, the coefficient of
+    chi[j, k] in entry (r, c) of pre.(1 (x) chi).delta is sum_a P[r, a, j]
+    D[a, k, c], and in pre.(chi (x) 1).delta it is sum_b P[r, j, b] D[k, b, c]:
+    one tensordot each, over the numerators pre and delta share."""
     pre = compose(mu, sandwich) if sandwich is not None else mu
     field, d = delta.field, delta.src_dim
-    one = DenseMap.identity(field, d)
-    delta_t = delta.transpose()
-
-    def term(select):  # A (x) B^T for A = pre.select, B^T = delta^T.select
-        return kron(compose(pre, select), compose(delta_t, select))
-
-    left = right = DenseMap.zero(field, d * d, d * d)
-    for i in range(d):
-        e = DenseMap.zero(field, d, 1).with_entry(i, 0, 1)
-        left = left + term(kron(e, one))
-        right = right + term(kron(one, e))
-    den = math.lcm(left._den, right._den, rhs._den)
+    P, D = (a.reshape(d, d, d) for a in _operands(pre, delta, d))
+    block_den = pre._den * delta._den
+    den = math.lcm(block_den, rhs._den)
     num = np.empty((2 * d * d, d * d + 1), dtype=object)
-    num[0::2, :-1] = left._num.astype(object) * (den // left._den)
-    num[1::2, :-1] = right._num.astype(object) * (den // right._den)
+    for parity, axes in enumerate((([1], [0]), ([2], [1]))):
+        block = np.tensordot(P, D, axes).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+        num[parity::2, :-1] = block.astype(object) * (den // block_den)
     num[:, -1] = np.repeat(rhs._num.reshape(-1).astype(object) * (den // rhs._den), 2)
     return _canonical(field, 2 * d * d, d * d + 1, num, den)
 

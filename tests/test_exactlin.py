@@ -130,6 +130,28 @@ class TestScalar:
         assert DenseMap.from_flat(F7, 1, 2, [9, np.int64(-1)]).rows() == [[2, 6]]
 
 
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+@pytest.mark.parametrize("value", [None, [1], {}, (), True, False, np.bool_(True),
+                                   1j, b"1", object()], ids=repr)
+def test_non_scalars_rejected(field, value):
+    for build in (lambda: DenseMap.from_flat(field, 1, 1, [value]),
+                  lambda: Scalar.of(field, value),
+                  lambda: DenseMap.zero(field, 1, 1).with_entry(0, 0, value)):
+        with pytest.raises(ParseError, match="is not an exact scalar"):
+            build()
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), (np.int64(3), 3), (np.uint8(3), 3), ("3", 3), (Fraction(6, 2), 3),
+    ("-4", -4), (-4, -4)])
+def test_scalar_types_still_accepted(field, value, expected):
+    expected = Scalar.of(field, Fraction(expected))
+    assert DenseMap.from_flat(field, 1, 1, [value]).entry(0, 0) == expected
+    assert Scalar.of(field, value) == expected
+    assert Scalar.of(field, Scalar.of(field, value)) == expected
+
+
 class TestCompose:
     def test_identity(self):
         rng = random.Random(0)

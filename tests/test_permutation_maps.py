@@ -62,7 +62,7 @@ def assert_index_map(m):
     assert np.array_equal(np.sort(idx), np.arange(m.dst_dim))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_compose_matches_dense(data):
     field = data.draw(FIELDS)
@@ -89,7 +89,7 @@ def test_compose_matches_dense(data):
         assert_index_map(compose_all(chain))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kron_matches_dense(data):
     field = data.draw(FIELDS)
@@ -110,7 +110,7 @@ def test_kron_matches_dense(data):
         assert_index_map(m)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_equality_hash_and_first_difference(data):
     field = data.draw(FIELDS)

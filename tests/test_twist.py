@@ -14,6 +14,7 @@ from bihomcheck.exactlin import (
     QQ,
     UNDERDETERMINED,
     DenseMap,
+    _operands,
     compose,
     compose_all,
     invert,
@@ -149,6 +150,70 @@ class TestUntwist:
             untwist(StructureBundle(classical_c3().obj))
 
 
+def _diagonal(*entries):
+    return DenseMap.from_rows(F7, [[v if i == j else 0 for j in range(len(entries))]
+                                   for i, v in enumerate(entries)])
+
+
+def _c3_maps_on(*endos):
+    b = classical_c3()
+    return StructureBundle(BiHomObject(3, F7, *endos), mu=b.mu, eta=b.eta,
+                           delta=b.delta, epsilon=b.epsilon)
+
+
+class TestPinnedTexts:
+    """Error texts whose order follows the sides a direction twists: the
+    comonoid side's names and checks come first, and within a name the maps
+    run mu, eta, delta, epsilon."""
+
+    SCALE, ZERO, TWICE, ONE = (_diagonal(1, 1, 2), _diagonal(0, 0, 0),
+                               _diagonal(2, 2, 2), _diagonal(1, 1, 1))
+
+    @pytest.mark.parametrize("direction, text", [
+        (COMONOID, "alpha is not a morphism for delta; alpha is not a morphism for "
+                   "epsilon; beta is not a morphism for epsilon"),
+        (MONOID, "kappa is not a morphism for mu; kappa is not a morphism for eta; "
+                 "nu is not a morphism for mu; nu is not a morphism for eta"),
+        (BIMONOID, "alpha is not a morphism for mu; alpha is not a morphism for delta; "
+                   "alpha is not a morphism for epsilon; beta is not a morphism for eta; "
+                   "beta is not a morphism for epsilon; kappa is not a morphism for mu; "
+                   "kappa is not a morphism for eta; kappa is not a morphism for delta; "
+                   "kappa is not a morphism for epsilon; nu is not a morphism for mu; "
+                   "nu is not a morphism for eta; nu is not a morphism for epsilon"),
+    ])
+    def test_validate_plain_failure_text(self, direction, text):
+        bad = _c3_maps_on(self.SCALE, self.ZERO, self.TWICE, _diagonal(0, 1, 1))
+        with pytest.raises(InvariantViolation) as exc:
+            validate_plain(PlainStructure(bad), direction)
+        assert str(exc.value) == text
+
+    def test_missing_endomorphisms_listed_in_place(self):
+        bad = _c3_maps_on(self.SCALE, self.ZERO)
+        with pytest.raises(InvariantViolation) as exc:
+            validate_plain(PlainStructure(bad), BIMONOID)
+        assert str(exc.value) == (
+            "alpha is not a morphism for mu; alpha is not a morphism for delta; "
+            "alpha is not a morphism for epsilon; beta is not a morphism for eta; "
+            "beta is not a morphism for epsilon; kappa missing; nu missing")
+
+    @pytest.mark.parametrize("endos, name", [
+        ((ZERO, ZERO, ONE, ONE), "alpha"),
+        ((ONE, ZERO, ZERO, ONE), "beta"),
+        ((ONE, ONE, ZERO, ZERO), "kappa"),
+    ])
+    def test_first_singular_endomorphism_named(self, endos, name):
+        with pytest.raises(NotInvertible, match=f"^{name} is singular$"):
+            untwist(_c3_maps_on(*endos))
+
+    @pytest.mark.parametrize("direction, name", [
+        (COMONOID, "delta"), (MONOID, "mu"), (BIMONOID, "delta")])
+    def test_missing_map_named(self, direction, name):
+        b = classical_c3()
+        units_only = StructureBundle(b.obj, eta=b.eta, epsilon=b.epsilon)
+        with pytest.raises(MissingMap, match=f"^structure has no {name}$"):
+            yau_twist(PlainStructure(units_only), direction)
+
+
 class TestAntipode:
     def test_classical_antipode_is_inversion(self):
         res = antipode_solve(classical_c3(), DIRECT)
@@ -244,6 +309,37 @@ class TestAntipode:
         sandwich = data.draw(st.none() | matrix(d * d, d * d))
         system = [(row[:-1], row[-1]) for row in _antipode_system(mu, delta, rhs, sandwich).rows()]
         pre = mu if sandwich is None else compose(mu, sandwich)
+        one = DenseMap.identity(field, d)
+        vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
+        for parity, composite in enumerate([kron(one, chi), kron(chi, one)]):
+            rows = system[parity::2]
+            coeffs = DenseMap.from_rows(field, [row for row, _ in rows])
+            assert compose(coeffs, vec_chi).flat_strings() == \
+                compose_all([pre, composite, delta]).flat_strings()
+            assert DenseMap.from_flat(field, d, d, [v for _, v in rows]) == rhs
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_system_rows_on_python_int_numerators(self, data):
+        # numerators past the int64 guard (|entry| >= 2^32 over Q, every entry
+        # over F_(2^61-1)) send the contraction through Python-int arrays
+        field = data.draw(st.sampled_from([QQ, GF(2**61 - 1)]))
+        if field == QQ:
+            entries = st.integers(2**32, 2**40) | st.integers(-2**40, -2**32)
+        else:
+            entries = st.integers(0, field.modulus - 1)
+
+        def matrix(dst, src):
+            return st.lists(entries, min_size=dst * src, max_size=dst * src).map(
+                lambda values: DenseMap.from_flat(field, dst, src, values))
+
+        d = data.draw(st.integers(1, 3))
+        mu, delta = data.draw(matrix(d, d * d)), data.draw(matrix(d * d, d))
+        chi, rhs = data.draw(matrix(d, d)), data.draw(matrix(d, d))
+        sandwich = data.draw(st.none() | matrix(d * d, d * d))
+        pre = mu if sandwich is None else compose(mu, sandwich)
+        assert all(a.dtype == object for a in _operands(pre, delta, d))
+        system = [(row[:-1], row[-1]) for row in _antipode_system(mu, delta, rhs, sandwich).rows()]
         one = DenseMap.identity(field, d)
         vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
         for parity, composite in enumerate([kron(one, chi), kron(chi, one)]):
