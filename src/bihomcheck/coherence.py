@@ -174,16 +174,10 @@ def coherence_map(k: IndexSeq, which: str,
             field = flat[0].field
         else:
             raise ValueError("field required for an empty coherence morphism")
-    exps = phi_exponents(k, which)
-    return slot_powers(field, [(obj.pair_for(which), exps[i][j])
-                               for i, g in enumerate(groups) for j, obj in enumerate(g)])
-
-
-def slot_powers(field: FieldTag, slots) -> DenseMap:
-    """Kronecker product over slots ((first, second), (a, b)) of
-    first^a . second^b; the empty product is the 1x1 identity."""
+    pairs = [obj.pair_for(which) for obj in flat]
+    exps = [e for group in phi_exponents(k, which) for e in group]
     return kron_all(field, [compose(first.power(a), second.power(b))
-                            for (first, second), (a, b) in slots])
+                            for (first, second), (a, b) in zip(pairs, exps)])
 
 
 def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],

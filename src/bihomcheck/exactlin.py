@@ -4,14 +4,19 @@ Every morphism handled by the kernel is a matrix over an exact field:
 arbitrary-precision rationals or a prime field F_p.  Both fields share one
 integer kernel (see DenseMap): numerators over a common denominator, in int64
 where a per-call bound rules out overflow and in Python ints otherwise.  A
-permutation map (every identity, and each tensor-factor flip such as the
-interchange) holds only the index array of its ones, is applied to another
-map by gathering that map's rows or columns, and turns dense only when its
-entries are read.  Index arrays are read-only and are checked to be bijections
-once, where they enter through DenseMap.permutation.  No operation builds a
-dense array of more than ENTRY_BUDGET entries; it raises TooLarge, which the
-CLI reports with exit code 2.  Elimination is fraction-free Gauss-Jordan
-on the same integer numerators.
+permutation map (every identity, each tensor-factor flip such as the
+interchange, and every 0/1 permutation matrix that DenseMap.from_flat reads)
+holds only the index array of its ones, is applied to another map by
+gathering that map's rows or columns, and turns dense only when its entries
+are read.  Index arrays are read-only and are checked to be bijections once,
+where they enter: DenseMap.permutation checks the array, and from_flat keeps
+a square integral matrix as one only when its entries are 0/1 with exactly one
+1 in every row and every column.  from_flat reads integer entries (Python
+ints and integer strings in int64 range) in one pass; every other entry goes
+through the per-entry parser, which words every parse error.  No operation
+builds a dense array of more than ENTRY_BUDGET entries; it raises TooLarge,
+which the CLI reports with exit code 2.  Elimination is fraction-free
+Gauss-Jordan on the same integer numerators.
 
 Maps carry explicit source/target dimensions; a map f: V_src -> V_dst has
 shape dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies
@@ -165,18 +170,31 @@ class Scalar:
         return str(self.value)  # a Fraction prints p/q in lowest terms, or plain p
 
 
+def _int64_entries(entries: Sequence[RawScalar]) -> Optional[np.ndarray]:
+    """The entries as a fresh int64 array when every one is a Python int or an
+    integer string in int64 range, else None.  Every string int() accepts,
+    _parse accepts with the same value."""
+    if not set(map(type, entries)) <= {int, str}:
+        return None
+    try:
+        return np.fromiter(map(int, entries), dtype=np.int64, count=len(entries))
+    except (ValueError, OverflowError):
+        return None
+
+
 def _check_budget(rows: int, cols: int):
     if rows * cols > ENTRY_BUDGET:
         raise TooLarge(f"a dense {rows}x{cols} map is past the budget of "
                        f"{ENTRY_BUDGET} entries")
 
 
-def _operands(f: "DenseMap", g: "DenseMap", inner: int = 1):
-    """The numerators of f and g for a product: as stored when max|f| * max|g|
-    * inner < 2^63 rules out int64 overflow, else as Python ints."""
-    if f._bound() * g._bound() * inner < 1 << 63:
-        return f._num, g._num
-    return f._num.astype(object), g._num.astype(object)
+def _operands(maps: Sequence["DenseMap"], inner: int = 1) -> list:
+    """The numerators of maps for sums of `inner` products of one entry from
+    each: as stored when the product of every max|m| times inner is below
+    2^63, which rules out int64 overflow, else as Python ints."""
+    if math.prod(m._bound() for m in maps) * inner < 1 << 63:
+        return [m._num for m in maps]
+    return [m._num.astype(object) for m in maps]
 
 
 def _canonical(field: FieldTag, dst_dim: int, src_dim: int,
@@ -215,8 +233,8 @@ class DenseMap:
     terms over Q (so `_den` is 1 for every integral map).  `_num` is int64
     while every |numerator| < 2^62, so a sum of two cannot overflow, and
     Python ints otherwise; compose and kron work in int64 whenever
-    max|A| * max|B| * inner < 2^63.  A permutation map (identities included)
-    keeps only src_of_dst (row i has its one in column src_of_dst[i]); its
+    max|A| * max|B| * inner < 2^63.  A permutation map (identities and 0/1
+    permutation matrices read by from_flat included) keeps only src_of_dst (row i has its one in column src_of_dst[i]); its
     dense numerators are built on first read.
     """
 
@@ -287,13 +305,20 @@ class DenseMap:
             raise DimensionMismatch(
                 f"{len(entries)} entries for a {dst_dim}x{src_dim} map"
             )
-        values, den = [_coerce(field, v) for v in entries], 1
-        fractions = [v for v in values if type(v) is not int]  # empty over F_p
-        if fractions:
-            den = math.lcm(*(v.denominator for v in fractions))
-            values = [v.numerator * (den // v.denominator) for v in values]
-        num = np.array(values, dtype=object).reshape(dst_dim, src_dim)
-        return _canonical(field, dst_dim, src_dim, num, den)
+        num, den = _int64_entries(entries), 1
+        if num is None:  # the per-entry path, which also words every error
+            values = [_coerce(field, v) for v in entries]
+            fractions = [v for v in values if type(v) is not int]  # empty over F_p
+            if fractions:
+                den = math.lcm(*(v.denominator for v in fractions))
+                values = [v.numerator * (den // v.denominator) for v in values]
+            num = np.array(values, dtype=object)
+        m = _canonical(field, dst_dim, src_dim, num.reshape(dst_dim, src_dim), den)
+        a = m._num  # a 0/1 permutation matrix is kept as its index array
+        if (m.is_square() and m._den == 1 and ((a == 0) | (a == 1)).all()
+                and (a.sum(0) == 1).all() and (a.sum(1) == 1).all()):
+            return _index_map(field, np.nonzero(a)[1])
+        return m
 
     @staticmethod
     def permutation(field: FieldTag, src_of_dst) -> "DenseMap":
@@ -441,7 +466,7 @@ def compose(f: DenseMap, g: DenseMap) -> DenseMap:
         num = f._num[:, np.argsort(gp)]
     else:
         _check_budget(f.dst_dim, g.src_dim)
-        num = np.dot(*_operands(f, g, f.src_dim))
+        num = np.dot(*_operands((f, g), f.src_dim))
     return _canonical(f.field, f.dst_dim, g.src_dim, num, f._den * g._den)
 
 
@@ -490,7 +515,7 @@ def kron(f: DenseMap, g: DenseMap) -> DenseMap:
             f.field, (f._src_of_dst[:, None] * g.src_dim + g._src_of_dst).reshape(-1))
     dst_dim, src_dim = f.dst_dim * g.dst_dim, f.src_dim * g.src_dim
     _check_budget(dst_dim, src_dim)
-    a, b = _operands(f, g)
+    a, b = _operands((f, g))
     num = a[:, None, :, None] * b[None, :, None, :]
     return _canonical(f.field, dst_dim, src_dim, num.reshape(dst_dim, src_dim),
                       f._den * g._den)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coherence import BIG_PHI, BIG_PSI, BiHomObject, slot_powers
+from .coherence import BiHomObject
 from .combinat import Permutation
 from .errors import (
     DimensionMismatch,
@@ -85,25 +85,6 @@ def validate_plain(p: PlainStructure, direction: str):
                      if operator.ne(*morphism_sides(b, m, e))]
     if failures:
         raise InvariantViolation("; ".join(failures))
-
-
-def gamma_map(objs, which: str = COMONOID, field=None) -> DenseMap:
-    """The n-ary twisting morphism on a sequence of objects.
-
-    Factor i of n picks up first^(n-i) . second^(i-1) of the governing
-    endomorphism pair: (alpha, beta) on the comultiplication side, (kappa, nu)
-    on the multiplication side.  All-identity endomorphisms give the identity
-    for every n.
-    """
-    objs = list(objs)
-    if field is None:
-        if not objs:
-            raise ValueError("field required for the empty twist morphism")
-        field = objs[0].field
-    n = len(objs)
-    kind = BIG_PHI if which == COMONOID else BIG_PSI
-    return slot_powers(field, [(obj.pair_for(kind), (n - i, i - 1))
-                               for i, obj in enumerate(objs, start=1)])
 
 
 def yau_twist(p: PlainStructure, direction: str = BIMONOID) -> StructureBundle:
@@ -177,7 +158,7 @@ def _antipode_system(mu: DenseMap, delta: DenseMap, rhs: DenseMap,
     one tensordot each, over the numerators pre and delta share."""
     pre = compose(mu, sandwich) if sandwich is not None else mu
     field, d = delta.field, delta.src_dim
-    P, D = (a.reshape(d, d, d) for a in _operands(pre, delta, d))
+    P, D = (a.reshape(d, d, d) for a in _operands((pre, delta), d))
     block_den = pre._den * delta._den
     den = math.lcm(block_den, rhs._den)
     num = np.empty((2 * d * d, d * d + 1), dtype=object)

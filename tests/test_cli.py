@@ -20,7 +20,12 @@ from bihomcheck.cli import (
 )
 from bihomcheck.errors import ParseError, UnknownName
 from bihomcheck.exactlin import GF, QQ
-from bihomcheck.fixtures import example_instance, idempotent_monoid_bialgebra
+from bihomcheck.fixtures import (
+    dual_cyclic_bundle,
+    example_instance,
+    idempotent_monoid_bialgebra,
+)
+from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
 
 F7 = GF(7)
 
@@ -299,12 +304,13 @@ class TestCheckCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_dense_map_past_entry_budget_exits_two(self, tmp_path, capsys):
-        # coherence_map((2, 1)) on a 23-dim object would be 12167 x 12167 entries
+        # coherence_map((2, 1)) on a 23-dim object would be 12167 x 12167 entries;
+        # a unitriangular endomorphism is no permutation, so the map stays dense
         n = 23
-        ident = [str(int(i == j)) for i in range(n) for j in range(n)]
+        upper = [str(int(i <= j)) for i in range(n) for j in range(n)]
         doc = {"format_version": "1", "field": {"kind": "prime_field", "modulus": 7},
-               "objects": {"big": {"dim": n, "alpha": ident, "beta": ident,
-                                   "kappa": ident, "nu": ident}},
+               "objects": {"big": {"dim": n, "alpha": upper, "beta": upper,
+                                   "kappa": upper, "nu": upper}},
                "structures": {"s": {"object": "big", "mu": ["0"] * n ** 3}}}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -456,6 +462,30 @@ class TestDeltaCommand:
                      "--check-all-sequences", "--max-K", "3"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+    @staticmethod
+    def twisted_dual_file(tmp_path, order):
+        b = yau_twist(PlainStructure(dual_cyclic_bundle(F7, order, 2)), BIMONOID)
+        path = tmp_path / f"dual{order}.json"
+        save_instance(str(path), InstanceData(F7, {"o": b.obj}, {"t": b}, {"t": "o"}, {}))
+        return str(path)
+
+    def test_sweep_on_twisted_dual_c5(self, tmp_path, capsys):
+        # a dense coherence map here would be 15625 x 15625, past ENTRY_BUDGET
+        code = main(["delta", self.twisted_dual_file(tmp_path, 5), "--name", "t",
+                     "-n", "6", "--check-all-sequences", "--max-K", "4"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "delta_6: 15625x5" and len(out) == 1 + 15625 + 1
+        assert out[-1] == ("generalized coassociativity holds for all sequences "
+                           "with K+Z <= 4")
+
+    def test_delta_9_on_twisted_dual_c3(self, tmp_path, capsys):
+        # a dense coherence map here would be 19683 x 19683, past ENTRY_BUDGET
+        code = main(["delta", self.twisted_dual_file(tmp_path, 3), "--name", "t", "-n", "9"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "delta_9: 19683x3" and len(out) == 1 + 19683
 
     @pytest.mark.parametrize("bounds", [["-n", "-1"],
                                         ["--check-all-sequences", "--max-K", "-2"]])

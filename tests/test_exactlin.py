@@ -356,8 +356,8 @@ class TestLargeModulus:
         # (p-1)^2 * inner < 2^63 turns at inner 2^23
         assert [q for q in range(1048573, 1048584) if _is_prime(q)] == [1048573, 1048583]
         one = DenseMap.from_rows(GF(p), [[p - 1]])
-        assert exactlin._operands(one, one, 2 ** 23)[0].dtype == dtype
-        assert exactlin._operands(one, one, 9)[0].dtype == np.int64
+        assert exactlin._operands((one, one), 2 ** 23)[0].dtype == dtype
+        assert exactlin._operands((one, one), 9)[0].dtype == np.int64
         field = GF(p)
         rng = random.Random(p)
         reduce = lambda rows: [[v % p for v in row] for row in rows]

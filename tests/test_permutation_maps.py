@@ -1,9 +1,10 @@
 """Permutation maps (index arrays) against their dense twins.
 
-A map built by Permutation.matrix or DenseMap.identity keeps only its index
-array and is applied by gathering rows or columns.  Its dense twin is the same
-matrix rebuilt entry by entry with DenseMap.from_rows, so it always takes the
-dense path.
+A map built by Permutation.matrix or DenseMap.identity, and a 0/1 permutation
+matrix read by DenseMap.from_flat, keeps only its index array and is applied
+by gathering rows or columns.  Its dense twin holds the same numerators as an
+array, built by exactlin._canonical directly, so it always takes the dense
+path.
 """
 
 import math
@@ -17,8 +18,18 @@ from hypothesis import strategies as st
 
 from bihomcheck.coherence import _duoidal_maps, random_duoidal_instance
 from bihomcheck.combinat import Permutation
-from bihomcheck.errors import DimensionMismatch
-from bihomcheck.exactlin import GF, QQ, DenseMap, compose, compose_all, kron, kron_all
+from bihomcheck.errors import DimensionMismatch, ParseError
+from bihomcheck.exactlin import (
+    GF,
+    QQ,
+    DenseMap,
+    _canonical,
+    _coerce,
+    compose,
+    compose_all,
+    kron,
+    kron_all,
+)
 from bihomcheck.fixtures import cyclic_group_bundle
 from bihomcheck.structures import (
     check_bimonoid,
@@ -52,7 +63,7 @@ def dense_map(draw, field, dst, src):
 
 
 def twin(m):
-    return DenseMap.from_rows(m.field, m.rows(), src_dim=m.src_dim)
+    return _canonical(m.field, m.dst_dim, m.src_dim, m._num.copy(), m._den)
 
 
 def assert_index_map(m):
@@ -154,3 +165,106 @@ def test_twisted_c9_checks_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+# -- permutations recognised where entries are read -----------------------
+
+@st.composite
+def permutation_entries(draw, field, n):
+    """The flat entries of a random n x n permutation matrix as raw ints and
+    strings; over F_7 a one may also be another residue of 1, such as -6."""
+    images = draw(st.permutations(range(n)))
+    one = st.sampled_from([1, "1", " 1 ", "+1", "01"] + ([8, "-6"] if field == GF(7) else []))
+    zero = st.sampled_from([0, "0", "-0", " 0"])
+    return [draw(one) if images[i] == j else draw(zero) for i in range(n) for j in range(n)]
+
+
+def dense_twin_of(field, n, entries):
+    values = [_coerce(field, v) for v in entries]
+    return _canonical(field, n, n, np.array(values, dtype=object).reshape(n, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recognised_permutations_match_dense_twins(data):
+    field = data.draw(FIELDS)
+    n = data.draw(st.integers(1, 5))
+    entries, other = (data.draw(permutation_entries(field, n)) for _ in range(2))
+    p, tp = DenseMap.from_flat(field, n, n, entries), dense_twin_of(field, n, entries)
+    assert_index_map(p)
+    assert tp._src_of_dst is None
+    q, tq = DenseMap.from_flat(field, n, n, other), dense_twin_of(field, n, other)
+    x = data.draw(dense_map(field, n, data.draw(st.integers(0, 3))))
+    y = data.draw(dense_map(field, 2, n))
+    k = data.draw(st.integers(0, 4))
+    pairs = [(compose(p, q), compose(tp, tq)), (compose(p, x), compose(tp, x)),
+             (compose(y, p), compose(y, tp)), (kron(p, q), kron(tp, tq)),
+             (kron(p, y), kron(tp, y)), (kron(y, q), kron(y, tq)),
+             (p.power(k), tp.power(k)), (p, tp)]
+    for got, want in pairs:
+        assert got == want and want == got and hash(got) == hash(want)
+        assert got.flat_strings() == want.flat_strings()
+        assert got.first_difference(want) is None
+    for m in (compose(p, q), kron(p, q), p.power(k)):
+        assert_index_map(m)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    bumped = tp.with_entry(i, j, tp.rows()[i][j] + 1)
+    assert p.first_difference(bumped) == tp.first_difference(bumped)
+    assert bumped.first_difference(p) == bumped.first_difference(tp)
+    assert p != bumped
+
+
+NEAR_MISSES = {
+    "repeated-column": [[1, 0, 0], [1, 0, 0], [0, 0, 1]],
+    "entry-2": [[2, 0], [0, 1]],
+    "zero-row": [[1, 1], [0, 0]],  # every column holds one 1
+    "not-square": [[1, 0, 0], [0, 1, 0]],
+    "two-in-row": [[1, 1], [0, 1]],
+    "sums-of-one": [[2, -1], [-1, 2]],  # every row and column sums to 1
+}
+
+
+@pytest.mark.parametrize("field, rows", [
+    *((field, rows) for rows in NEAR_MISSES.values() for field in (GF(7), QQ)),
+    (QQ, [["1/2", 0], [0, "1/2"]]),  # numerators 0/1 over the denominator 2
+], ids=[*(f"{name}-{field}" for name in NEAR_MISSES for field in ("F7", "Q")), "halves-Q"])
+def test_near_misses_stay_dense(field, rows):
+    m = DenseMap.from_rows(field, rows)
+    assert m._src_of_dst is None
+    assert m.rows() == [[_coerce(field, v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("field, bad, text", [
+    (GF(7), "1.5", "bad residue '1.5': invalid literal for int() with base 10: '1.5'"),
+    (GF(7), "x", "bad residue 'x': invalid literal for int() with base 10: 'x'"),
+    (GF(7), 1.5, "float 1.5 is not an exact scalar"),
+    (GF(7), True, "bool True is not an exact scalar"),
+    (QQ, 1.5, "float 1.5 is not an exact scalar"),
+    (QQ, "x", None),
+], ids=str)
+def test_bad_entries_keep_their_error_text(field, bad, text):
+    # the bad entry sits among entries of a permutation matrix
+    if text is None:
+        with pytest.raises(ParseError) as expected:
+            _coerce(field, bad)
+        text = str(expected.value)
+    with pytest.raises(ParseError) as raised:
+        DenseMap.from_flat(field, 2, 2, ["1", 0, bad, "1"])
+    assert str(raised.value) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_entries_read_as_per_entry(data):
+    # ints and integer strings in and past int64 range, read like _coerce reads them
+    field = data.draw(st.sampled_from([GF(7), GF(2 ** 61 - 1), QQ]))
+    ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, 2 ** 63),
+                     st.integers(2 ** 63, 2 ** 70), st.integers(-2 ** 70, -2 ** 63 - 1))
+    raw = ints | ints.map(str) | ints.map(lambda v: f" {v}\t")
+    dst, src = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entries = data.draw(st.lists(raw, min_size=dst * src, max_size=dst * src))
+    got = DenseMap.from_flat(field, dst, src, entries)
+    want = _canonical(field, dst, src, np.array(
+        [_coerce(field, v) for v in entries], dtype=object).reshape(dst, src))
+    assert got == want and got.flat_strings() == want.flat_strings()
+    assert got._num.dtype == want._num.dtype

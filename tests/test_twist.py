@@ -47,34 +47,12 @@ from bihomcheck.twist import (
     _antipode_system,
     antipode_solve,
     canonical_morphism,
-    gamma_map,
     untwist,
     validate_plain,
     yau_twist,
 )
 
 F7 = GF(7)
-
-
-class TestGammaMap:
-    def test_identity_endos_give_identity_for_every_arity(self):
-        obj = classical_c3().obj
-        for n in range(6):
-            for which in (COMONOID, MONOID):
-                g = gamma_map([obj] * n, which, F7)
-                assert g == DenseMap.identity(F7, 3 ** n)
-
-    def test_binary_form(self):
-        obj = plain_twisting_c3().bundle.obj
-        assert gamma_map([obj, obj], COMONOID) == kron(obj.alpha, obj.beta)
-        assert gamma_map([obj, obj], MONOID) == kron(obj.kappa, obj.nu)
-
-    def test_ternary_exponents(self):
-        # factor i of 3 carries alpha^(3-i) beta^(i-1)
-        obj = plain_twisting_c3().bundle.obj
-        expected = kron(kron(obj.alpha.power(2), compose(obj.alpha, obj.beta)),
-                        obj.beta.power(2))
-        assert gamma_map([obj] * 3, COMONOID) == expected
 
 
 class TestYauTwist:
@@ -338,7 +316,7 @@ class TestAntipode:
         chi, rhs = data.draw(matrix(d, d)), data.draw(matrix(d, d))
         sandwich = data.draw(st.none() | matrix(d * d, d * d))
         pre = mu if sandwich is None else compose(mu, sandwich)
-        assert all(a.dtype == object for a in _operands(pre, delta, d))
+        assert all(a.dtype == object for a in _operands((pre, delta), d))
         system = [(row[:-1], row[-1]) for row in _antipode_system(mu, delta, rhs, sandwich).rows()]
         one = DenseMap.identity(field, d)
         vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
