@@ -12,8 +12,9 @@ are read.  Index arrays are read-only and are checked to be bijections once,
 where they enter: DenseMap.permutation checks the array, and from_flat keeps
 a square integral matrix as one only when its entries are 0/1 with exactly one
 1 in every row and every column.  from_flat reads integer entries (Python
-ints and integer strings in int64 range) in one pass; every other entry goes
-through the per-entry parser, which words every parse error.  No operation
+ints and integer strings below 2^63 in absolute value) in one pass; every
+other entry goes through the per-entry parser, which words every parse
+error.  No operation
 builds a dense array of more than ENTRY_BUDGET entries; it raises TooLarge,
 which the CLI reports with exit code 2.  Elimination is fraction-free
 Gauss-Jordan on the same integer numerators.
@@ -172,14 +173,16 @@ class Scalar:
 
 def _int64_entries(entries: Sequence[RawScalar]) -> Optional[np.ndarray]:
     """The entries as a fresh int64 array when every one is a Python int or an
-    integer string in int64 range, else None.  Every string int() accepts,
-    _parse accepts with the same value."""
+    integer string of absolute value below 2^63, else None (-2^63 fits int64,
+    but np.abs of it overflows).  Every string int() accepts, _parse accepts
+    with the same value."""
     if not set(map(type, entries)) <= {int, str}:
         return None
     try:
-        return np.fromiter(map(int, entries), dtype=np.int64, count=len(entries))
+        num = np.fromiter(map(int, entries), dtype=np.int64, count=len(entries))
     except (ValueError, OverflowError):
         return None
+    return None if (num == np.iinfo(np.int64).min).any() else num
 
 
 def _check_budget(rows: int, cols: int):

@@ -132,7 +132,8 @@ class TestScalar:
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=str)
 @pytest.mark.parametrize("value", [None, [1], {}, (), True, False, np.bool_(True),
-                                   1j, b"1", object()], ids=repr)
+                                   1j, b"1", object()],
+                         ids=lambda v: "object()" if type(v) is object else repr(v))
 def test_non_scalars_rejected(field, value):
     for build in (lambda: DenseMap.from_flat(field, 1, 1, [value]),
                   lambda: Scalar.of(field, value),

@@ -56,8 +56,10 @@ def plain_object(field, dim):
 def values(field, big):
     if field.kind == "prime_field":
         return st.integers(0, field.modulus - 1)
-    if big:  # numerators past 2^62 take the Python-int branch
-        return st.builds(Fraction, st.integers(-2 ** 66, 2 ** 66), st.integers(1, 3))
+    if big:  # every nonzero |value| is past 2^60, so products take the Python-int branch
+        magnitude = st.integers(2 ** 62, 2 ** 66)
+        numerator = st.just(0) | magnitude | magnitude.map(lambda v: -v)
+        return st.builds(Fraction, numerator, st.integers(1, 3))
     return st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 

@@ -268,3 +268,13 @@ def test_integer_entries_read_as_per_entry(data):
         [_coerce(field, v) for v in entries], dtype=object).reshape(dst, src))
     assert got == want and got.flat_strings() == want.flat_strings()
     assert got._num.dtype == want._num.dtype
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("value", [-2 ** 63, str(-2 ** 63), 2 ** 63 - 1, -2 ** 62], ids=repr)
+def test_int64_edge_entries_kept_exact(field, value):
+    # -2^63 fits int64 but np.abs of it overflows, so it must not be stored as int64
+    got = DenseMap.from_flat(field, 1, 1, [value])
+    want = _canonical(field, 1, 1, np.array([[_coerce(field, value)]], dtype=object))
+    assert got == want and got.flat_strings() == want.flat_strings()
+    assert got._num.dtype == want._num.dtype
