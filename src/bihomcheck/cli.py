@@ -47,13 +47,13 @@ from .structures import (
     check_comodule,
     check_comonoid,
     check_cosemigroup,
-    check_generalized_coassoc,
     check_hopf_module,
     check_module,
     check_monoid,
     check_semigroup,
     coassoc_sequences,
     delta_n,
+    sweep_generalized_coassoc,
 )
 from .twist import (
     BIMONOID,
@@ -402,11 +402,8 @@ def cmd_delta(args) -> int:
     _print_matrix(d)
     if not args.check_all_sequences:
         return 0
-    bad = []
-    for k in coassoc_sequences(args.max_K):
-        rep = check_generalized_coassoc(bundle, k)
-        if not rep.passed:
-            bad.append(k)
+    ks = coassoc_sequences(args.max_K)
+    bad = [k for k, rep in zip(ks, sweep_generalized_coassoc(bundle, ks)) if not rep.passed]
     if bad:
         print(f"generalized coassociativity FAILED for {len(bad)} sequences, "
               f"first: {bad[0]}")

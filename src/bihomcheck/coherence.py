@@ -159,8 +159,8 @@ def coherence_map(k: IndexSeq, which: str,
     """The coherence morphism for sequence k at the given grouped objects.
 
     Group i must hold k_i objects.  The result is the Kronecker product over
-    all slots of the per-slot endomorphism powers from phi_exponents; for the
-    empty collection it is the 1x1 identity.
+    all slots of the per-slot endomorphism powers from phi_exponents (equal
+    slots share one); for the empty collection it is the 1x1 identity.
     """
     k = validate_index_seq(k)
     if len(groups) != len(k):
@@ -174,10 +174,10 @@ def coherence_map(k: IndexSeq, which: str,
             field = flat[0].field
         else:
             raise ValueError("field required for an empty coherence morphism")
-    pairs = [obj.pair_for(which) for obj in flat]
     exps = [e for group in phi_exponents(k, which) for e in group]
-    return kron_all(field, [compose(first.power(a), second.power(b))
-                            for (first, second), (a, b) in zip(pairs, exps)])
+    slots = {(id(obj), a, b): (obj.pair_for(which), a, b) for obj, (a, b) in zip(flat, exps)}
+    factors = {s: compose(x.power(a), y.power(b)) for s, ((x, y), a, b) in slots.items()}
+    return kron_all(field, [factors[id(obj), a, b] for obj, (a, b) in zip(flat, exps)])
 
 
 def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],

@@ -237,8 +237,9 @@ class DenseMap:
     while every |numerator| < 2^62, so a sum of two cannot overflow, and
     Python ints otherwise; compose and kron work in int64 whenever
     max|A| * max|B| * inner < 2^63.  A permutation map (identities and 0/1
-    permutation matrices read by from_flat included) keeps only src_of_dst (row i has its one in column src_of_dst[i]); its
-    dense numerators are built on first read.
+    permutation matrices read by from_flat included) keeps only src_of_dst
+    (row i has its one in column src_of_dst[i]); its dense numerators are
+    built on first read.
     """
 
     __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_den", "_src_of_dst")
@@ -423,6 +424,8 @@ class DenseMap:
         return _canonical(self.field, self.dst_dim, self.src_dim, num, self._den * v.denominator)
 
     def transpose(self) -> "DenseMap":
+        if self._src_of_dst is not None:
+            return _index_map(self.field, np.argsort(self._src_of_dst))
         return _canonical(self.field, self.src_dim, self.dst_dim,
                           self._num.T.copy(), self._den)
 
@@ -529,6 +532,36 @@ def kron_all(field: FieldTag, maps: Iterable[DenseMap]) -> DenseMap:
     out = DenseMap.identity(field, 1)
     for m in maps:
         out = kron(out, m)
+    return out
+
+
+def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> DenseMap:
+    """compose(kron_all(field, factors), g), without the Kronecker product:
+    the rows of g form one tensor leg per factor, and each factor acts on its
+    own leg (Van Loan, J. Comput. Appl. Math. 123, 2000).  Identities are
+    skipped, other permutations re-index their leg, and every other factor is
+    contracted into it under the overflow guard and entry budget of compose,
+    those that shrink their leg (a counit) first."""
+    for m in (*factors, g):
+        if m.field != field:
+            raise FieldMismatch(f"{field} vs {m.field}")
+    legs = [f.src_dim for f in factors]
+    if math.prod(legs) != g.dst_dim:
+        raise DimensionMismatch(f"kron_compose: factors on {legs}, g is {g.dst_dim}x{g.src_dim}")
+    out = g
+    for i in sorted(range(len(factors)), key=lambda i: factors[i].dst_dim - factors[i].src_dim):
+        f, p = factors[i], factors[i]._src_of_dst
+        if p is not None and (p == np.arange(p.size)).all():
+            continue
+        lead, trail = math.prod(legs[:i]), math.prod(legs[i + 1:]) * g.src_dim
+        legs[i] = f.dst_dim
+        _check_budget(rows := math.prod(legs), g.src_dim)
+        if p is not None:
+            num, den = out._num.reshape(lead, f.src_dim, trail)[:, p], out._den
+        else:
+            a, b = _operands((f, out), f.src_dim)
+            num, den = a @ b.reshape(lead, f.src_dim, trail), f._den * out._den
+        out = _canonical(field, rows, g.src_dim, num.reshape(rows, g.src_dim), den)
     return out
 
 

@@ -48,6 +48,7 @@ from .exactlin import (
     compose_all,
     kron,
     kron_all,
+    kron_compose,
 )
 from .report import CheckReport, compare_entry, make_report
 
@@ -155,6 +156,14 @@ class _Side:
 
     def chain(self, *maps: DenseMap) -> DenseMap:
         return compose_all(maps[::-1] if self.co else maps)
+
+    def kron_chain(self, m: DenseMap, factors: Sequence[DenseMap]) -> DenseMap:
+        """chain(m, kron_all(factors)) by kron_compose, which the monoid side
+        applies to the transposed maps."""
+        if self.co:
+            return kron_compose(m.field, factors, m)
+        return kron_compose(m.field, [f.transpose() for f in factors],
+                            m.transpose()).transpose()
 
     def text(self, monoid: str, comonoid: str) -> str:
         return comonoid if self.co else monoid
@@ -319,19 +328,19 @@ def check_bimonoid(b: StructureBundle) -> CheckReport:
 # Iterated structure maps
 # ---------------------------------------------------------------------------
 
-def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> DenseMap:
+def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> list:
+    """The i-fold maps for i = 0..n, each built from the one before.  Entry 0
+    is the (co)unit, demanded only when n is 0 (None when b has none)."""
     if n < 0:
         raise ValueError("negative arity")
-    a = b.obj
     if n == 0:
         b.require(side.unit)
-        return getattr(b, side.unit)
-    if n == 1:
-        return _ident(a)
-    b.require(side.mult)
-    m = getattr(b, side.mult)
-    out = m
+    if n >= 2:
+        b.require(side.mult)
+    a, m = b.obj, getattr(b, side.mult)
+    maps = [getattr(b, side.unit), _ident(a), m][:n + 1]
     for i in range(2, n):
+        out = maps[i]
         if variant == ITERATIVE:
             big = coherence_map((1, i), side.big, [[a], [a] * i])
             out = side.chain(m, kron(_ident(a), out), big)
@@ -341,7 +350,8 @@ def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> DenseMap
             out = side.chain(out, kron(m, _ident(a, i - 1)), big)
         else:
             raise ValueError(f"unknown variant {variant!r}")
-    return out
+        maps.append(out)
+    return maps
 
 
 def delta_n(b: StructureBundle, n: int, variant: str = ITERATIVE) -> DenseMap:
@@ -352,46 +362,40 @@ def delta_n(b: StructureBundle, n: int, variant: str = ITERATIVE) -> DenseMap:
     (iterative) or by expanding the leftmost factor (alternative); the two
     agree exactly on any valid cosemigroup.
     """
-    return _iterated(b, n, variant, COMONOID_SIDE)
+    return _iterated(b, n, variant, COMONOID_SIDE)[-1]
 
 
 def mu_n(b: StructureBundle, n: int, variant: str = ITERATIVE) -> DenseMap:
     """The n-fold multiplication a^(x)n -> a (n = 1 identity, n = 0 unit)."""
-    return _iterated(b, n, variant, MONOID_SIDE)
+    return _iterated(b, n, variant, MONOID_SIDE)[-1]
 
 
-def _generalized_report(b: StructureBundle, k: Sequence[int], side: _Side,
-                        iterated) -> CheckReport:
-    k = validate_index_seq(k)
+def _generalized_reports(b: StructureBundle, ks: Sequence[Sequence[int]],
+                         side: _Side) -> list:
+    """The generalized (co)associativity report of each sequence in ks, from
+    one list of iterated maps; no a^K x a^n Kronecker product is built."""
+    ks = [validate_index_seq(k) for k in ks]
     b.require(side.mult)
-    if len(k) == 0 or any(v == 0 for v in k):
+    if any(len(k) == 0 or 0 in k for k in ks):
         b.require(side.unit)
-    a = b.obj
-    n = len(k)
-    K = sum(k)
-    Z = sum(z_of(v) for v in k)
-    groups = [[a] * v for v in k]
-    unit = getattr(b, side.unit)
-
-    nested = side.chain(
-        iterated(b, n),
-        kron_all(a.field, [iterated(b, v) for v in k]),
-        coherence_map(k, side.big, groups, a.field))
-    flat = side.chain(iterated(b, K), coherence_map(k, side.small, groups, a.field))
-    padded = side.chain(
-        iterated(b, K + Z),
-        kron_all(a.field, [_ident(a, v) if v > 0 else unit for v in k]))
-
-    co = side.text("", "co")
-    tag = ",".join(map(str, k))
-    entries = [
-        compare_entry(f"{co}assoc[{tag}]/nested-vs-flat",
-                      f"nested {co}products equal the flat {co}product", nested, flat),
-        compare_entry(f"{co}assoc[{tag}]/nested-vs-padded",
-                      f"nested {co}products equal the {co}unit-padded {co}product",
-                      nested, padded),
-    ]
-    return make_report(f"generalized-{co}associativity", entries)
+    a, co = b.obj, side.text("", "co")
+    iterated = _iterated(b, max((sum(k) + k.count(0) for k in ks), default=1), ITERATIVE, side)
+    reports = []
+    for k in ks:
+        groups, tag = [[a] * v for v in k], ",".join(map(str, k))
+        nested = side.chain(side.kron_chain(iterated[len(k)], [iterated[v] for v in k]),
+                            coherence_map(k, side.big, groups, a.field))
+        flat = side.chain(iterated[sum(k)], coherence_map(k, side.small, groups, a.field))
+        padded = side.kron_chain(iterated[sum(k) + k.count(0)],
+                                 [_ident(a, v) if v else iterated[0] for v in k])
+        reports.append(make_report(f"generalized-{co}associativity", [
+            compare_entry(f"{co}assoc[{tag}]/nested-vs-flat",
+                          f"nested {co}products equal the flat {co}product", nested, flat),
+            compare_entry(f"{co}assoc[{tag}]/nested-vs-padded",
+                          f"nested {co}products equal the {co}unit-padded {co}product",
+                          nested, padded),
+        ]))
+    return reports
 
 
 def check_generalized_coassoc(b: StructureBundle, k: Sequence[int]) -> CheckReport:
@@ -400,12 +404,17 @@ def check_generalized_coassoc(b: StructureBundle, k: Sequence[int]) -> CheckRepo
     k is a sequence of non-negative integers; zero entries hit the counit, so
     epsilon is required whenever k is empty or contains a zero.
     """
-    return _generalized_report(b, k, COMONOID_SIDE, delta_n)
+    return _generalized_reports(b, [k], COMONOID_SIDE)[0]
 
 
 def check_generalized_assoc(b: StructureBundle, k: Sequence[int]) -> CheckReport:
     """Dual of check_generalized_coassoc: zero entries hit the unit."""
-    return _generalized_report(b, k, MONOID_SIDE, mu_n)
+    return _generalized_reports(b, [k], MONOID_SIDE)[0]
+
+
+def sweep_generalized_coassoc(b: StructureBundle, ks: Sequence[Sequence[int]]) -> list:
+    """check_generalized_coassoc for every sequence in ks, in one pass."""
+    return _generalized_reports(b, ks, COMONOID_SIDE)
 
 
 def coassoc_sequences(max_weight: int):

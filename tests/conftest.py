@@ -1,9 +1,12 @@
 """Shared helpers: independent brute-force oracles and value strategies."""
 
+import sys
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import strategies as st
 
+from bihomcheck import exactlin
 from bihomcheck.exactlin import GF, QQ, DenseMap
 
 
@@ -45,3 +48,18 @@ def mod7_matrix(dst, src):
     return st.lists(st.lists(entries, min_size=src, max_size=src),
                     min_size=dst, max_size=dst).map(
         lambda rows: DenseMap.from_rows(GF(7), rows))
+
+
+def operand_dtypes():
+    """A set, and a patch of exactlin._operands that adds to it the dtype of
+    every operand pair it hands to kron_compose while the patch is active."""
+    seen = set()
+    original = exactlin._operands
+
+    def recording(maps, inner=1):
+        out = original(maps, inner)
+        if sys._getframe(1).f_code.co_name == "kron_compose":
+            seen.add(out[0].dtype)
+        return out
+
+    return seen, mock.patch.object(exactlin, "_operands", recording)

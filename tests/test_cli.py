@@ -487,6 +487,19 @@ class TestDeltaCommand:
         assert code == 0
         assert out[0] == "delta_9: 19683x3" and len(out) == 1 + 19683
 
+    def test_sweep_without_counit_prints_then_exits_one(self, tmp_path, capsys):
+        # the matrix is printed before the sweep asks for the counit
+        t = example_instance().structures["twisted"].replace(epsilon=None)
+        path = tmp_path / "noeps.json"
+        save_instance(str(path), InstanceData(F7, {"o": t.obj}, {"t": t}, {"t": "o"}, {}))
+        matrix = ("delta_2: 9x3\n  [1 0 0]\n  [0 0 0]\n  [0 0 0]\n  [0 0 0]\n  [0 0 1]\n"
+                  "  [0 0 0]\n  [0 0 0]\n  [0 0 0]\n  [0 1 0]\n")
+        argv = ["delta", str(path), "--name", "t", "-n", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (matrix, "")
+        assert main(argv + ["--check-all-sequences"]) == 1
+        assert capsys.readouterr() == (matrix, "check failed: structure has no epsilon\n")
+
     @pytest.mark.parametrize("bounds", [["-n", "-1"],
                                         ["--check-all-sequences", "--max-K", "-2"]])
     def test_negative_bounds_exit_two(self, c3_file, capsys, bounds):

@@ -68,6 +68,12 @@ _case("delta", "q_c4.json", "--name", "dual", "-n", "2",
       "--check-all-sequences", "--max-K", "3")
 _case("delta", "f7_c3.json", "--name", "bad_delta", "-n", "0",
       "--check-all-sequences", "--max-K", "3")
+_case("delta", "f7_c5.json", "--name", "twisted", "-n", "3",
+      "--check-all-sequences", "--max-K", "5")
+_case("delta", "q_c5.json", "--name", "twisted", "-n", "2",
+      "--check-all-sequences", "--max-K", "5")
+_case("delta", "q_c4.json", "--name", "bad_delta", "-n", "2",
+      "--check-all-sequences", "--max-K", "4")
 _case("coherence", "--level", "symbolic", "--trials", "300", "--seed", "1")
 _case("coherence", "--level", "matrix", "--trials", "8", "--seed", "3")
 _case("coherence", "--level", "matrix", "--trials", "4", "--seed", "2", "--modulus", "11")

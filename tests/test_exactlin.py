@@ -35,6 +35,8 @@ from bihomcheck.exactlin import (
     compose_all,
     invert,
     kron,
+    kron_all,
+    kron_compose,
     _is_prime,
     solve_linear,
 )
@@ -45,6 +47,7 @@ from conftest import (
     as_rational_map,
     naive_kron,
     naive_matmul,
+    operand_dtypes,
     rational_matrix,
     small_fracs,
 )
@@ -252,6 +255,82 @@ class TestKron:
         for _ in range(10):
             a, b, c = (rand_map(rng, F7, 2, 2) for _ in range(3))
             assert kron(kron(a, b), c) == kron(a, kron(b, c))
+
+
+def dense_map(rng, field, dst, src, big=False):
+    """Random entries; with big, rationals whose numerators are past 2^62."""
+    if not big:
+        return rand_map(rng, field, dst, src)
+    return DenseMap.from_flat(field, dst, src, [
+        Fraction(rng.choice([-1, 1]) * rng.randint(2 ** 62, 2 ** 66), rng.randint(1, 3))
+        for _ in range(dst * src)])
+
+
+def kron_compose_factor(rng, field, kind, big=False):
+    """One factor of each kind kron_compose treats apart."""
+    s = rng.randint(1, 3)
+    if kind == "identity":
+        return DenseMap.identity(field, s)
+    if kind == "permutation":
+        return DenseMap.permutation(field, rng.sample(range(s), s))
+    return dense_map(rng, field, 1 if kind == "row" else rng.randint(1, 3), s, big)
+
+
+class TestKronCompose:
+    """kron_compose(field, factors, g) against compose(kron_all(field, factors), g)."""
+
+    KINDS = ("identity", "permutation", "row", "dense")  # a row is a 1 x a counit
+
+    @pytest.mark.parametrize("field, big", [(F7, False), (GF(2 ** 61 - 1), False),
+                                            (QQ, False), (QQ, True)],
+                             ids=["F_7", "F_(2^61-1)", "Q", "Q-python-ints"])
+    def test_against_dense_product(self, field, big):
+        rng = random.Random(f"{field} {big}")
+        for _ in range(60):
+            factors = [kron_compose_factor(rng, field, rng.choice(self.KINDS), big)
+                       for _ in range(rng.randint(1, 4))]
+            g = dense_map(rng, field, math.prod(f.src_dim for f in factors),
+                          rng.randint(1, 3), big)
+            seen, patch = operand_dtypes()
+            with patch:
+                got = kron_compose(field, factors, g)
+            want = compose(kron_all(field, factors), g)
+            assert got == want and got.flat_strings() == want.flat_strings()
+            if any(f._src_of_dst is None for f in factors):  # a contraction ran
+                python_ints = big or field.modulus == 2 ** 61 - 1
+                assert seen == {np.dtype(object if python_ints else np.int64)}
+
+    def test_empty_factor_list_is_the_identity(self):
+        rng = random.Random(9)
+        for field in (F7, QQ):
+            g = rand_map(rng, field, 1, 4)
+            assert kron_compose(field, [], g) == compose(kron_all(field, []), g) == g
+
+    def test_shape_and_field_are_checked(self):
+        f = DenseMap.identity(F7, 2)
+        with pytest.raises(DimensionMismatch):
+            kron_compose(F7, [f, f], DenseMap.identity(F7, 3))
+        with pytest.raises(FieldMismatch):
+            kron_compose(F7, [DenseMap.identity(QQ, 2)], DenseMap.identity(F7, 2))
+
+    def test_past_budget_raises_before_allocating(self):
+        tall, wide = DenseMap.zero(F7, 2 ** 14, 1), DenseMap.zero(F7, 1, 2 ** 14)
+        with pytest.raises(TooLarge):
+            compose(kron_all(F7, [tall]), wide)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                kron_compose(F7, [DenseMap.identity(F7, 1), tall], wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_transposed_permutation_stays_an_index_array(self):
+        p = DenseMap.permutation(QQ, [2, 0, 3, 1])
+        t = p.transpose()
+        assert t._src_of_dst is not None
+        assert t == DenseMap.from_rows(QQ, [list(col) for col in zip(*p.rows())])
 
 
 @given(rational_matrix(2, 2), rational_matrix(2, 2), rational_matrix(2, 2))
