@@ -369,9 +369,8 @@ def cmd_twist(args) -> int:
 
 
 def _print_matrix(f: DenseMap):
-    strings = f.flat_strings()
-    for i in range(f.dst_dim):
-        print("  [" + " ".join(strings[i * f.src_dim:(i + 1) * f.src_dim]) + "]")
+    for row in f.row_strings():
+        print("  [" + " ".join(row) + "]")
 
 
 def cmd_antipode(args) -> int:

@@ -350,8 +350,17 @@ class DenseMap:
         """Entries as nested lists of canonical raw values (row-major)."""
         return self._values().tolist()
 
+    def row_strings(self):
+        """The entries as strings, one list per row, read a block of rows at
+        a time so that no more than one block is held as Python values."""
+        step = max(1, (1 << 16) // max(self.src_dim, 1))
+        for start in range(0, self.dst_dim, step):
+            num = self._num[start:start + step]
+            block = DenseMap(self.field, len(num), self.src_dim, num, den=self._den)
+            yield from ([str(v) for v in row] for row in block._a.tolist())
+
     def flat_strings(self):
-        return [str(v) for v in self._a.reshape(-1).tolist()]
+        return [v for row in self.row_strings() for v in row]
 
     @property
     def entries(self):
@@ -426,8 +435,8 @@ class DenseMap:
     def transpose(self) -> "DenseMap":
         if self._src_of_dst is not None:
             return _index_map(self.field, np.argsort(self._src_of_dst))
-        return _canonical(self.field, self.src_dim, self.dst_dim,
-                          self._num.T.copy(), self._den)
+        # a read-only view: the numerators of a canonical map stay canonical
+        return DenseMap(self.field, self.src_dim, self.dst_dim, self._num.T, den=self._den)
 
     def power(self, k: int) -> "DenseMap":
         """k-th composition power by repeated squaring (k >= 0, square map)."""
@@ -477,40 +486,16 @@ def compose(f: DenseMap, g: DenseMap) -> DenseMap:
 
 
 def compose_all(maps: Sequence[DenseMap]) -> DenseMap:
-    """Compose a chain left to right: compose_all([f, g, h]) = f.g.h.
-
-    The association order is chosen by the classical matrix-chain dynamic
-    program; with exact entries the result is identical either way, but the
-    work is not, and coherence chains mix very tall and very wide maps.
-    """
+    """Compose a chain left to right: compose_all([f, g, h]) = f.(g.h), the
+    products formed from the right.  Diagram sides apply their Kronecker
+    factors leg by leg (kron_compose), so the chains left are pairs, or chains
+    of square maps, on which every association order costs the same."""
     if not maps:
         raise ValueError("empty composition chain")
-    n = len(maps)
-    if n == 1:
-        return maps[0]
-    dims = [m.dst_dim for m in maps] + [maps[-1].src_dim]
-    cost = [[0] * n for _ in range(n)]
-    split = [[0] * n for _ in range(n)]
-    for span in range(1, n):
-        for i in range(n - span):
-            j = i + span
-            best = None
-            for s in range(i, j):
-                c = (cost[i][s] + cost[s + 1][j]
-                     + dims[i] * dims[s + 1] * dims[j + 1])
-                if best is None or c < best:
-                    best, split[i][j] = c, s
-            cost[i][j] = best
-
-    return _compose_split(maps, split, 0, n - 1)
-
-
-def _compose_split(maps, split, i: int, j: int) -> DenseMap:
-    """maps[i] . ... . maps[j], associated as the table split says."""
-    if i == j:
-        return maps[i]
-    s = split[i][j]
-    return compose(_compose_split(maps, split, i, s), _compose_split(maps, split, s + 1, j))
+    out = maps[-1]
+    for f in reversed(maps[:-1]):
+        out = compose(f, out)
+    return out
 
 
 def kron(f: DenseMap, g: DenseMap) -> DenseMap:

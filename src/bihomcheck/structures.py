@@ -8,8 +8,10 @@ governed by the object's (alpha, beta) pair, the multiplication side by
 category, so every law is written once (see _Side).  Iterated coproducts
 delta_n and products mu_n are built two equivalent ways, and generalized
 (co)associativity is verified for arbitrary sequences of non-negative arities.
-The interchange square of bimonoids and Hopf modules is evaluated as one
-tensor contraction of its four maps, never as a dense Kronecker product.
+Diagram sides apply their Kronecker factors leg by leg (see _Side), and the
+interchange square of bimonoids and Hopf modules is one tensor contraction of
+its four maps.  A dense Kronecker product is built only where it is compared,
+or as the map that leg-wise factors act on (induced_module_action).
 """
 
 from __future__ import annotations
@@ -143,8 +145,9 @@ class _Side:
     A comonoid diagram is its monoid diagram read in the opposite category:
     mu, eta, Psi, psi become delta, epsilon, Phi, phi, every composite is
     taken in reverse order, and tensor products stay as they are.  So each
-    law is written once, as the monoid law, and `chain` reads it on either side.
-    `endos` names the endomorphism pair that governs the side.
+    law is written once, as the monoid law, and `chain` reads it on either
+    side; `kron_chain` applies the Kronecker factors of a side leg by leg, so
+    no side builds their product.  `endos` names the governing endomorphism pair.
     """
 
     co: bool
@@ -179,7 +182,7 @@ def morphism_sides(b: StructureBundle, name: str, e: DenseMap):
     f = getattr(b, name)
     if name == side.unit:
         return side.chain(e, f), f
-    return side.chain(e, f), side.chain(f, kron(e, e))
+    return side.chain(e, f), side.kron_chain(f, [e, e])
 
 
 def _map_morphism_entries(prefix: str, b: StructureBundle, name: str):
@@ -201,8 +204,8 @@ def _semigroup_entries(b: StructureBundle, side: _Side):
     entries = _map_morphism_entries(f"{co}semigroup", b, side.mult)
     big21 = coherence_map((2, 1), side.big, [[a, a], [a]])
     big12 = coherence_map((1, 2), side.big, [[a], [a, a]])
-    lhs = side.chain(m, kron(m, _ident(a)), big21)
-    rhs = side.chain(m, kron(_ident(a), m), big12)
+    lhs = side.chain(side.kron_chain(m, [m, _ident(a)]), big21)
+    rhs = side.chain(side.kron_chain(m, [_ident(a), m]), big12)
     entries.append(compare_entry(
         f"{co}semigroup/{co}associativity",
         side.text("deformed associativity of the multiplication",
@@ -215,8 +218,8 @@ def _unit_entries(b: StructureBundle, side: _Side):
     a, m, u = b.obj, getattr(b, side.mult), getattr(b, side.unit)
     co = side.text("", "co")
     entries = _map_morphism_entries(f"{co}monoid", b, side.unit)
-    left = side.chain(m, kron(u, _ident(a)))
-    right = side.chain(m, kron(_ident(a), u))
+    left = side.kron_chain(m, [u, _ident(a)])
+    right = side.kron_chain(m, [_ident(a), u])
     entries.append(compare_entry(
         f"{co}monoid/{co}unit-left",
         side.text("unit in the first leg lands on nu",
@@ -340,17 +343,16 @@ def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> list:
     a, m = b.obj, getattr(b, side.mult)
     maps = [getattr(b, side.unit), _ident(a), m][:n + 1]
     for i in range(2, n):
-        out = maps[i]
+        # the product first: past ENTRY_BUDGET, it raises before big is allocated
         if variant == ITERATIVE:
+            out = side.kron_chain(m, [_ident(a), maps[i]])
             big = coherence_map((1, i), side.big, [[a], [a] * i])
-            out = side.chain(m, kron(_ident(a), out), big)
         elif variant == ALTERNATIVE:
-            big = coherence_map((2,) + (1,) * (i - 1), side.big,
-                                [[a, a]] + [[a]] * (i - 1))
-            out = side.chain(out, kron(m, _ident(a, i - 1)), big)
+            out = side.kron_chain(maps[i], [m, _ident(a, i - 1)])
+            big = coherence_map((2,) + (1,) * (i - 1), side.big, [[a, a]] + [[a]] * (i - 1))
         else:
             raise ValueError(f"unknown variant {variant!r}")
-        maps.append(out)
+        maps.append(side.chain(out, big))
     return maps
 
 
@@ -454,22 +456,22 @@ def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
         entries.append(compare_entry(
             f"{co}module/{co}action-commutes-{name}",
             f"{co}action intertwines the endomorphism {name}",
-            side.chain(ex, rho), side.chain(rho, kron(ex, ea))))
+            side.chain(ex, rho), side.kron_chain(rho, [ex, ea])))
     big12 = coherence_map((1, 2), side.big, [[x], [a, a]])
     big21 = coherence_map((2, 1), side.big, [[x, a], [a]])
     entries.append(compare_entry(
         f"{co}module/{co}associativity",
         side.text("acting after multiplying equals acting twice",
                   "coacting then comultiplying equals coacting twice"),
-        side.chain(rho, kron(_ident(x), getattr(b, side.mult)), big12),
-        side.chain(rho, kron(rho, _ident(a)), big21)))
+        side.chain(side.kron_chain(rho, [_ident(x), getattr(b, side.mult)]), big12),
+        side.chain(side.kron_chain(rho, [rho, _ident(a)]), big21)))
     unit = getattr(b, side.unit)
     if unit is not None:
         entries.append(compare_entry(
             f"{co}module/{co}unitality",
             side.text("acting by the unit lands on the carrier's kappa",
                       "coacting into the counit lands on the carrier's alpha"),
-            side.chain(rho, kron(_ident(x), unit)),
+            side.kron_chain(rho, [_ident(x), unit]),
             coherence_map((1, 0), side.small, [[x], []])))
     return make_report(f"{co}module", entries)
 
@@ -531,9 +533,7 @@ def induced_module_action(mods: Sequence[ModuleInst],
     n = len(mods)
     carriers = [m.carrier for m in mods]
     product = nprod(carriers, field)
-    dn = delta_n(over, n)
-    xdim = math.prod(x.dim for x in carriers)
-    spread = kron(DenseMap.identity(field, xdim), dn)
     xi = xi_map(2, n, [carriers, [a] * n], field)
-    act = kron_all(field, [m.action for m in mods])
-    return ModuleInst(product, compose_all([act, xi, spread]), over)
+    act = compose(kron_all(field, [m.action for m in mods]), xi)
+    spread = [DenseMap.identity(field, product.dim), delta_n(over, n)]
+    return ModuleInst(product, MONOID_SIDE.kron_chain(act, spread), over)

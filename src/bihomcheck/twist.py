@@ -30,7 +30,7 @@ from .errors import (
     MissingMap,
     NotInvertible,
 )
-from .exactlin import DenseMap, _canonical, _operands, _solve, compose, compose_all, invert, kron
+from .exactlin import DenseMap, _canonical, _operands, _solve, compose, invert, kron, kron_compose
 from .exactlin import NO_SOLUTION, UNIQUE
 from .structures import COMONOID_SIDE, MAP_SHAPES, MONOID_SIDE, ModuleInst, StructureBundle
 from .structures import check_bimonoid, morphism_sides
@@ -97,7 +97,7 @@ def yau_twist(p: PlainStructure, direction: str = BIMONOID) -> StructureBundle:
     b = p.bundle
     maps = {}
     for side in _TWISTED_SIDES[direction]:
-        maps[side.mult] = side.chain(getattr(b, side.mult), kron(*b.obj.pair_for(side.big)))
+        maps[side.mult] = side.kron_chain(getattr(b, side.mult), b.obj.pair_for(side.big))
         maps[side.unit] = getattr(b, side.unit)
     return StructureBundle(b.obj, **maps)
 
@@ -119,8 +119,8 @@ def untwist(b: StructureBundle) -> PlainStructure:
     for side in _TWISTED_SIDES[BIMONOID]:
         m = getattr(b, side.mult)
         if m is not None:
-            inverses = (_inverse_or_raise(b.obj, name) for name in side.endos)
-            maps[side.mult] = side.chain(m, kron(*inverses))
+            inverses = [_inverse_or_raise(b.obj, name) for name in side.endos]
+            maps[side.mult] = side.kron_chain(m, inverses)
     if not maps:
         raise MissingMap("nothing to untwist")
     return PlainStructure(b.replace(**maps))
@@ -146,17 +146,15 @@ class AntipodeResult:
         return self.chi if self.status == NON_UNIQUE else None
 
 
-def _antipode_system(mu: DenseMap, delta: DenseMap, rhs: DenseMap,
-                     sandwich: Optional[DenseMap]) -> DenseMap:
-    """Linear system for chi in  mu.[sandwich].(1 (x) chi).delta = rhs  and
-    mu.[sandwich].(chi (x) 1).delta = rhs, as one augmented map
+def _antipode_system(pre: DenseMap, delta: DenseMap, rhs: DenseMap) -> DenseMap:
+    """Linear system for chi in  pre.(1 (x) chi).delta = rhs  and
+    pre.(chi (x) 1).delta = rhs, as one augmented map
     [coefficients | rhs] whose rows alternate between the two equations.
 
     With P = pre and D = delta read as d x d x d arrays, the coefficient of
     chi[j, k] in entry (r, c) of pre.(1 (x) chi).delta is sum_a P[r, a, j]
     D[a, k, c], and in pre.(chi (x) 1).delta it is sum_b P[r, j, b] D[k, b, c]:
     one tensordot each, over the numerators pre and delta share."""
-    pre = compose(mu, sandwich) if sandwich is not None else mu
     field, d = delta.field, delta.src_dim
     P, D = (a.reshape(d, d, d) for a in _operands((pre, delta), d))
     block_den = pre._den * delta._den
@@ -169,13 +167,10 @@ def _antipode_system(mu: DenseMap, delta: DenseMap, rhs: DenseMap,
     return _canonical(field, 2 * d * d, d * d + 1, num, den)
 
 
-def _verify_antipode(mu, delta, rhs, sandwich, chi) -> bool:
-    d = chi.dst_dim
-    one = DenseMap.identity(chi.field, d)
-    pre = compose(mu, sandwich) if sandwich is not None else mu
-    left = compose_all([pre, kron(one, chi), delta])
-    right = compose_all([pre, kron(chi, one), delta])
-    return left == rhs and right == rhs
+def _verify_antipode(pre, delta, rhs, chi) -> bool:
+    one = DenseMap.identity(chi.field, chi.dst_dim)
+    return all(compose(pre, kron_compose(chi.field, factors, delta)) == rhs
+               for factors in ([one, chi], [chi, one]))
 
 
 def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
@@ -192,22 +187,21 @@ def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
             f"antipode requested on a non-bimonoid: {report.failures()[0].name}")
     obj = b.obj
     rhs = compose(b.eta, b.epsilon)
-    if method == DIRECT:
+    if method == DIRECT:  # pre = mu . (beta nu (x) alpha kappa)
         kappa, nu = obj.oplax_pair()
-        sandwich = kron(compose(obj.beta, nu), compose(obj.alpha, kappa))
-        mu, delta = b.mu, b.delta
+        pre = MONOID_SIDE.kron_chain(b.mu, [compose(obj.beta, nu), compose(obj.alpha, kappa)])
+        delta = b.delta
     elif method == VIA_UNTWIST:
         plain = untwist(b).bundle
-        sandwich = None
-        mu, delta = plain.mu, plain.delta
+        pre, delta = plain.mu, plain.delta
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    status, solution, den = _solve(_antipode_system(mu, delta, rhs, sandwich))
+    status, solution, den = _solve(_antipode_system(pre, delta, rhs))
     if status == NO_SOLUTION:
         return AntipodeResult(None, method, False, NO_ANTIPODE)
     chi = _canonical(obj.field, obj.dim, obj.dim, solution.reshape(obj.dim, obj.dim), den)
-    if not _verify_antipode(mu, delta, rhs, sandwich, chi):
+    if not _verify_antipode(pre, delta, rhs, chi):
         raise InvariantViolation("solved antipode failed re-verification")
     status = FOUND if status == UNIQUE else NON_UNIQUE
     return AntipodeResult(chi, method, True, status)
@@ -217,7 +211,8 @@ def canonical_morphism(x: ModuleInst, y: BiHomObject,
                        b: StructureBundle):
     """The Galois-style map on x (x) y (x) a and whether it is invertible.
 
-    Built as (action (x) 1 (x) 1) . (1 (x) swap (x) 1) . (1 (x) 1 (x) delta).
+    Built as (action (x) 1 (x) 1) . (1 (x) swap (x) 1) . (1 (x) 1 (x) delta),
+    the first two Kronecker products applied leg by leg.
     """
     if x.over != b:
         raise DimensionMismatch("module does not live over the given structure")
@@ -230,9 +225,7 @@ def canonical_morphism(x: ModuleInst, y: BiHomObject,
     idy = DenseMap.identity(field, y.dim)
     ida = DenseMap.identity(field, a.dim)
     swap = Permutation((1, 0)).matrix([y.dim, a.dim], field)
-    m = compose_all([
-        kron(kron(x.action, idy), ida),
-        kron(kron(idx, swap), ida),
-        kron(kron(idx, idy), b.delta),
-    ])
+    m = kron(kron(idx, idy), b.delta)
+    for factors in ([idx, swap, ida], [x.action, idy, ida]):
+        m = kron_compose(field, factors, m)
     return m, invert(m) is not None

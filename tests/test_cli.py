@@ -18,13 +18,15 @@ from bihomcheck.cli import (
     main,
     save_instance,
 )
-from bihomcheck.errors import ParseError, UnknownName
+from bihomcheck import exactlin
+from bihomcheck.errors import ParseError, TooLarge, UnknownName
 from bihomcheck.exactlin import GF, QQ
 from bihomcheck.fixtures import (
     dual_cyclic_bundle,
     example_instance,
     idempotent_monoid_bialgebra,
 )
+from bihomcheck.structures import delta_n
 from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
 
 F7 = GF(7)
@@ -499,6 +501,27 @@ class TestDeltaCommand:
         assert capsys.readouterr() == (matrix, "")
         assert main(argv + ["--check-all-sequences"]) == 1
         assert capsys.readouterr() == (matrix, "check failed: structure has no epsilon\n")
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_budget_boundary_is_the_result(self, c3_file, capsys, monkeypatch, n):
+        # delta_n is built leg by leg, so its largest dense map is the a^n x a
+        # result itself: with a = 3 and a budget of 3^6 entries, n = 5 fits
+        # exactly and n = 6 does not (the a^n x a^2 Kronecker product decided
+        # before, stopping n = 5 too)
+        monkeypatch.setattr(exactlin, "ENTRY_BUDGET", 3 ** 6)
+        twisted = example_instance().structures["twisted"]
+        code = main(["delta", c3_file, "--name", "twisted", "-n", str(n)])
+        out, err = capsys.readouterr()
+        if 3 ** (n + 1) > 3 ** 6:
+            with pytest.raises(TooLarge):
+                delta_n(twisted, n)
+            assert code == 2 and out == ""
+            assert err == f"error: a dense {3 ** n}x3 map is past the budget of 729 entries\n"
+        else:
+            assert delta_n(twisted, n).dst_dim == 3 ** n
+            assert code == 0 and err == ""
+            assert out.splitlines()[0] == f"delta_{n}: {3 ** n}x3"
+            assert len(out.splitlines()) == 1 + 3 ** n
 
     @pytest.mark.parametrize("bounds", [["-n", "-1"],
                                         ["--check-all-sequences", "--max-K", "-2"]])

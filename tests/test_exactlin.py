@@ -196,18 +196,27 @@ class TestCompose:
 
 
 class TestComposeAll:
-    def test_association_order_minimises_work(self, monkeypatch):
-        shapes = []
+    @pytest.mark.parametrize("dims", [[3, 3, 3, 3], [2, 5, 1, 4, 3, 6, 1]],
+                             ids=["square-f-g-h", "six-maps"])
+    def test_folds_from_the_right(self, monkeypatch, dims):
+        calls = []
 
         def recording(f, g):
-            shapes.append((f.dst_dim, f.src_dim, g.src_dim))
-            return compose(f, g)
+            out = compose(f, g)
+            calls.append((f, g, out))
+            return out
 
         monkeypatch.setattr(exactlin, "compose", recording)
-        dims = [2, 5, 1, 4, 3, 6, 1]
-        compose_all([DenseMap.zero(F7, dims[i], dims[i + 1]) for i in range(len(dims) - 1)])
-        # (A B)((C D)(E F)): 10 + 12 + 18 + 3 + 2 multiply-adds
-        assert shapes == [(2, 5, 1), (1, 4, 3), (3, 6, 1), (1, 3, 1), (2, 1, 1)]
+        rng = random.Random(5)
+        maps = [rand_map(rng, F7, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+        got = compose_all(maps)
+        # f.(g.h): the last two maps are multiplied first, then each map to
+        # their left takes the product so far as its right operand
+        assert len(calls) == len(maps) - 1
+        assert calls[0][0] is maps[-2] and calls[0][1] is maps[-1]
+        for (f, g, _), (_, _, so_far), m in zip(calls[1:], calls, maps[-3::-1]):
+            assert f is m and g is so_far
+        assert got is calls[-1][2]
 
     def test_leaves_no_reference_cycles(self):
         # Garbage held in cycles keeps the input maps alive until the cyclic

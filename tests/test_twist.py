@@ -271,7 +271,7 @@ class TestAntipode:
         zero_delta = DenseMap.zero(F7, 4, 2)
         zero_rhs = DenseMap.zero(F7, 2, 2)
         system = [(row[:-1], row[-1])
-                  for row in _antipode_system(zero_mu, zero_delta, zero_rhs, None).rows()]
+                  for row in _antipode_system(zero_mu, zero_delta, zero_rhs).rows()]
         res = solve_linear(system, 4, F7)
         assert res.status == UNDERDETERMINED
 
@@ -285,8 +285,8 @@ class TestAntipode:
         mu, delta = data.draw(matrix(d, d * d)), data.draw(matrix(d * d, d))
         chi, rhs = data.draw(matrix(d, d)), data.draw(matrix(d, d))
         sandwich = data.draw(st.none() | matrix(d * d, d * d))
-        system = [(row[:-1], row[-1]) for row in _antipode_system(mu, delta, rhs, sandwich).rows()]
         pre = mu if sandwich is None else compose(mu, sandwich)
+        system = [(row[:-1], row[-1]) for row in _antipode_system(pre, delta, rhs).rows()]
         one = DenseMap.identity(field, d)
         vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
         for parity, composite in enumerate([kron(one, chi), kron(chi, one)]):
@@ -317,7 +317,7 @@ class TestAntipode:
         sandwich = data.draw(st.none() | matrix(d * d, d * d))
         pre = mu if sandwich is None else compose(mu, sandwich)
         assert all(a.dtype == object for a in _operands((pre, delta), d))
-        system = [(row[:-1], row[-1]) for row in _antipode_system(mu, delta, rhs, sandwich).rows()]
+        system = [(row[:-1], row[-1]) for row in _antipode_system(pre, delta, rhs).rows()]
         one = DenseMap.identity(field, d)
         vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
         for parity, composite in enumerate([kron(one, chi), kron(chi, one)]):
