@@ -118,9 +118,10 @@ def _field_from_json(doc) -> FieldTag:
 def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str) -> DenseMap:
     if not isinstance(data, list) or len(data) != dst * src:
         raise ParseError(f"{what}: expected {dst * src} entries")
-    for v in data:
-        if isinstance(v, bool) or not isinstance(v, (int, str)):
-            raise ParseError(f"{what}: entry {json.dumps(v)} is not an integer or a string")
+    if not set(map(type, data)) <= {int, str}:  # the loop words the first bad entry
+        for v in data:
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise ParseError(f"{what}: entry {json.dumps(v)} is not an integer or a string")
     return DenseMap.from_flat(field, dst, src, data)
 
 
@@ -369,8 +370,9 @@ def cmd_twist(args) -> int:
 
 
 def _print_matrix(f: DenseMap):
-    for row in f.row_strings():
-        print("  [" + " ".join(row) + "]")
+    row = "  [" + " ".join(["%s"] * f.src_dim) + "]\n"
+    for rows, values in f.value_blocks():
+        sys.stdout.write((row * rows) % tuple(values))
 
 
 def cmd_antipode(args) -> int:

@@ -16,8 +16,11 @@ ints and integer strings below 2^63 in absolute value) in one pass; every
 other entry goes through the per-entry parser, which words every parse
 error.  No operation
 builds a dense array of more than ENTRY_BUDGET entries; it raises TooLarge,
-which the CLI reports with exit code 2.  Elimination is fraction-free
-Gauss-Jordan on the same integer numerators.
+which the CLI reports with exit code 2.  Elimination runs on int64 residues
+mod a prime below 2^31: over such an F_p that gives the reduced row echelon
+form itself, and over Q a unique solution mod 2^31 - 1 is rebuilt by rational
+reconstruction and kept only after an exact check.  Every other case is
+fraction-free Gauss-Jordan (Bareiss) on the same integer numerators.
 
 Maps carry explicit source/target dimensions; a map f: V_src -> V_dst has
 shape dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies
@@ -54,6 +57,10 @@ PRIME_FIELD = "prime_field"
 _INT64_ENTRY_LIMIT = 1 << 62  # stored numerators below it are int64
 # No operation builds a dense array of more entries (1 GiB of int64).
 ENTRY_BUDGET = 1 << 27
+# Elimination on int64 residues mod a prime up to _MODULAR_PRIME, the largest
+# below 2^31, cannot overflow; over Q it runs mod _MODULAR_PRIME and is
+# certified by an exact check.
+_MODULAR_PRIME = (1 << 31) - 1
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound.
@@ -350,17 +357,18 @@ class DenseMap:
         """Entries as nested lists of canonical raw values (row-major)."""
         return self._values().tolist()
 
-    def row_strings(self):
-        """The entries as strings, one list per row, read a block of rows at
-        a time so that no more than one block is held as Python values."""
+    def value_blocks(self):
+        """The entries a block of rows at a time, as (rows, values): values
+        lists the field values of those rows, row-major, so that no more than
+        one block is held as Python values."""
         step = max(1, (1 << 16) // max(self.src_dim, 1))
         for start in range(0, self.dst_dim, step):
             num = self._num[start:start + step]
             block = DenseMap(self.field, len(num), self.src_dim, num, den=self._den)
-            yield from ([str(v) for v in row] for row in block._a.tolist())
+            yield len(num), block._a.reshape(-1).tolist()
 
     def flat_strings(self):
-        return [v for row in self.row_strings() for v in row]
+        return [str(v) for _, values in self.value_blocks() for v in values]
 
     @property
     def entries(self):
@@ -550,6 +558,29 @@ def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> D
     return out
 
 
+def _reduce_mod(num: np.ndarray, ncols: int, p: int) -> list:
+    """Gauss-Jordan elimination of the int64 residues num mod a prime
+    p < 2^31, in place, on its first ncols columns, with the pivot rule of
+    _row_reduce.  The pivot row is scaled to 1 and subtracted only from the
+    rows with a nonzero entry in its column; each product of two residues is
+    below 2^62, so nothing overflows.  num ends as the reduced row echelon
+    form; returns the pivot columns."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        nonzero = np.flatnonzero(num[r:, col])
+        if not nonzero.size:
+            continue
+        num[[r, r + nonzero[0]]] = num[[r + nonzero[0], r]]
+        # rows r and below are zero left of col, so only columns col on change
+        num[r, col:] = num[r, col:] * pow(int(num[r, col]), -1, p) % p
+        rows = np.flatnonzero(num[:, col])
+        rows = rows[rows != r]
+        num[rows, col:] = (num[rows, col:] - num[rows, col:col + 1] * num[r, col:]) % p
+        pivots.append(col)
+    return pivots
+
+
 def _row_reduce(field: FieldTag, num: np.ndarray, ncols: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
     of the integer object array num, in place, on its first ncols columns;
@@ -574,11 +605,63 @@ def _row_reduce(field: FieldTag, num: np.ndarray, ncols: int):
     return pivots, d
 
 
+def _reconstruct(residues: np.ndarray, p: int) -> Optional[DenseMap]:
+    """The rationals n/d with |n|, d <= sqrt(p/2) and n = d * residue mod p,
+    entrywise, as a map over Q (Wang, SYMSAC 1981: the extended Euclidean
+    algorithm on (p, residue), stopped at the first remainder within the
+    bound); None when some entry has no such d."""
+    bound = math.isqrt(p // 2)
+    r0, r1 = np.full_like(residues, p), residues.copy()
+    t0, t1 = np.zeros_like(residues), np.ones_like(residues)
+    while (live := r1 > bound).any():
+        q = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
+        t0[live], t1[live] = t1[live], t0[live] - q * t1[live]
+    den = np.abs(t1)
+    if (den > bound).any():
+        return None
+    lcm = math.lcm(*np.unique(den).tolist())
+    num = (r1 * np.sign(t1)).astype(object) * (lcm // den.astype(object))
+    return _canonical(QQ, *residues.shape, num, lcm)
+
+
+def _certified_solution(c: np.ndarray, b: np.ndarray) -> Optional[DenseMap]:
+    """The unique X over Q with c X = b, for integer arrays c and b, found
+    mod _MODULAR_PRIME and kept only when it passes the exact check c X = b;
+    None (leave it to Bareiss) when c loses rank mod the prime, the system is
+    inconsistent mod the prime, an entry has no rational reconstruction, or
+    the check fails.  A rank mod p equal to the number of columns proves full
+    column rank over Q, as rank can only drop mod p."""
+    rows, unknowns = c.shape
+    num = np.remainder(np.hstack((c, b)), _MODULAR_PRIME).astype(np.int64)
+    pivots = _reduce_mod(num, unknowns, _MODULAR_PRIME)
+    if len(pivots) < unknowns or num[unknowns:, unknowns:].any():
+        return None
+    x = _reconstruct(num[:unknowns, unknowns:], _MODULAR_PRIME)
+    if x is None:
+        return None
+    cx = np.dot(*_operands((DenseMap(QQ, rows, unknowns, c), x), unknowns))
+    rhs = DenseMap(QQ, rows, b.shape[1], b)
+    return x if _canonical(QQ, rows, b.shape[1], cx, x._den) == rhs else None
+
+
 def invert(f: DenseMap) -> Optional[DenseMap]:
-    """Exact inverse by elimination of [num(f) | I], or None if singular."""
+    """Exact inverse, or None if singular: an index map by its inverse index
+    array; over Q by a certified solution mod a prime (_certified_solution),
+    else over F_p with p < 2^31 by _reduce_mod, and otherwise by Bareiss
+    elimination of [num(f) | I]."""
     if not f.is_square():
         raise NotSquare(f"inverting a {f.dst_dim}x{f.src_dim} map")
-    n = f.dst_dim
+    if f._src_of_dst is not None:
+        return f.transpose()
+    n, p = f.dst_dim, f.field.modulus
+    if p is None:
+        inv = _certified_solution(f._num, np.identity(n, dtype=np.int64))
+        if inv is not None:  # f^-1 = den(f) num(f)^-1
+            return inv if f._den == 1 else inv.scale(f._den)
+    if p is not None and p <= _MODULAR_PRIME:
+        num = np.hstack((f._num, np.identity(n, dtype=np.int64)))
+        return None if len(_reduce_mod(num, n, p)) < n else _canonical(f.field, n, n, num[:, n:])
     num = np.hstack((f._num.astype(object), np.identity(n, dtype=object)))
     pivots, d = _row_reduce(f.field, num, n)
     if len(pivots) < n:
@@ -623,12 +706,23 @@ def solve_linear(system: Sequence[tuple], unknowns: int,
 def _solve(augmented: DenseMap):
     """Reduce the augmented map [C | b] and classify C x = b.  Returns the
     status, then the numerators of a solution as a fresh column (free unknowns
-    set to zero) and their denominator; both are None when there is none."""
-    unknowns = augmented.src_dim - 1
-    num = augmented._num.astype(object)  # the rows scaled by the common denominator
-    pivots, d = _row_reduce(augmented.field, num, unknowns)
+    set to zero) and their denominator; both are None when there is none.
+    Over Q a certified solution mod a prime decides a unique solution, and
+    over F_p with p < 2^31 _reduce_mod gives the reduced row echelon form
+    itself; every other case is reduced by Bareiss."""
+    field, unknowns = augmented.field, augmented.src_dim - 1
+    p = field.modulus
+    if p is None and (x := _certified_solution(augmented._num[:, :unknowns],
+                                               augmented._num[:, unknowns:])) is not None:
+        return UNIQUE, x._num.copy(), x._den
+    if p is not None and p <= _MODULAR_PRIME:
+        num, d = augmented._num.copy(), 1
+        pivots = _reduce_mod(num, unknowns, p)
+    else:
+        num = augmented._num.astype(object)  # the rows scaled by the common denominator
+        pivots, d = _row_reduce(field, num, unknowns)
     if num[len(pivots):, unknowns].any():
         return NO_SOLUTION, None, None
-    solution = np.zeros((unknowns, 1), dtype=object)
+    solution = np.zeros((unknowns, 1), dtype=num.dtype)
     solution[pivots, 0] = num[:len(pivots), unknowns]
     return (UNIQUE if len(pivots) == unknowns else UNDERDETERMINED), solution, d

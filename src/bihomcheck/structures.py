@@ -341,6 +341,12 @@ def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> list:
     if n >= 2:
         b.require(side.mult)
     a, m = b.obj, getattr(b, side.mult)
+    if a.dim > 1 and all(e._src_of_dst is not None for e in a.pair_for(side.big)):
+        # permutation endomorphisms keep every coherence map an index array, so
+        # the loop would stop at the first a^k x a product past ENTRY_BUDGET:
+        # refuse that arity, with the same message, before building any
+        for k in range(3, n + 1):
+            _check_budget(a.dim ** k, a.dim)
     maps = [getattr(b, side.unit), _ident(a), m][:n + 1]
     for i in range(2, n):
         # the product first: past ENTRY_BUDGET, it raises before big is allocated

@@ -26,7 +26,8 @@ from bihomcheck.fixtures import (
     example_instance,
     idempotent_monoid_bialgebra,
 )
-from bihomcheck.structures import delta_n
+from bihomcheck import structures
+from bihomcheck.structures import ALTERNATIVE, ITERATIVE, delta_n, mu_n
 from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
 
 F7 = GF(7)
@@ -156,6 +157,12 @@ class TestMalformedValues:
                              ids=["modulus-string", "entry-int", "entry-string", "dim-string"])
     def test_integers_and_strings_still_accepted(self, c3_file, edit, capsys):
         assert self._run(c3_file, edit, capsys)[0] == 0
+
+    def test_first_bad_entry_is_named(self, c3_file, capsys):
+        def edit(doc):
+            doc["structures"]["twisted"]["mu"][3:5] = [1.5, True]
+        assert self._run(c3_file, edit, capsys) == (
+            2, "error: structure twisted.mu: entry 1.5 is not an integer or a string\n")
 
 
 def _mutation_paths(node, path=()):
@@ -522,6 +529,31 @@ class TestDeltaCommand:
             assert code == 0 and err == ""
             assert out.splitlines()[0] == f"delta_{n}: {3 ** n}x3"
             assert len(out.splitlines()) == 1 + 3 ** n
+
+    @pytest.mark.parametrize("n", [6, 9, 40])
+    def test_arity_past_budget_is_refused_before_any_product(self, c3_file, capsys,
+                                                             monkeypatch, n):
+        # the loop alone would build arities 3..5 and then be stopped by the
+        # same 729x3 product at arity 6, whatever n
+        twisted = example_instance().structures["twisted"]
+        monkeypatch.setattr(exactlin, "ENTRY_BUDGET", 3 ** 6)
+        products = []
+        monkeypatch.setattr(structures, "kron_compose", lambda *args: products.append(args))
+        message = "a dense 729x3 map is past the budget of 729 entries"
+        for iterated in (delta_n, mu_n):
+            for variant in (ITERATIVE, ALTERNATIVE):
+                with pytest.raises(TooLarge, match=f"^{message}$"):
+                    iterated(twisted, n, variant)
+        assert main(["delta", c3_file, "--name", "twisted", "-n", str(n)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert products == []
+
+    def test_printed_rows_span_blocks(self, c3_file, capsys):
+        # 3^10 rows of 3 entries are written as three blocks of value_blocks
+        d = delta_n(example_instance().structures["twisted"], 10)
+        assert main(["delta", c3_file, "--name", "twisted", "-n", "10"]) == 0
+        rows = "".join("  [" + " ".join(str(v) for v in row) + "]\n" for row in d.rows())
+        assert capsys.readouterr() == ("delta_10: 59049x3\n" + rows, "")
 
     @pytest.mark.parametrize("bounds", [["-n", "-1"],
                                         ["--check-all-sequences", "--max-K", "-2"]])

@@ -667,24 +667,39 @@ def reference_solve(system, unknowns, field):
     return exactlin.SolveResult(status, tuple(Scalar.of(field, v) for v in solution))
 
 
-ELIMINATION_FIELDS = (QQ, GF(2), F7, GF(2 ** 61 - 1))
+# F_(2^31 - 1) is the largest modulus eliminated on int64 residues, and
+# 2147483659 the first prime past 2^31, which Bareiss reduces.
+ELIMINATION_FIELDS = (QQ, GF(2), F7, GF(2 ** 31 - 1), GF(2147483659), GF(2 ** 61 - 1))
 
 
 @st.composite
-def linear_system(draw, square=False):
+def linear_system(draw, square=False, sparse=False):
     """A system whose rows are random, or combinations of a few base rows
-    (rank-deficient), with one right-hand side optionally knocked off."""
+    (rank-deficient), with one right-hand side optionally knocked off.  A
+    sparse system has up to 12 unknowns and 0/+-1 coefficients, as the
+    antipode systems have, and the right-hand sides of a drawn solution."""
     field = draw(st.sampled_from(ELIMINATION_FIELDS))
-    unknowns = draw(st.integers(0, 4))
-    n_rows = unknowns if square else draw(st.integers(0, 5))
-    entries = field_entries(field) if field == QQ else st.one_of(
-        field_entries(field), st.sampled_from([2 ** 62 + 1, -(3 ** 40)]))
+    unknowns = draw(st.integers(0, 12 if sparse else 4))
+    n_rows = unknowns if square else draw(st.integers(unknowns, 2 * unknowns + 1) if sparse
+                                          else st.integers(0, 5))
+    if sparse:
+        entries = st.sampled_from([0, 0, 0, 1, -1])
+    else:
+        entries = field_entries(field) if field == QQ else st.one_of(
+            field_entries(field), st.sampled_from([2 ** 62 + 1, -(3 ** 40)]))
     width = unknowns + 1
 
     def row():
         return draw(st.lists(entries, min_size=width, max_size=width))
 
-    if draw(st.booleans()):
+    if sparse:  # consistent, with the right-hand sides of a drawn solution
+        x = draw(st.lists(small_fracs if field == QQ else st.integers(-3, 3),
+                          min_size=unknowns, max_size=unknowns))
+        rows = [r[:unknowns] + [sum(c * v for c, v in zip(r, x))] for r in
+                (row() for _ in range(n_rows))]
+        if rows and draw(st.booleans()):
+            rows[-1][-1] += 1
+    elif draw(st.booleans()):
         rows = [row() for _ in range(n_rows)]
     else:
         base = [row() for _ in range(draw(st.integers(1, 3)))]
@@ -717,6 +732,115 @@ def test_invert_against_fraction_reference(case):
     field, n, system = case
     f = DenseMap.from_flat(field, n, n, [v for coeffs, _ in system for v in coeffs])
     assert invert(f) == reference_invert(f)
+
+
+@settings(deadline=None, max_examples=150)
+@given(linear_system(sparse=True))
+def test_sparse_solve_against_fraction_reference(case):
+    field, unknowns, system = case
+    assert _typed(solve_linear(system, unknowns, field)) == \
+        _typed(reference_solve(system, unknowns, field))
+
+
+@settings(deadline=None, max_examples=150)
+@given(linear_system(square=True, sparse=True))
+def test_sparse_invert_against_fraction_reference(case):
+    field, n, system = case
+    f = DenseMap.from_flat(field, n, n, [v for coeffs, _ in system for v in coeffs])
+    assert invert(f) == reference_invert(f)
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """Counts of the Bareiss and int64 eliminations run, and whether each
+    rational reconstruction found an answer."""
+    calls = {"bareiss": 0, "modular": 0, "reconstructed": []}
+
+    def wrap(name, record):
+        original = getattr(exactlin, name)
+
+        def recording(*args):
+            out = original(*args)
+            record(out)
+            return out
+        monkeypatch.setattr(exactlin, name, recording)
+
+    wrap("_row_reduce", lambda out: calls.update(bareiss=calls["bareiss"] + 1))
+    wrap("_reduce_mod", lambda out: calls.update(modular=calls["modular"] + 1))
+    wrap("_reconstruct", lambda out: calls["reconstructed"].append(out is not None))
+    return calls
+
+
+P = exactlin._MODULAR_PRIME
+
+
+class TestModularElimination:
+    @pytest.mark.parametrize("system, unknowns, reconstructed", [
+        ([([P, 0], 2 * P), ([0, 1], 3)], 2, []),   # det P: rank 1 mod P
+        ([([1, 1], 1), ([P + 1, 1], 0)], 2, []),   # det P, off the diagonal
+        ([([1], 40000)], 1, [False]),              # numerator past sqrt(P/2)
+        ([([40000], 1)], 1, [False]),              # denominator past it
+        ([([1], P + 1)], 1, [True]),               # reconstructs as 1, fails the check
+        ([([1], 0), ([P], 1)], 1, []),             # 0 = 1 mod P
+        ([([1], 1), ([1], P + 1)], 1, [True]),     # consistent mod P only
+    ], ids=["diagonal", "dense", "numerator", "denominator", "congruent", "inconsistent",
+            "inconsistent-over-q"])
+    def test_unlucky_prime_falls_back_to_bareiss(self, elimination_calls, system, unknowns,
+                                                 reconstructed):
+        got = solve_linear(system, unknowns, QQ)
+        assert elimination_calls["bareiss"] == 1
+        assert elimination_calls["reconstructed"] == reconstructed
+        assert _typed(got) == _typed(reference_solve(system, unknowns, QQ))
+
+    @pytest.mark.parametrize("rows, reconstructed", [
+        ([[P, 0], [0, 1]], []), ([[40000]], [False]), ([[P + 1]], [True]),
+    ], ids=["diagonal", "denominator", "congruent"])
+    def test_unlucky_inverse_falls_back_to_bareiss(self, elimination_calls, rows, reconstructed):
+        f = DenseMap.from_rows(QQ, rows)
+        got = invert(f)
+        assert elimination_calls["bareiss"] == 1
+        assert elimination_calls["reconstructed"] == reconstructed
+        assert got == reference_invert(f)
+
+    def test_certified_solution_skips_bareiss(self, elimination_calls):
+        system = [([2, 1], 1), ([1, -1], Fraction(1, 3)), ([3, 0], Fraction(4, 3))]
+        got = solve_linear(system, 2, QQ)
+        assert elimination_calls == {"bareiss": 0, "modular": 1, "reconstructed": [True]}
+        assert _typed(got) == _typed(reference_solve(system, 2, QQ))
+        for rows in ([[2, 1], [Fraction(1, 2), -1]], [[Fraction(1, P + 1)]]):
+            f = DenseMap.from_rows(QQ, rows)  # the inverse of num(f) is scaled by den(f)
+            assert invert(f) == reference_invert(f)
+        assert elimination_calls["bareiss"] == 0
+
+    @pytest.mark.parametrize("field, modular", [(GF(2), True), (GF(2 ** 31 - 1), True),
+                                                (GF(2147483659), False)])
+    def test_prime_field_route_follows_the_modulus(self, elimination_calls, field, modular):
+        system = [([1, 2], 3), ([0, 1], 1), ([1, 1], 1)]
+        got = solve_linear(system, 2, field)
+        assert elimination_calls["modular" if modular else "bareiss"] == 1
+        assert elimination_calls["bareiss" if modular else "modular"] == 0
+        assert _typed(got) == _typed(reference_solve(system, 2, field))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(ELIMINATION_FIELDS), st.integers(0, 7).map(range).flatmap(st.permutations),
+       st.booleans())
+def test_invert_index_map_against_fraction_reference(field, images, read):
+    n = len(images)
+    if read:  # a 0/1 permutation matrix, read back as an index map
+        f = DenseMap.from_flat(field, n, n,
+                               [int(images[i] == j) for i in range(n) for j in range(n)])
+    else:
+        f = DenseMap.permutation(field, images)
+    assert f._src_of_dst is not None
+    original = exactlin._row_reduce, exactlin._reduce_mod
+    try:
+        exactlin._row_reduce = exactlin._reduce_mod = None  # no elimination may run
+        got = invert(f)
+    finally:
+        exactlin._row_reduce, exactlin._reduce_mod = original
+    assert got._src_of_dst is not None
+    assert got == reference_invert(f)
 
 
 def test_elimination_edge_cases():
