@@ -118,11 +118,14 @@ def _field_from_json(doc) -> FieldTag:
 def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str) -> DenseMap:
     if not isinstance(data, list) or len(data) != dst * src:
         raise ParseError(f"{what}: expected {dst * src} entries")
-    if not set(map(type, data)) <= {int, str}:  # the loop words the first bad entry
-        for v in data:
+    try:  # from_flat screens the entry types once, and refuses every other type
+        return DenseMap.from_flat(field, dst, src, data)
+    except ParseError:
+        for v in data:  # an entry of the wrong type is named before a bad string
             if isinstance(v, bool) or not isinstance(v, (int, str)):
-                raise ParseError(f"{what}: entry {json.dumps(v)} is not an integer or a string")
-    return DenseMap.from_flat(field, dst, src, data)
+                raise ParseError(
+                    f"{what}: entry {json.dumps(v)} is not an integer or a string") from None
+        raise
 
 
 def _maps_from_json(field: FieldTag, doc: dict, shapes: dict, what: str) -> dict:

@@ -558,13 +558,16 @@ def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> D
     return out
 
 
-def _reduce_mod(num: np.ndarray, ncols: int, p: int) -> list:
-    """Gauss-Jordan elimination of the int64 residues num mod a prime
-    p < 2^31, in place, on its first ncols columns, with the pivot rule of
-    _row_reduce.  The pivot row is scaled to 1 and subtracted only from the
-    rows with a nonzero entry in its column; each product of two residues is
-    below 2^62, so nothing overflows.  num ends as the reduced row echelon
-    form; returns the pivot columns."""
+def _reduce_mod(a: np.ndarray, ncols: int, p: int):
+    """Gauss-Jordan elimination of the integer array a mod a prime p, on its
+    first ncols columns; the pivot is the first nonzero row at or below the
+    current one.  The pivot row is scaled to 1 and subtracted only from the
+    rows with a nonzero entry in its column.  The residues are int64 for
+    p < 2^31, where each product of two of them is below 2^62 and nothing
+    overflows, and Python ints otherwise.  Returns the reduced row echelon
+    form of a mod p, as a fresh array, and the pivot columns."""
+    num = (np.remainder(a, p).astype(np.int64, copy=False) if p <= _MODULAR_PRIME
+           else np.remainder(a.astype(object), p))
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -578,18 +581,16 @@ def _reduce_mod(num: np.ndarray, ncols: int, p: int) -> list:
         rows = rows[rows != r]
         num[rows, col:] = (num[rows, col:] - num[rows, col:col + 1] * num[r, col:]) % p
         pivots.append(col)
-    return pivots
+    return num, pivots
 
 
-def _row_reduce(field: FieldTag, num: np.ndarray, ncols: int):
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-    of the integer object array num, in place, on its first ncols columns;
-    the pivot is the first nonzero row at or below the current one.  Each
-    other row becomes (pivot * row - row[col] * pivot_row) / d for the
-    previous pivot d: an exact quotient over Q, a product with d^-1 mod p over
-    F_p.  Returns the pivot columns and the last pivot d; every pivot entry
-    ends equal to d, so num / d is the reduced row echelon form."""
-    p = field.modulus
+def _row_reduce(num: np.ndarray, ncols: int):
+    """Fraction-free Gauss-Jordan elimination over Q (Bareiss, Math. Comp.
+    22, 1968) of the integer object array num, in place, on its first ncols
+    columns, with the pivot rule of _reduce_mod.  Each other row becomes
+    (pivot * row - row[col] * pivot_row) / d, an exact quotient by the
+    previous pivot d.  Returns the pivot columns and the last pivot d; every
+    pivot entry ends equal to d, so num / d is the reduced row echelon form."""
     pivots, d = [], 1
     for col in range(ncols):
         r = len(pivots)
@@ -598,8 +599,7 @@ def _row_reduce(field: FieldTag, num: np.ndarray, ncols: int):
             continue
         num[[r, r + nonzero[0]]] = num[[r + nonzero[0], r]]
         others = np.arange(len(num)) != r
-        new = num[r, col] * num[others] - num[others, col:col + 1] * num[r]
-        num[others] = new // d if p is None else new * pow(d, -1, p) % p
+        num[others] = (num[r, col] * num[others] - num[others, col:col + 1] * num[r]) // d
         d = num[r, col]
         pivots.append(col)
     return pivots, d
@@ -633,8 +633,7 @@ def _certified_solution(c: np.ndarray, b: np.ndarray) -> Optional[DenseMap]:
     the check fails.  A rank mod p equal to the number of columns proves full
     column rank over Q, as rank can only drop mod p."""
     rows, unknowns = c.shape
-    num = np.remainder(np.hstack((c, b)), _MODULAR_PRIME).astype(np.int64)
-    pivots = _reduce_mod(num, unknowns, _MODULAR_PRIME)
+    num, pivots = _reduce_mod(np.hstack((c, b)), unknowns, _MODULAR_PRIME)
     if len(pivots) < unknowns or num[unknowns:, unknowns:].any():
         return None
     x = _reconstruct(num[:unknowns, unknowns:], _MODULAR_PRIME)
@@ -647,23 +646,22 @@ def _certified_solution(c: np.ndarray, b: np.ndarray) -> Optional[DenseMap]:
 
 def invert(f: DenseMap) -> Optional[DenseMap]:
     """Exact inverse, or None if singular: an index map by its inverse index
-    array; over Q by a certified solution mod a prime (_certified_solution),
-    else over F_p with p < 2^31 by _reduce_mod, and otherwise by Bareiss
-    elimination of [num(f) | I]."""
+    array; over F_p by _reduce_mod of [f | I]; over Q by a certified solution
+    mod a prime (_certified_solution), else by Bareiss elimination of
+    [num(f) | I]."""
     if not f.is_square():
         raise NotSquare(f"inverting a {f.dst_dim}x{f.src_dim} map")
     if f._src_of_dst is not None:
         return f.transpose()
     n, p = f.dst_dim, f.field.modulus
-    if p is None:
-        inv = _certified_solution(f._num, np.identity(n, dtype=np.int64))
-        if inv is not None:  # f^-1 = den(f) num(f)^-1
-            return inv if f._den == 1 else inv.scale(f._den)
-    if p is not None and p <= _MODULAR_PRIME:
-        num = np.hstack((f._num, np.identity(n, dtype=np.int64)))
-        return None if len(_reduce_mod(num, n, p)) < n else _canonical(f.field, n, n, num[:, n:])
+    if p is not None:  # [f | I] reduces to [I | f^-1]
+        num, pivots = _reduce_mod(np.hstack((f._num, np.identity(n, dtype=np.int64))), n, p)
+        return None if len(pivots) < n else _canonical(f.field, n, n, num[:, n:])
+    inv = _certified_solution(f._num, np.identity(n, dtype=np.int64))
+    if inv is not None:  # f^-1 = den(f) num(f)^-1
+        return inv if f._den == 1 else inv.scale(f._den)
     num = np.hstack((f._num.astype(object), np.identity(n, dtype=object)))
-    pivots, d = _row_reduce(f.field, num, n)
+    pivots, d = _row_reduce(num, n)
     if len(pivots) < n:
         return None
     # [num(f) | I] reduces to [d I | d num(f)^-1], and f^-1 = den(f) num(f)^-1
@@ -707,20 +705,19 @@ def _solve(augmented: DenseMap):
     """Reduce the augmented map [C | b] and classify C x = b.  Returns the
     status, then the numerators of a solution as a fresh column (free unknowns
     set to zero) and their denominator; both are None when there is none.
-    Over Q a certified solution mod a prime decides a unique solution, and
-    over F_p with p < 2^31 _reduce_mod gives the reduced row echelon form
-    itself; every other case is reduced by Bareiss."""
+    Over F_p _reduce_mod gives the reduced row echelon form itself; over Q a
+    certified solution mod a prime decides a unique solution, and every other
+    case is reduced by Bareiss."""
     field, unknowns = augmented.field, augmented.src_dim - 1
     p = field.modulus
-    if p is None and (x := _certified_solution(augmented._num[:, :unknowns],
-                                               augmented._num[:, unknowns:])) is not None:
+    if p is not None:
+        (num, pivots), d = _reduce_mod(augmented._num, unknowns, p), 1
+    elif (x := _certified_solution(augmented._num[:, :unknowns],
+                                   augmented._num[:, unknowns:])) is not None:
         return UNIQUE, x._num.copy(), x._den
-    if p is not None and p <= _MODULAR_PRIME:
-        num, d = augmented._num.copy(), 1
-        pivots = _reduce_mod(num, unknowns, p)
     else:
         num = augmented._num.astype(object)  # the rows scaled by the common denominator
-        pivots, d = _row_reduce(field, num, unknowns)
+        pivots, d = _row_reduce(num, unknowns)
     if num[len(pivots):, unknowns].any():
         return NO_SOLUTION, None, None
     solution = np.zeros((unknowns, 1), dtype=num.dtype)

@@ -164,6 +164,12 @@ class TestMalformedValues:
         assert self._run(c3_file, edit, capsys) == (
             2, "error: structure twisted.mu: entry 1.5 is not an integer or a string\n")
 
+    def test_wrong_type_is_named_before_a_bad_string(self, c3_file, capsys):
+        def edit(doc):
+            doc["structures"]["twisted"]["mu"][3:5] = ["x", None]
+        assert self._run(c3_file, edit, capsys) == (
+            2, "error: structure twisted.mu: entry null is not an integer or a string\n")
+
 
 def _mutation_paths(node, path=()):
     """Key paths of every dict node and of the first entry of every list."""
