@@ -33,7 +33,6 @@ from .coherence import (
     DuoidalInstance,
     LaxInstance,
     check_exponent_identities,
-    check_figure_axioms,
     coherence_map,
     nprod,
     phi_exponents,

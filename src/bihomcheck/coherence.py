@@ -337,9 +337,6 @@ class DuoidalInstance:
     field: FieldTag
 
 
-LAX_LEVEL = "lax"
-DUOIDAL_LEVEL = "duoidal"
-
 def _region_entries(regions, maps, figure: str) -> list:
     """Compose both paths of each region (steps applied left to right) and compare."""
     return [compare_entry(f"region-{name}", f"two boundary paths of the {figure} figure",
@@ -437,14 +434,6 @@ def check_duoidal_figure(inst: DuoidalInstance) -> CheckReport:
         "triangle-unary-oplax", "interchange against a single oplax factor is trivial",
         tri_oplax, DenseMap.identity(field, tri_oplax.dst_dim)))
     return make_report("figure-duoidal", entries)
-
-
-def check_figure_axioms(level: str, instance) -> CheckReport:
-    if level == LAX_LEVEL:
-        return check_lax_figure(instance)
-    if level == DUOIDAL_LEVEL:
-        return check_duoidal_figure(instance)
-    raise ValueError(f"unknown figure level {level!r}")
 
 
 # ---------------------------------------------------------------------------

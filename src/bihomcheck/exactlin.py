@@ -16,11 +16,14 @@ ints and integer strings below 2^63 in absolute value) in one pass; every
 other entry goes through the per-entry parser, which words every parse
 error.  No operation
 builds a dense array of more than ENTRY_BUDGET entries; it raises TooLarge,
-which the CLI reports with exit code 2.  Elimination runs on int64 residues
-mod a prime below 2^31: over such an F_p that gives the reduced row echelon
-form itself, and over Q a unique solution mod 2^31 - 1 is rebuilt by rational
-reconstruction and kept only after an exact check.  Every other case is
-fraction-free Gauss-Jordan (Bareiss) on the same integer numerators.
+which the CLI reports with exit code 2.  Every exact linear system goes
+through one solver, _solve, which classifies C X = B for any number of
+right-hand columns; invert is _solve of [num(f) | I].  Elimination runs on
+int64 residues mod a prime below 2^31: over such an F_p that gives the
+reduced row echelon form itself, and over Q a unique solution mod 2^31 - 1
+is rebuilt by rational reconstruction and kept only after an exact check.
+Every other case is fraction-free Gauss-Jordan (Bareiss) on the same integer
+numerators.
 
 Maps carry explicit source/target dimensions; a map f: V_src -> V_dst has
 shape dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies
@@ -461,9 +464,6 @@ class DenseMap:
             k >>= 1
         return result
 
-    def column(self, j: int):
-        return [self._value(i, j) for i in range(self.dst_dim)]
-
 
 def _common_denominator(f: DenseMap, g: DenseMap):
     """The numerators of f and g over one denominator, and that denominator.
@@ -646,26 +646,18 @@ def _certified_solution(c: np.ndarray, b: np.ndarray) -> Optional[DenseMap]:
 
 def invert(f: DenseMap) -> Optional[DenseMap]:
     """Exact inverse, or None if singular: an index map by its inverse index
-    array; over F_p by _reduce_mod of [f | I]; over Q by a certified solution
-    mod a prime (_certified_solution), else by Bareiss elimination of
-    [num(f) | I]."""
+    array, every other map by _solve of [num(f) | I]."""
     if not f.is_square():
         raise NotSquare(f"inverting a {f.dst_dim}x{f.src_dim} map")
     if f._src_of_dst is not None:
         return f.transpose()
-    n, p = f.dst_dim, f.field.modulus
-    if p is not None:  # [f | I] reduces to [I | f^-1]
-        num, pivots = _reduce_mod(np.hstack((f._num, np.identity(n, dtype=np.int64))), n, p)
-        return None if len(pivots) < n else _canonical(f.field, n, n, num[:, n:])
-    inv = _certified_solution(f._num, np.identity(n, dtype=np.int64))
-    if inv is not None:  # f^-1 = den(f) num(f)^-1
-        return inv if f._den == 1 else inv.scale(f._den)
-    num = np.hstack((f._num.astype(object), np.identity(n, dtype=object)))
-    pivots, d = _row_reduce(num, n)
-    if len(pivots) < n:
+    n = f.dst_dim
+    augmented = np.hstack((f._num, np.identity(n, dtype=np.int64)))
+    status, num, d = _solve(DenseMap(f.field, n, 2 * n, augmented), n)
+    if status != UNIQUE:
         return None
-    # [num(f) | I] reduces to [d I | d num(f)^-1], and f^-1 = den(f) num(f)^-1
-    return _canonical(f.field, n, n, num[:, n:] * f._den, d)
+    inv = _canonical(f.field, n, n, num, d)  # num(f)^-1, and f^-1 = den(f) num(f)^-1
+    return inv if f._den == 1 else inv.scale(f._den)
 
 
 UNIQUE = "unique"
@@ -695,21 +687,23 @@ def solve_linear(system: Sequence[tuple], unknowns: int,
             )
     augmented = DenseMap.from_flat(field, len(system), unknowns + 1,
                                    [v for coeffs, rhs in system for v in (*coeffs, rhs)])
-    status, solution, d = _solve(augmented)
+    status, solution, d = _solve(augmented, unknowns)
     if status == NO_SOLUTION:
         return SolveResult(NO_SOLUTION)
     return SolveResult(status, _canonical(field, unknowns, 1, solution, d).entries)
 
 
-def _solve(augmented: DenseMap):
-    """Reduce the augmented map [C | b] and classify C x = b.  Returns the
-    status, then the numerators of a solution as a fresh column (free unknowns
-    set to zero) and their denominator; both are None when there is none.
-    Over F_p _reduce_mod gives the reduced row echelon form itself; over Q a
-    certified solution mod a prime decides a unique solution, and every other
-    case is reduced by Bareiss."""
-    field, unknowns = augmented.field, augmented.src_dim - 1
-    p = field.modulus
+def _solve(augmented: DenseMap, unknowns: int):
+    """Reduce the augmented map [C | B] on its first `unknowns` columns and
+    classify C X = B, for every column of B at once.  Returns the status,
+    then the numerators of a solution X as a fresh array (every free unknown
+    set to zero in each column) and their denominator; both are None when
+    some column has no solution.  Over F_p _reduce_mod gives the reduced row
+    echelon form itself; over Q a certified solution mod a prime decides a
+    unique solution, and every other case is reduced by Bareiss.  The reduced
+    row echelon form does not depend on the order of the rows, so neither do
+    the status and the solution's values."""
+    p = augmented.field.modulus
     if p is not None:
         (num, pivots), d = _reduce_mod(augmented._num, unknowns, p), 1
     elif (x := _certified_solution(augmented._num[:, :unknowns],
@@ -718,8 +712,8 @@ def _solve(augmented: DenseMap):
     else:
         num = augmented._num.astype(object)  # the rows scaled by the common denominator
         pivots, d = _row_reduce(num, unknowns)
-    if num[len(pivots):, unknowns].any():
+    if num[len(pivots):, unknowns:].any():
         return NO_SOLUTION, None, None
-    solution = np.zeros((unknowns, 1), dtype=num.dtype)
-    solution[pivots, 0] = num[:len(pivots), unknowns]
+    solution = np.zeros((unknowns, augmented.src_dim - unknowns), dtype=num.dtype)
+    solution[pivots] = num[:len(pivots), unknowns:]
     return (UNIQUE if len(pivots) == unknowns else UNDERDETERMINED), solution, d

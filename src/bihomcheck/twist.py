@@ -9,7 +9,10 @@ underlying classical bimonoid solves the deformed antipode equation
 mu . (beta nu (x) alpha kappa) . (1 (x) chi) . delta = eta . epsilon (and its
 mirror).  Both the direct linear solve of that equation and the route through
 untwisting are provided, together with the canonical Galois-style morphism
-whose invertibility detects Hopf-ness in the invertible case.
+whose invertibility detects Hopf-ness in the invertible case.  The mirror
+equation, with chi (x) 1, is the first one for the pair (pre . swap,
+swap . delta), as chi (x) 1 = swap . (1 (x) chi) . swap, so one tensor
+contraction gives the coefficients of both.
 """
 
 from __future__ import annotations
@@ -146,31 +149,41 @@ class AntipodeResult:
         return self.chi if self.status == NON_UNIQUE else None
 
 
-def _antipode_system(pre: DenseMap, delta: DenseMap, rhs: DenseMap) -> DenseMap:
-    """Linear system for chi in  pre.(1 (x) chi).delta = rhs  and
-    pre.(chi (x) 1).delta = rhs, as one augmented map
-    [coefficients | rhs] whose rows alternate between the two equations.
+def _equation_pairs(pre: DenseMap, delta: DenseMap):
+    """The pairs (pre, delta) and (pre.swap, swap.delta): as chi (x) 1 =
+    swap.(1 (x) chi).swap, pre.(chi (x) 1).delta is pre.(1 (x) chi).delta on
+    the second pair."""
+    swap = Permutation((1, 0)).matrix([delta.src_dim] * 2, delta.field)
+    return (pre, delta), (compose(pre, swap), compose(swap, delta))
 
-    With P = pre and D = delta read as d x d x d arrays, the coefficient of
-    chi[j, k] in entry (r, c) of pre.(1 (x) chi).delta is sum_a P[r, a, j]
-    D[a, k, c], and in pre.(chi (x) 1).delta it is sum_b P[r, j, b] D[k, b, c]:
-    one tensordot each, over the numerators pre and delta share."""
+
+def _antipode_system(pairs, rhs: DenseMap) -> DenseMap:
+    """Linear system for chi in  pre.(1 (x) chi).delta = rhs  and
+    pre.(chi (x) 1).delta = rhs, from their _equation_pairs, as one
+    augmented map [coefficients | rhs]: the d^2 rows of the first equation
+    above those of the second.
+
+    With P and D of a pair read as d x d x d arrays, the coefficient of
+    chi[j, k] in entry (r, c) of P.(1 (x) chi).D is sum_a P[r, a, j]
+    D[a, k, c]: one tensordot over the numerators P and D share."""
+    (pre, delta), _ = pairs
     field, d = delta.field, delta.src_dim
-    P, D = (a.reshape(d, d, d) for a in _operands((pre, delta), d))
+    blocks = []
+    for p, q in pairs:
+        P, D = (a.reshape(d, d, d) for a in _operands((p, q), d))
+        blocks.append(np.tensordot(P, D, ([1], [0])).transpose(0, 3, 1, 2).reshape(d * d, d * d))
+    coeffs, b = np.vstack(blocks), np.tile(rhs._num.reshape(-1, 1), (2, 1))
     block_den = pre._den * delta._den
     den = math.lcm(block_den, rhs._den)
-    num = np.empty((2 * d * d, d * d + 1), dtype=object)
-    for parity, axes in enumerate((([1], [0]), ([2], [1]))):
-        block = np.tensordot(P, D, axes).transpose(0, 3, 1, 2).reshape(d * d, d * d)
-        num[parity::2, :-1] = block.astype(object) * (den // block_den)
-    num[:, -1] = np.repeat(rhs._num.reshape(-1).astype(object) * (den // rhs._den), 2)
-    return _canonical(field, 2 * d * d, d * d + 1, num, den)
+    if den != 1:  # both sides over one denominator, on Python ints
+        coeffs = coeffs.astype(object) * (den // block_den)
+        b = b.astype(object) * (den // rhs._den)
+    return _canonical(field, 2 * d * d, d * d + 1, np.hstack((coeffs, b)), den)
 
 
-def _verify_antipode(pre, delta, rhs, chi) -> bool:
+def _verify_antipode(pairs, rhs, chi) -> bool:
     one = DenseMap.identity(chi.field, chi.dst_dim)
-    return all(compose(pre, kron_compose(chi.field, factors, delta)) == rhs
-               for factors in ([one, chi], [chi, one]))
+    return all(compose(p, kron_compose(chi.field, [one, chi], q)) == rhs for p, q in pairs)
 
 
 def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
@@ -197,11 +210,12 @@ def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    status, solution, den = _solve(_antipode_system(pre, delta, rhs))
+    pairs = _equation_pairs(pre, delta)
+    status, solution, den = _solve(_antipode_system(pairs, rhs), obj.dim ** 2)
     if status == NO_SOLUTION:
         return AntipodeResult(None, method, False, NO_ANTIPODE)
     chi = _canonical(obj.field, obj.dim, obj.dim, solution.reshape(obj.dim, obj.dim), den)
-    if not _verify_antipode(pre, delta, rhs, chi):
+    if not _verify_antipode(pairs, rhs, chi):
         raise InvariantViolation("solved antipode failed re-verification")
     status = FOUND if status == UNIQUE else NON_UNIQUE
     return AntipodeResult(chi, method, True, status)

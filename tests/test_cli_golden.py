@@ -11,6 +11,7 @@ data/cli_golden.json.  After a deliberate output change, re-record with
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,9 +30,12 @@ from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
-# file stem -> (field, cyclic order, twisting power coprime to the order)
+# file stem -> (field, cyclic order, twisting power).  A power that is not
+# coprime to the order twists along endomorphisms that are not invertible:
+# the antipode is not unique, untwist is refused, and the file has no dual.
 INSTANCES = {"f7_c3": (GF(7), 3, 2), "q_c3": (QQ, 3, 2), "q_c4": (QQ, 4, 3),
-             "f7_c5": (GF(7), 5, 2), "q_c5": (QQ, 5, 3)}
+             "f7_c5": (GF(7), 5, 2), "q_c5": (QQ, 5, 3),
+             "f7_c6": (GF(7), 6, 2), "q_c6": (QQ, 6, 2)}
 
 CASES = []
 
@@ -58,6 +62,9 @@ for _stem, _name in (("f7_c3", "twisted"), ("q_c3", "dual"), ("q_c4", "twisted")
     for _method in ("direct", "untwist"):
         _case("antipode", f"{_stem}.json", "--name", _name, "--method", _method)
 _case("antipode", "q_nohopf.json", "--name", "nohopf")
+for _stem in ("f7_c6", "q_c6"):
+    for _method in ("direct", "untwist"):
+        _case("antipode", f"{_stem}.json", "--name", "twisted", "--method", _method)
 _case("twist", "f7_c3.json", "--name", "plain", "-o", "out.json", writes=["out.json"])
 _case("twist", "q_c4.json", "--name", "twisted", "--direction", "untwist",
       "-o", "out.json", writes=["out.json"])
@@ -91,12 +98,13 @@ def _cyclic_instance(field, order, power) -> InstanceData:
     classical = cyclic_group_bundle(field, order, 1)
     plain = cyclic_group_bundle(field, order, power)
     twisted = yau_twist(PlainStructure(plain), BIMONOID)
-    dual_plain = dual_cyclic_bundle(field, order, power)
-    dual = yau_twist(PlainStructure(dual_plain), BIMONOID)
     structures = {"classical": classical, "plain": plain, "twisted": twisted,
                   "bad_mu": _bumped(twisted, "mu", 0, 0),
-                  "bad_delta": _bumped(twisted, "delta", 1, 0),
-                  "dual_plain": dual_plain, "dual": dual}
+                  "bad_delta": _bumped(twisted, "delta", 1, 0)}
+    if math.gcd(order, power) == 1:
+        dual_plain = dual_cyclic_bundle(field, order, power)
+        structures.update(dual_plain=dual_plain,
+                          dual=yau_twist(PlainStructure(dual_plain), BIMONOID))
     objects = {"c": classical.obj, "c_pow": plain.obj}
     structure_objects = {name: "c" if name == "classical" else "c_pow" for name in structures}
     modules = {"regular": ModuleEntry("c_pow", "twisted",

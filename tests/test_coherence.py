@@ -16,7 +16,6 @@ from bihomcheck.coherence import (
     _lax_path_exponents,
     check_duoidal_figure,
     check_exponent_identities,
-    check_figure_axioms,
     check_lax_figure,
     coherence_map,
     exponent_identities,
@@ -384,13 +383,6 @@ class TestFigures:
         for _ in range(5):
             inst = random_lax_instance(rng, QQ)
             assert check_lax_figure(inst).passed
-
-    def test_dispatcher(self):
-        rng = random.Random(24)
-        inst = random_lax_instance(rng, F7)
-        assert check_figure_axioms("lax", inst).passed
-        with pytest.raises(ValueError):
-            check_figure_axioms("other", inst)
 
     def test_region_reports_carry_names(self):
         rng = random.Random(25)

@@ -168,7 +168,7 @@ class TestFlipPerm:
             dst = 0
             for t in range(4):
                 dst = dst * out_dims[t] + target[t]
-            col = m.column(flat)
+            col = [row[flat] for row in m.rows()]
             assert col[dst] == 1 and sum(col) == 1
 
 

@@ -750,6 +750,54 @@ def test_sparse_invert_against_fraction_reference(case):
     assert invert(f) == reference_invert(f)
 
 
+@st.composite
+def permuted_augmented_system(draw):
+    """[C | B] over F_7, F_(2^61-1) or Q with one to three right-hand columns,
+    and the same map with its rows permuted.  C has random rows or
+    combinations of a few base rows (rank-deficient); B is C X for a drawn X,
+    with one entry optionally knocked off, or random."""
+    field = draw(st.sampled_from((F7, GF(2 ** 61 - 1), QQ)))
+    unknowns, columns, n_rows = draw(st.integers(0, 4)), draw(st.integers(1, 3)), \
+        draw(st.integers(0, 6))
+    entries = field_entries(field)
+
+    def matrix(dst, src):
+        return DenseMap.from_flat(field, dst, src, draw(
+            st.lists(entries, min_size=dst * src, max_size=dst * src)))
+
+    if draw(st.booleans()):
+        c = matrix(n_rows, unknowns)
+    else:
+        base = draw(st.integers(1, 3))
+        mix = DenseMap.from_flat(field, n_rows, base, draw(st.lists(
+            st.sampled_from([-1, 0, 1, 2]), min_size=n_rows * base, max_size=n_rows * base)))
+        c = compose(mix, matrix(base, unknowns))
+    b = compose(c, matrix(unknowns, columns)) if draw(st.booleans()) else matrix(n_rows, columns)
+    if n_rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, columns - 1))
+        b = b.with_entry(i, j, b.entry(i, j).value + 1)
+    rows = [cr + br for cr, br in zip(c.rows(), b.rows())]
+    order = draw(st.permutations(range(n_rows)))
+    width = unknowns + columns
+    return tuple(DenseMap.from_flat(field, n_rows, width, [v for row in rs for v in row])
+                 for rs in (rows, [rows[i] for i in order])) + (unknowns,)
+
+
+@settings(deadline=None, max_examples=300)
+@given(permuted_augmented_system())
+def test_solve_ignores_row_order(case):
+    # _solve reads the reduced row echelon form, which the row order leaves
+    # alone: the same status, and the same solution in lowest terms
+    augmented, permuted, unknowns = case
+
+    def solved(m):
+        status, num, d = exactlin._solve(m, unknowns)
+        return status, num if num is None else exactlin._canonical(
+            m.field, unknowns, m.src_dim - unknowns, num, d)
+
+    assert solved(permuted) == solved(augmented)
+
+
 @pytest.fixture
 def elimination_calls(monkeypatch):
     """Counts of the Bareiss and int64 eliminations run, and whether each

@@ -66,7 +66,7 @@ class TestDualCyclicFixture:
     def test_comultiplication_is_not_grouplike(self):
         d = dual_cyclic_bundle(F7, 3, 1).delta
         # a delta function factors three ways, so columns have three entries
-        assert sum(1 for v in d.column(0) if v != 0) == 3
+        assert sum(1 for row in d.rows() if row[0] != 0) == 3
 
     @pytest.mark.parametrize("field", [F7, QQ], ids=str)
     def test_antipode_agrees_both_ways(self, field):

@@ -45,6 +45,7 @@ from bihomcheck.twist import (
     AntipodeResult,
     PlainStructure,
     _antipode_system,
+    _equation_pairs,
     antipode_solve,
     canonical_morphism,
     untwist,
@@ -203,7 +204,7 @@ class TestAntipode:
         res = antipode_solve(classical_c3(), DIRECT)
         chi = res.chi
         for i in range(3):
-            col = chi.column(i)
+            col = [row[i] for row in chi.rows()]
             images = [j for j in range(3) if col[j] != 0]
             assert images == [(3 - i) % 3] and col[images[0]] == 1
 
@@ -270,15 +271,16 @@ class TestAntipode:
         zero_mu = DenseMap.zero(F7, 2, 4)
         zero_delta = DenseMap.zero(F7, 4, 2)
         zero_rhs = DenseMap.zero(F7, 2, 2)
-        system = [(row[:-1], row[-1])
-                  for row in _antipode_system(zero_mu, zero_delta, zero_rhs).rows()]
+        pairs = _equation_pairs(zero_mu, zero_delta)
+        system = [(row[:-1], row[-1]) for row in _antipode_system(pairs, zero_rhs).rows()]
         res = solve_linear(system, 4, F7)
         assert res.status == UNDERDETERMINED
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_system_rows_apply_both_composites(self, data):
-        # the rows of the system times vec(chi) are the two composites, row-major
+        # the rows of the system times vec(chi) are the two composites, row-major,
+        # one block of d^2 rows each
         field = data.draw(st.sampled_from([F7, QQ]))
         matrix = mod7_matrix if field == F7 else rational_matrix
         d = data.draw(st.integers(1, 3))
@@ -286,11 +288,12 @@ class TestAntipode:
         chi, rhs = data.draw(matrix(d, d)), data.draw(matrix(d, d))
         sandwich = data.draw(st.none() | matrix(d * d, d * d))
         pre = mu if sandwich is None else compose(mu, sandwich)
-        system = [(row[:-1], row[-1]) for row in _antipode_system(pre, delta, rhs).rows()]
+        system = _antipode_system(_equation_pairs(pre, delta), rhs).rows()
+        system = [(row[:-1], row[-1]) for row in system]
         one = DenseMap.identity(field, d)
         vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
-        for parity, composite in enumerate([kron(one, chi), kron(chi, one)]):
-            rows = system[parity::2]
+        for block, composite in enumerate([kron(one, chi), kron(chi, one)]):
+            rows = system[block * d * d:(block + 1) * d * d]
             coeffs = DenseMap.from_rows(field, [row for row, _ in rows])
             assert compose(coeffs, vec_chi).flat_strings() == \
                 compose_all([pre, composite, delta]).flat_strings()
@@ -317,11 +320,12 @@ class TestAntipode:
         sandwich = data.draw(st.none() | matrix(d * d, d * d))
         pre = mu if sandwich is None else compose(mu, sandwich)
         assert all(a.dtype == object for a in _operands((pre, delta), d))
-        system = [(row[:-1], row[-1]) for row in _antipode_system(pre, delta, rhs).rows()]
+        system = _antipode_system(_equation_pairs(pre, delta), rhs).rows()
+        system = [(row[:-1], row[-1]) for row in system]
         one = DenseMap.identity(field, d)
         vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
-        for parity, composite in enumerate([kron(one, chi), kron(chi, one)]):
-            rows = system[parity::2]
+        for block, composite in enumerate([kron(one, chi), kron(chi, one)]):
+            rows = system[block * d * d:(block + 1) * d * d]
             coeffs = DenseMap.from_rows(field, [row for row, _ in rows])
             assert compose(coeffs, vec_chi).flat_strings() == \
                 compose_all([pre, composite, delta]).flat_strings()
