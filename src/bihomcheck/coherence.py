@@ -12,9 +12,10 @@ figures region by region on explicit instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
 from .combinat import (
@@ -56,7 +57,8 @@ class BiHomObject:
 
     alpha and beta govern the lax coherence morphisms; kappa and nu, when
     present, govern the oplax ones.  All present endomorphisms must be square
-    of the carrier dimension and commute with each other.
+    of the carrier dimension and commute with each other.  The slot factors
+    that factor builds are kept outside ==, hash, repr and dataclasses.replace.
     """
 
     dim: int
@@ -65,6 +67,8 @@ class BiHomObject:
     beta: DenseMap
     kappa: Optional[DenseMap] = None
     nu: Optional[DenseMap] = None
+    _factors: dict = dataclass_field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         endos = self.endos()
@@ -106,9 +110,24 @@ class BiHomObject:
     def pair_for(self, which: str):
         return self.lax_pair() if which in _LAX_KINDS else self.oplax_pair()
 
+    def factor(self, which: str, a: int, b: int) -> DenseMap:
+        """x^a . y^b of the pair (x, y) that `which` governs, built once per
+        object and pair (lax or oplax).  A pair of identity index maps gives
+        the identity with no power or compose, so the unit, which unit_object
+        shares, costs every call the same."""
+        key = (which in _LAX_KINDS, a, b)
+        out = self._factors.get(key)
+        if out is None:
+            x, y = self.pair_for(which)
+            identities = all(e._src_of_dst is not None and e.is_identity() for e in (x, y))
+            out = self._factors[key] = x if identities else compose(x.power(a), y.power(b))
+        return out
 
+
+@functools.lru_cache(maxsize=8)
 def unit_object(field: FieldTag) -> BiHomObject:
-    """The monoidal unit: 1-dimensional carrier, all endomorphisms identity."""
+    """The monoidal unit: 1-dimensional carrier, all endomorphisms identity;
+    built and verified once per field."""
     one = DenseMap.identity(field, 1)
     return BiHomObject(1, field, one, one, one, one)
 
@@ -159,8 +178,9 @@ def coherence_map(k: IndexSeq, which: str,
     """The coherence morphism for sequence k at the given grouped objects.
 
     Group i must hold k_i objects.  The result is the Kronecker product over
-    all slots of the per-slot endomorphism powers from phi_exponents (equal
-    slots share one); for the empty collection it is the 1x1 identity.
+    all slots of the per-slot endomorphism powers from phi_exponents, which
+    each object builds once (BiHomObject.factor); for the empty collection it
+    is the 1x1 identity.
     """
     k = validate_index_seq(k)
     if len(groups) != len(k):
@@ -175,9 +195,7 @@ def coherence_map(k: IndexSeq, which: str,
         else:
             raise ValueError("field required for an empty coherence morphism")
     exps = [e for group in phi_exponents(k, which) for e in group]
-    slots = {(id(obj), a, b): (obj.pair_for(which), a, b) for obj, (a, b) in zip(flat, exps)}
-    factors = {s: compose(x.power(a), y.power(b)) for s, ((x, y), a, b) in slots.items()}
-    return kron_all(field, [factors[id(obj), a, b] for obj, (a, b) in zip(flat, exps)])
+    return kron_all(field, [obj.factor(which, a, b) for obj, (a, b) in zip(flat, exps)])
 
 
 def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
@@ -348,13 +366,10 @@ def _region_entries(regions, maps, figure: str) -> list:
 def _lax_maps(inst: LaxInstance):
     field = inst.field
     b = [[nprod(g, field) for g in row] for row in inst.objects]
-
-    def build(factors):
-        maps = [coherence_map(seq, kind, groups, field) for kind, seq, groups in factors]
-        return maps[0] if len(maps) == 1 else kron_all(field, maps)
-
     factors = _lax_factors(inst.m, inst.k, inst.objects, b, unit_object(field))
-    return {step: build(f) for step, f in factors.items()}, b
+    return {step: kron_all(field, [coherence_map(seq, kind, groups, field)
+                                   for kind, seq, groups in f])
+            for step, f in factors.items()}, b
 
 
 def check_lax_figure(inst: LaxInstance) -> CheckReport:
@@ -448,8 +463,7 @@ def random_diagonal_endo(rng, field: FieldTag, dim: int) -> DenseMap:
         diag = [rng.randrange(field.modulus) for _ in range(dim)]
     else:
         diag = [rng.randint(-3, 3) for _ in range(dim)]
-    rows = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
-    return DenseMap.from_rows(field, rows)
+    return DenseMap.diagonal(field, diag)
 
 
 def random_object(rng, field: FieldTag, max_dim: int, four: bool) -> BiHomObject:

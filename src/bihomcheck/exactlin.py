@@ -38,6 +38,7 @@ every operation is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,6 +239,15 @@ def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
     return DenseMap(field, src_of_dst.size, src_of_dst.size, None, src_of_dst)
 
 
+def _permutation_as_index_map(m: "DenseMap") -> "DenseMap":
+    """m, kept as its index array when it is a 0/1 permutation matrix."""
+    a = m._num
+    if (m.is_square() and m._den == 1 and ((a == 0) | (a == 1)).all()
+            and (a.sum(0) == 1).all() and (a.sum(1) == 1).all()):
+        return _index_map(m.field, np.nonzero(a)[1])
+    return m
+
+
 class DenseMap:
     """A linear map as a dst_dim x src_dim matrix over an exact field.
 
@@ -327,12 +337,15 @@ class DenseMap:
                 den = math.lcm(*(v.denominator for v in fractions))
                 values = [v.numerator * (den // v.denominator) for v in values]
             num = np.array(values, dtype=object)
-        m = _canonical(field, dst_dim, src_dim, num.reshape(dst_dim, src_dim), den)
-        a = m._num  # a 0/1 permutation matrix is kept as its index array
-        if (m.is_square() and m._den == 1 and ((a == 0) | (a == 1)).all()
-                and (a.sum(0) == 1).all() and (a.sum(1) == 1).all()):
-            return _index_map(field, np.nonzero(a)[1])
-        return m
+        return _permutation_as_index_map(
+            _canonical(field, dst_dim, src_dim, num.reshape(dst_dim, src_dim), den))
+
+    @staticmethod
+    def diagonal(field: FieldTag, values: Sequence[int]) -> "DenseMap":
+        """The map with the integers `values` on its diagonal, as from_flat reads it."""
+        diag = _int64_entries(values)
+        num = np.diag(np.array(values, dtype=object) if diag is None else diag)
+        return _permutation_as_index_map(_canonical(field, len(num), len(num), num))
 
     @staticmethod
     def permutation(field: FieldTag, src_of_dst) -> "DenseMap":
@@ -381,6 +394,8 @@ class DenseMap:
         return self.dst_dim == self.src_dim
 
     def is_identity(self) -> bool:
+        if self._src_of_dst is not None:
+            return bool((self._src_of_dst == np.arange(self.dst_dim)).all())
         return self.is_square() and self == DenseMap.identity(self.field, self.dst_dim)
 
     def __repr__(self):
@@ -450,18 +465,19 @@ class DenseMap:
         return DenseMap(self.field, self.src_dim, self.dst_dim, self._num.T, den=self._den)
 
     def power(self, k: int) -> "DenseMap":
-        """k-th composition power by repeated squaring (k >= 0, square map)."""
+        """k-th composition power (k >= 0, square map), squaring from the top
+        bit of k down: bit_length(k) - 1 squarings, popcount(k) - 1 products."""
         if not self.is_square():
             raise NotSquare("powering a non-square map")
         if k < 0:
             raise ValueError("negative power")
-        result = DenseMap.identity(self.field, self.dst_dim)
-        base = self
-        while k:
-            if k & 1:
-                result = compose(result, base)
-            base = compose(base, base)
-            k >>= 1
+        if k == 0:
+            return DenseMap.identity(self.field, self.dst_dim)
+        result = self
+        for bit in bin(k)[3:]:
+            result = compose(result, result)
+            if bit == "1":
+                result = compose(result, self)
         return result
 
 
@@ -521,11 +537,13 @@ def kron(f: DenseMap, g: DenseMap) -> DenseMap:
 
 
 def kron_all(field: FieldTag, maps: Iterable[DenseMap]) -> DenseMap:
-    """Kronecker product of a sequence; empty product is the 1x1 identity."""
-    out = DenseMap.identity(field, 1)
+    """Kronecker product of maps over field, folded from the first: n maps
+    cost n - 1 kron calls, and the empty product is the 1x1 identity."""
+    maps = list(maps)
     for m in maps:
-        out = kron(out, m)
-    return out
+        if m.field != field:
+            raise FieldMismatch(f"{field} vs {m.field}")
+    return functools.reduce(kron, maps) if maps else DenseMap.identity(field, 1)
 
 
 def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> DenseMap:

@@ -87,6 +87,9 @@ _case("coherence", "--level", "matrix", "--trials", "4", "--seed", "2", "--modul
 _case("check", "missing.json", "--structure", "bimonoid", "--name", "twisted")
 _case("antipode", "f7_c3.json", "--name", "nosuch")
 _case("coherence", "--trials", "0")
+# the matrix bounds of the benchmark's coherence requests
+_case("coherence", "--level", "matrix", "--trials", "10", "--seed", "64", "--modulus", "7",
+      "--max-n", "3", "--max-m", "2", "--max-k", "1", "--max-dim", "2")
 
 
 def _bumped(bundle, key, i, j):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from bihomcheck.coherence import (
     random_double_seq,
     random_duoidal_instance,
     random_lax_instance,
+    random_diagonal_endo,
     random_object,
     unit_object,
     xi_map,
@@ -38,8 +41,14 @@ from bihomcheck.errors import (
     SlotOutOfRange,
 )
 from bihomcheck.exactlin import GF, QQ, DenseMap, compose, kron
+from bihomcheck.fixtures import cyclic_group_bundle
+from bihomcheck.structures import coassoc_sequences, delta_n, sweep_generalized_coassoc
+from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
+
+from test_fixture_variety import poly_object
 
 F7 = GF(7)
+KINDS = (BIG_PHI, SMALL_PHI, BIG_PSI, SMALL_PSI)
 
 
 def diag(field, *values):
@@ -184,6 +193,108 @@ class TestCoherenceMap:
                             factor = compose(factor, second)
                         assembled = kron(assembled, factor)
                 assert assembled == coherence_map(k, which, groups, F7)
+
+
+def per_call_coherence_map(k, which, groups, field):
+    """coherence_map as it was assembled before objects kept their factors:
+    each distinct (object, a, b) of one call powered afresh, and the factors
+    folded into a Kronecker product from the 1x1 identity."""
+    flat = [o for g in groups for o in g]
+    exps = [e for group in phi_exponents(k, which) for e in group]
+    slots = {(id(obj), a, b): (obj.pair_for(which), a, b) for obj, (a, b) in zip(flat, exps)}
+    factors = {s: compose(x.power(a), y.power(b)) for s, ((x, y), a, b) in slots.items()}
+    out = DenseMap.identity(field, 1)
+    for obj, (a, b) in zip(flat, exps):
+        out = kron(out, factors[id(obj), a, b])
+    return out
+
+
+def old_random_diagonal_endo(rng, field, dim):
+    """random_diagonal_endo as it was: the same draws, built from nested rows."""
+    if field.kind == "prime_field":
+        diag = [rng.randrange(field.modulus) for _ in range(dim)]
+    else:
+        diag = [rng.randint(-3, 3) for _ in range(dim)]
+    return DenseMap.from_rows(field, [[diag[i] if i == j else 0 for j in range(dim)]
+                                      for i in range(dim)])
+
+
+class TestSlotFactors:
+    @pytest.mark.parametrize("field", (F7, GF(2 ** 61 - 1), QQ), ids=str)
+    def test_matches_per_call_assembly(self, field):
+        # one pool across calls, so later calls read factors earlier ones kept
+        rng = random.Random(str(field))
+        pool = [random_object(rng, field, 3, four=True) for _ in range(3)]
+        pool += [poly_object(rng, field, 3, four=True) for _ in range(3)]
+        pool += [cyclic_group_bundle(field, n, 2).obj for n in (2, 4, 6)]
+        pool.append(unit_object(field))
+        checked = 0
+        while checked < 40:
+            k = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
+            groups = [[rng.choice(pool) for _ in range(v)] for v in k]
+            if math.prod(o.dim for g in groups for o in g) > 144:
+                continue
+            checked += 1
+            for which in KINDS:
+                assert coherence_map(k, which, groups, field) == \
+                    per_call_coherence_map(k, which, groups, field), (k, which)
+
+    def test_lax_and_oplax_factors_are_never_shared(self):
+        x, y = diag(F7, 2, 3, 5), diag(F7, 4, 1, 6)
+        obj = obj_with(F7, x, y, x, y)  # equal maps on both pairs
+        lax = obj.factor(BIG_PHI, 2, 1)
+        assert obj.factor(SMALL_PHI, 2, 1) is lax
+        oplax = obj.factor(BIG_PSI, 2, 1)
+        assert oplax is not lax and oplax == lax
+        assert obj.factor(SMALL_PSI, 2, 1) is oplax
+        swapped = obj_with(F7, x, y, y, x)
+        swapped.factor(BIG_PHI, 2, 1)
+        assert swapped.factor(BIG_PSI, 2, 1) == compose(y.power(2), x)
+        with pytest.raises(MissingEndomorphism):
+            obj_with(F7, x, y).factor(BIG_PSI, 0, 0)
+
+    def test_factors_take_no_part_in_eq_hash_repr(self):
+        x, y = diag(QQ, 2, 3), diag(QQ, -1, 5)
+        used, fresh = obj_with(QQ, x, y, y, x), obj_with(QQ, x, y, y, x)
+        used.factor(BIG_PHI, 1, 2)
+        used.factor(SMALL_PSI, 3, 0)
+        assert len(used._factors) == 2
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert "_factors" not in repr(used)
+        copy = dataclasses.replace(used)
+        assert copy == used and copy._factors == {}
+        assert dataclasses.replace(used, alpha=y, beta=x)._factors == {}
+
+    def test_unit_object_built_once_per_field(self):
+        assert unit_object(F7) is unit_object(GF(7)) is nprod([], F7)
+        assert unit_object(QQ) is nprod([], QQ) is not unit_object(F7)
+        assert unit_object(F7).factor(BIG_PHI, 3, 2).is_identity()
+
+    def test_sweep_powers_each_factor_once(self, monkeypatch):
+        # what `delta -n 4 --check-all-sequences --max-K 5` builds, on twisted C_3
+        twisted = yau_twist(PlainStructure(cyclic_group_bundle(F7, 3, 2)), BIMONOID)
+        calls = []
+        real = DenseMap.power
+        monkeypatch.setattr(DenseMap, "power", lambda m, k: calls.append(k) or real(m, k))
+        delta_n(twisted, 4)
+        reports = sweep_generalized_coassoc(twisted, coassoc_sequences(5))
+        assert all(rep.passed for rep in reports)
+        # every (pair, a, b) is built by one power of each map of the pair
+        assert twisted.obj._factors and len(calls) == 2 * len(twisted.obj._factors)
+
+
+class TestRandomDiagonalEndo:
+    @pytest.mark.parametrize("field", (F7, QQ, GF(2 ** 64 - 59)), ids=str)
+    def test_matches_nested_list_builder(self, field):
+        for seed in range(60):
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            for dim in (1, 2, 3, 5):
+                new = random_diagonal_endo(new_rng, field, dim)
+                old = old_random_diagonal_endo(old_rng, field, dim)
+                assert new == old
+                assert new._num.dtype == old._num.dtype
+                assert (new._src_of_dst is None) == (old._src_of_dst is None)
+            assert new_rng.random() == old_rng.random()  # the same draws
 
 
 class TestXiMap:

@@ -486,6 +486,61 @@ class TestPowers:
     def test_zero_power_is_identity(self):
         assert DenseMap.zero(QQ, 2, 2).power(0) == DenseMap.identity(QQ, 2)
 
+    @pytest.mark.parametrize("field", (F7, GF(2 ** 61 - 1), QQ), ids=str)
+    @pytest.mark.parametrize("kind", ("permutation", "diagonal", "dense"))
+    def test_against_k_fold_product(self, monkeypatch, field, kind):
+        rng = random.Random(f"{field}-{kind}")
+        if kind == "permutation":
+            m = DenseMap.permutation(field, rng.sample(range(4), 4))
+        elif kind == "diagonal":
+            m = DenseMap.diagonal(field, [rng.randint(-3, 3) for _ in range(4)])
+        else:
+            m = rand_map(rng, field, 4, 4)
+        calls = []
+        real = exactlin.compose
+        monkeypatch.setattr(exactlin, "compose", lambda f, g: calls.append(1) or real(f, g))
+        by_hand = DenseMap.identity(field, 4)
+        for k in range(18):
+            calls.clear()
+            assert m.power(k) == by_hand
+            assert len(calls) <= max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
+            by_hand = real(by_hand, m)
+
+    def test_errors(self):
+        with pytest.raises(NotSquare, match="powering a non-square map"):
+            DenseMap.zero(F7, 2, 3).power(2)
+        with pytest.raises(ValueError, match="negative power"):
+            DenseMap.identity(F7, 2).power(-1)
+
+
+class TestKronAll:
+    @pytest.mark.parametrize("n", range(5))
+    def test_n_factors_make_n_minus_1_krons(self, monkeypatch, n):
+        rng = random.Random(n)
+        maps = [rand_map(rng, F7, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)]
+        calls = []
+        real = exactlin.kron
+        monkeypatch.setattr(exactlin, "kron", lambda f, g: calls.append(1) or real(f, g))
+        want = DenseMap.identity(F7, 1)
+        for m in maps:
+            want = real(want, m)
+        assert kron_all(F7, maps) == want
+        assert len(calls) == max(n - 1, 0)
+
+    def test_one_and_no_factors(self):
+        m = rand_map(random.Random(1), QQ, 2, 3)
+        assert kron_all(QQ, [m]) == m
+        assert kron_all(QQ, []) == DenseMap.identity(QQ, 1)
+        assert kron_all(QQ, iter([m, m])) == kron(m, m)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_field_mismatch_at_every_position(self, n):
+        for pos in range(n):
+            maps = [DenseMap.identity(F7, 2) for _ in range(n)]
+            maps[pos] = DenseMap.identity(QQ, 2)
+            with pytest.raises(FieldMismatch):
+                kron_all(F7, maps)
+
 
 # Fields on both sides of the point where the int64 guard
 # (p-1)^2 * inner < 2^63 turns: F_7 never crosses it, F_(2^31-1) crosses it

@@ -129,6 +129,7 @@ def test_equality_hash_and_first_difference(data):
     tp = twin(p)
     assert p == tp and tp == p and hash(p) == hash(tp)
     assert p.first_difference(tp) is None
+    assert p.is_identity() == tp.is_identity()
     n = p.dst_dim
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     bumped = tp.with_entry(i, j, tp.rows()[i][j] + 1)
