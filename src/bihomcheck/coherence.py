@@ -57,8 +57,7 @@ class BiHomObject:
 
     alpha and beta govern the lax coherence morphisms; kappa and nu, when
     present, govern the oplax ones.  All present endomorphisms must be square
-    of the carrier dimension and commute with each other.  The slot factors
-    that factor builds are kept outside ==, hash, repr and dataclasses.replace.
+    of the carrier dimension and commute with each other.
     """
 
     dim: int
@@ -112,9 +111,10 @@ class BiHomObject:
 
     def factor(self, which: str, a: int, b: int) -> DenseMap:
         """x^a . y^b of the pair (x, y) that `which` governs, built once per
-        object and pair (lax or oplax).  A pair of identity index maps gives
-        the identity with no power or compose, so the unit, which unit_object
-        shares, costs every call the same."""
+        object and pair (lax or oplax) and kept outside ==, hash, repr and
+        dataclasses.replace.  A pair of identity index maps gives the identity
+        with no power or compose, so the unit, which unit_object shares across
+        calls, costs every call the same."""
         key = (which in _LAX_KINDS, a, b)
         out = self._factors.get(key)
         if out is None:
@@ -124,7 +124,7 @@ class BiHomObject:
         return out
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def unit_object(field: FieldTag) -> BiHomObject:
     """The monoidal unit: 1-dimensional carrier, all endomorphisms identity;
     built and verified once per field."""
@@ -463,7 +463,8 @@ def random_diagonal_endo(rng, field: FieldTag, dim: int) -> DenseMap:
         diag = [rng.randrange(field.modulus) for _ in range(dim)]
     else:
         diag = [rng.randint(-3, 3) for _ in range(dim)]
-    return DenseMap.diagonal(field, diag)
+    rows = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return DenseMap.from_rows(field, rows)
 
 
 def random_object(rng, field: FieldTag, max_dim: int, four: bool) -> BiHomObject:

@@ -239,15 +239,6 @@ def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
     return DenseMap(field, src_of_dst.size, src_of_dst.size, None, src_of_dst)
 
 
-def _permutation_as_index_map(m: "DenseMap") -> "DenseMap":
-    """m, kept as its index array when it is a 0/1 permutation matrix."""
-    a = m._num
-    if (m.is_square() and m._den == 1 and ((a == 0) | (a == 1)).all()
-            and (a.sum(0) == 1).all() and (a.sum(1) == 1).all()):
-        return _index_map(m.field, np.nonzero(a)[1])
-    return m
-
-
 class DenseMap:
     """A linear map as a dst_dim x src_dim matrix over an exact field.
 
@@ -337,15 +328,12 @@ class DenseMap:
                 den = math.lcm(*(v.denominator for v in fractions))
                 values = [v.numerator * (den // v.denominator) for v in values]
             num = np.array(values, dtype=object)
-        return _permutation_as_index_map(
-            _canonical(field, dst_dim, src_dim, num.reshape(dst_dim, src_dim), den))
-
-    @staticmethod
-    def diagonal(field: FieldTag, values: Sequence[int]) -> "DenseMap":
-        """The map with the integers `values` on its diagonal, as from_flat reads it."""
-        diag = _int64_entries(values)
-        num = np.diag(np.array(values, dtype=object) if diag is None else diag)
-        return _permutation_as_index_map(_canonical(field, len(num), len(num), num))
+        m = _canonical(field, dst_dim, src_dim, num.reshape(dst_dim, src_dim), den)
+        a = m._num  # a 0/1 permutation matrix is kept as its index array
+        if (m.is_square() and m._den == 1 and ((a == 0) | (a == 1)).all()
+                and (a.sum(0) == 1).all() and (a.sum(1) == 1).all()):
+            return _index_map(field, np.nonzero(a)[1])
+        return m
 
     @staticmethod
     def permutation(field: FieldTag, src_of_dst) -> "DenseMap":

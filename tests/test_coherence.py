@@ -26,7 +26,6 @@ from bihomcheck.coherence import (
     random_double_seq,
     random_duoidal_instance,
     random_lax_instance,
-    random_diagonal_endo,
     random_object,
     unit_object,
     xi_map,
@@ -209,16 +208,6 @@ def per_call_coherence_map(k, which, groups, field):
     return out
 
 
-def old_random_diagonal_endo(rng, field, dim):
-    """random_diagonal_endo as it was: the same draws, built from nested rows."""
-    if field.kind == "prime_field":
-        diag = [rng.randrange(field.modulus) for _ in range(dim)]
-    else:
-        diag = [rng.randint(-3, 3) for _ in range(dim)]
-    return DenseMap.from_rows(field, [[diag[i] if i == j else 0 for j in range(dim)]
-                                      for i in range(dim)])
-
-
 class TestSlotFactors:
     @pytest.mark.parametrize("field", (F7, GF(2 ** 61 - 1), QQ), ids=str)
     def test_matches_per_call_assembly(self, field):
@@ -281,20 +270,6 @@ class TestSlotFactors:
         assert all(rep.passed for rep in reports)
         # every (pair, a, b) is built by one power of each map of the pair
         assert twisted.obj._factors and len(calls) == 2 * len(twisted.obj._factors)
-
-
-class TestRandomDiagonalEndo:
-    @pytest.mark.parametrize("field", (F7, QQ, GF(2 ** 64 - 59)), ids=str)
-    def test_matches_nested_list_builder(self, field):
-        for seed in range(60):
-            new_rng, old_rng = random.Random(seed), random.Random(seed)
-            for dim in (1, 2, 3, 5):
-                new = random_diagonal_endo(new_rng, field, dim)
-                old = old_random_diagonal_endo(old_rng, field, dim)
-                assert new == old
-                assert new._num.dtype == old._num.dtype
-                assert (new._src_of_dst is None) == (old._src_of_dst is None)
-            assert new_rng.random() == old_rng.random()  # the same draws
 
 
 class TestXiMap:

@@ -493,7 +493,8 @@ class TestPowers:
         if kind == "permutation":
             m = DenseMap.permutation(field, rng.sample(range(4), 4))
         elif kind == "diagonal":
-            m = DenseMap.diagonal(field, [rng.randint(-3, 3) for _ in range(4)])
+            m = DenseMap.from_rows(field, [[rng.randint(-3, 3) if i == j else 0 for j in range(4)]
+                                           for i in range(4)])
         else:
             m = rand_map(rng, field, 4, 4)
         calls = []
