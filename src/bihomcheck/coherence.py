@@ -5,9 +5,10 @@ endomorphisms.  The n-fold product is the Kronecker product of carriers and
 endomorphisms; the coherence morphisms relating nested products to flat ones
 are per-slot powers of those endomorphisms with combinatorially determined
 exponents, and the interchange morphisms are tensor-factor flips.  This module
-builds all of them as concrete matrices, evaluates the pure-integer exponent
-identities that make the pentagon-style axioms commute, and verifies the axiom
-figures region by region on explicit instances.
+builds them as concrete matrices (a coherence morphism as its per-slot
+Kronecker factors), evaluates the pure-integer exponent identities that make
+the pentagon-style axioms commute, and verifies the axiom figures region by
+region on explicit instances.
 """
 
 from __future__ import annotations
@@ -173,14 +174,13 @@ def phi_exponents(k: IndexSeq, which: str = BIG_PHI):
 
 
 def coherence_map(k: IndexSeq, which: str,
-                  groups: Sequence[Sequence[BiHomObject]],
-                  field: Optional[FieldTag] = None) -> DenseMap:
-    """The coherence morphism for sequence k at the given grouped objects.
-
-    Group i must hold k_i objects.  The result is the Kronecker product over
-    all slots of the per-slot endomorphism powers from phi_exponents, which
-    each object builds once (BiHomObject.factor); for the empty collection it
-    is the 1x1 identity.
+                  groups: Sequence[Sequence[BiHomObject]]) -> list[DenseMap]:
+    """The coherence morphism for sequence k at the given grouped objects, as
+    its Kronecker factors: slot by slot, the endomorphism powers from
+    phi_exponents, which each object builds once (BiHomObject.factor).  Group
+    i must hold k_i objects; the empty collection has no factors.  Diagram
+    sides apply the factors leg by leg, and kron_all builds their product
+    where that is compared.
     """
     k = validate_index_seq(k)
     if len(groups) != len(k):
@@ -189,13 +189,8 @@ def coherence_map(k: IndexSeq, which: str,
         if len(g) != k[i]:
             raise GroupShapeMismatch(f"group {i} holds {len(g)}, wants {k[i]}")
     flat = [o for g in groups for o in g]
-    if field is None:
-        if flat:
-            field = flat[0].field
-        else:
-            raise ValueError("field required for an empty coherence morphism")
     exps = [e for group in phi_exponents(k, which) for e in group]
-    return kron_all(field, [obj.factor(which, a, b) for obj, (a, b) in zip(flat, exps)])
+    return [obj.factor(which, a, b) for obj, (a, b) in zip(flat, exps)]
 
 
 def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
@@ -367,8 +362,8 @@ def _lax_maps(inst: LaxInstance):
     field = inst.field
     b = [[nprod(g, field) for g in row] for row in inst.objects]
     factors = _lax_factors(inst.m, inst.k, inst.objects, b, unit_object(field))
-    return {step: kron_all(field, [coherence_map(seq, kind, groups, field)
-                                   for kind, seq, groups in f])
+    return {step: kron_all(field, [x for kind, seq, groups in f
+                                   for x in coherence_map(seq, kind, groups)])
             for step, f in factors.items()}, b
 
 
@@ -379,8 +374,8 @@ def check_lax_figure(inst: LaxInstance) -> CheckReport:
 
     row_objs = [nprod(row, inst.field) for row in b]
     n = len(row_objs)
-    singleton = coherence_map((n,), BIG_PHI, [row_objs], inst.field)
-    unary = coherence_map((1,) * n, BIG_PHI, [[o] for o in row_objs], inst.field)
+    singleton = kron_all(inst.field, coherence_map((n,), BIG_PHI, [row_objs]))
+    unary = kron_all(inst.field, coherence_map((1,) * n, BIG_PHI, [[o] for o in row_objs]))
     ident = DenseMap.identity(inst.field, singleton.dst_dim)
     entries.append(compare_entry(
         "unit-singleton", "coherence of the full product sequence is trivial",
@@ -403,8 +398,7 @@ def _duoidal_maps(inst: DuoidalInstance):
              for j in range(k[i])] for i in range(p)]
 
     def per_slot(which):
-        return kron_all(field, [coherence_map(k, which, objs[s], field)
-                                for s in range(n)])
+        return kron_all(field, [x for s in range(n) for x in coherence_map(k, which, objs[s])])
 
     xi_groups = kron_all(field, [
         xi_map(n, k[i], [[objs[s][i][j] for j in range(k[i])] for s in range(n)], field)
@@ -418,10 +412,10 @@ def _duoidal_maps(inst: DuoidalInstance):
         "phi:slotwise": per_slot(SMALL_PHI),
         "Psi:slotwise": per_slot(BIG_PSI),
         "psi:slotwise": per_slot(SMALL_PSI),
-        "Phi:cols": coherence_map(k, BIG_PHI, cols, field),
-        "phi:cols": coherence_map(k, SMALL_PHI, cols, field),
-        "Psi:cols": coherence_map(k, BIG_PSI, cols, field),
-        "psi:cols": coherence_map(k, SMALL_PSI, cols, field),
+        "Phi:cols": kron_all(field, coherence_map(k, BIG_PHI, cols)),
+        "phi:cols": kron_all(field, coherence_map(k, SMALL_PHI, cols)),
+        "Psi:cols": kron_all(field, coherence_map(k, BIG_PSI, cols)),
+        "psi:cols": kron_all(field, coherence_map(k, SMALL_PSI, cols)),
         "xi:flat": xi_map(n, K, flat_rows, field),
         "xi:flatT": xi_map(K, n, gridT, field),
         "xi:blocks": xi_map(n, p, c_grid, field),

@@ -8,10 +8,11 @@ governed by the object's (alpha, beta) pair, the multiplication side by
 category, so every law is written once (see _Side).  Iterated coproducts
 delta_n and products mu_n are built two equivalent ways, and generalized
 (co)associativity is verified for arbitrary sequences of non-negative arities.
-Diagram sides apply their Kronecker factors leg by leg (see _Side), and the
-interchange square of bimonoids and Hopf modules is one tensor contraction of
-its four maps.  A dense Kronecker product is built only where it is compared,
-or as the map that leg-wise factors act on (induced_module_action).
+Diagram sides apply their Kronecker factors, coherence morphisms included,
+leg by leg (see _Side), and the interchange square of bimonoids and Hopf
+modules is one tensor contraction of its four maps.  A dense Kronecker product
+is built only where it is compared (the (co)unit, (co)unitality and bimonoid
+unit squares) or as the map that leg-wise factors act on (induced_module_action).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .exactlin import (
     _check_budget,
     _operands,
     compose,
-    compose_all,
     kron,
     kron_all,
     kron_compose,
@@ -157,8 +157,8 @@ class _Side:
     small: str
     endos: tuple
 
-    def chain(self, *maps: DenseMap) -> DenseMap:
-        return compose_all(maps[::-1] if self.co else maps)
+    def chain(self, f: DenseMap, g: DenseMap) -> DenseMap:
+        return compose(g, f) if self.co else compose(f, g)
 
     def kron_chain(self, m: DenseMap, factors: Sequence[DenseMap]) -> DenseMap:
         """chain(m, kron_all(factors)) by kron_compose, which the monoid side
@@ -204,8 +204,8 @@ def _semigroup_entries(b: StructureBundle, side: _Side):
     entries = _map_morphism_entries(f"{co}semigroup", b, side.mult)
     big21 = coherence_map((2, 1), side.big, [[a, a], [a]])
     big12 = coherence_map((1, 2), side.big, [[a], [a, a]])
-    lhs = side.chain(side.kron_chain(m, [m, _ident(a)]), big21)
-    rhs = side.chain(side.kron_chain(m, [_ident(a), m]), big12)
+    lhs = side.kron_chain(side.kron_chain(m, [m, _ident(a)]), big21)
+    rhs = side.kron_chain(side.kron_chain(m, [_ident(a), m]), big12)
     entries.append(compare_entry(
         f"{co}semigroup/{co}associativity",
         side.text("deformed associativity of the multiplication",
@@ -224,12 +224,12 @@ def _unit_entries(b: StructureBundle, side: _Side):
         f"{co}monoid/{co}unit-left",
         side.text("unit in the first leg lands on nu",
                   "counit against the first leg lands on beta"),
-        left, coherence_map((0, 1), side.small, [[], [a]])))
+        left, kron_all(a.field, coherence_map((0, 1), side.small, [[], [a]]))))
     entries.append(compare_entry(
         f"{co}monoid/{co}unit-right",
         side.text("unit in the second leg lands on kappa",
                   "counit against the second leg lands on alpha"),
-        right, coherence_map((1, 0), side.small, [[a], []])))
+        right, kron_all(a.field, coherence_map((1, 0), side.small, [[a], []]))))
     return entries
 
 
@@ -341,15 +341,12 @@ def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> list:
     if n >= 2:
         b.require(side.mult)
     a, m = b.obj, getattr(b, side.mult)
-    if a.dim > 1 and all(e._src_of_dst is not None for e in a.pair_for(side.big)):
-        # permutation endomorphisms keep every coherence map an index array, so
-        # the loop would stop at the first a^k x a product past ENTRY_BUDGET:
-        # refuse that arity, with the same message, before building any
-        for k in range(3, n + 1):
-            _check_budget(a.dim ** k, a.dim)
+    # the loop would stop at the first a^k x a map past ENTRY_BUDGET: refuse
+    # that arity, with the same message, before building any
+    for k in range(3, n + 1):
+        _check_budget(a.dim ** k, a.dim)
     maps = [getattr(b, side.unit), _ident(a), m][:n + 1]
     for i in range(2, n):
-        # the product first: past ENTRY_BUDGET, it raises before big is allocated
         if variant == ITERATIVE:
             out = side.kron_chain(m, [_ident(a), maps[i]])
             big = coherence_map((1, i), side.big, [[a], [a] * i])
@@ -358,7 +355,7 @@ def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> list:
             big = coherence_map((2,) + (1,) * (i - 1), side.big, [[a, a]] + [[a]] * (i - 1))
         else:
             raise ValueError(f"unknown variant {variant!r}")
-        maps.append(side.chain(out, big))
+        maps.append(side.kron_chain(out, big))
     return maps
 
 
@@ -391,9 +388,9 @@ def _generalized_reports(b: StructureBundle, ks: Sequence[Sequence[int]],
     reports = []
     for k in ks:
         groups, tag = [[a] * v for v in k], ",".join(map(str, k))
-        nested = side.chain(side.kron_chain(iterated[len(k)], [iterated[v] for v in k]),
-                            coherence_map(k, side.big, groups, a.field))
-        flat = side.chain(iterated[sum(k)], coherence_map(k, side.small, groups, a.field))
+        nested = side.kron_chain(side.kron_chain(iterated[len(k)], [iterated[v] for v in k]),
+                                 coherence_map(k, side.big, groups))
+        flat = side.kron_chain(iterated[sum(k)], coherence_map(k, side.small, groups))
         padded = side.kron_chain(iterated[sum(k) + k.count(0)],
                                  [_ident(a, v) if v else iterated[0] for v in k])
         reports.append(make_report(f"generalized-{co}associativity", [
@@ -469,8 +466,8 @@ def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
         f"{co}module/{co}associativity",
         side.text("acting after multiplying equals acting twice",
                   "coacting then comultiplying equals coacting twice"),
-        side.chain(side.kron_chain(rho, [_ident(x), getattr(b, side.mult)]), big12),
-        side.chain(side.kron_chain(rho, [rho, _ident(a)]), big21)))
+        side.kron_chain(side.kron_chain(rho, [_ident(x), getattr(b, side.mult)]), big12),
+        side.kron_chain(side.kron_chain(rho, [rho, _ident(a)]), big21)))
     unit = getattr(b, side.unit)
     if unit is not None:
         entries.append(compare_entry(
@@ -478,7 +475,7 @@ def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
             side.text("acting by the unit lands on the carrier's kappa",
                       "coacting into the counit lands on the carrier's alpha"),
             side.kron_chain(rho, [_ident(x), unit]),
-            coherence_map((1, 0), side.small, [[x], []])))
+            kron_all(x.field, coherence_map((1, 0), side.small, [[x], []]))))
     return make_report(f"{co}module", entries)
 
 

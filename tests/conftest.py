@@ -1,5 +1,6 @@
 """Shared helpers: independent brute-force oracles and value strategies."""
 
+import functools
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -29,6 +30,12 @@ def naive_kron(a_rows, b_rows, a_shape, b_shape):
                 for c in range(bsrc):
                     out[i * bd + r][j * bsrc + c] = a_rows[i][j] * b_rows[r][c]
     return out
+
+
+def chain(side, *maps):
+    """side.chain of several maps, multiplied from the structure map's end, so
+    that every product is as narrow as that map."""
+    return functools.reduce(side.chain, maps)
 
 
 def as_rational_map(rows):

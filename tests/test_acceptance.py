@@ -33,7 +33,7 @@ from bihomcheck.combinat import (
     tilde_of,
     totals,
 )
-from bihomcheck.exactlin import GF, DenseMap, compose, compose_all, kron
+from bihomcheck.exactlin import GF, DenseMap, compose, compose_all, kron, kron_all
 from bihomcheck.fixtures import (
     classical_c3,
     example_instance,
@@ -226,11 +226,11 @@ def test_criterion_9_degeneracy_gate():
     a = b.obj
     # every coherence morphism in the axiom diagrams degenerates to an identity
     for which in (BIG_PHI, BIG_PSI):
-        assert coherence_map((2, 1), which, [[a, a], [a]]).is_identity()
-        assert coherence_map((1, 2), which, [[a], [a, a]]).is_identity()
+        assert kron_all(F7, coherence_map((2, 1), which, [[a, a], [a]])).is_identity()
+        assert kron_all(F7, coherence_map((1, 2), which, [[a], [a, a]])).is_identity()
     for which in (SMALL_PHI, SMALL_PSI):
-        assert coherence_map((0, 1), which, [[], [a]]).is_identity()
-        assert coherence_map((1, 0), which, [[a], []]).is_identity()
+        assert kron_all(F7, coherence_map((0, 1), which, [[], [a]])).is_identity()
+        assert kron_all(F7, coherence_map((1, 0), which, [[a], []])).is_identity()
     # so the deformed laws are literally the classical ones, and they hold
     ident = DenseMap.identity(F7, 3)
     assert compose_all([b.mu, kron(b.mu, ident)]) \

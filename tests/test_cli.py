@@ -319,20 +319,24 @@ class TestCheckCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_dense_map_past_entry_budget_exits_two(self, tmp_path, capsys):
-        # coherence_map((2, 1)) on a 23-dim object would be 12167 x 12167 entries;
-        # a unitriangular endomorphism is no permutation, so the map stays dense
+        # a unitriangular endomorphism is no permutation, so its powers stay
+        # dense; the coherence morphisms act leg by leg, so the semigroup check
+        # builds no 12167x12167 map, but delta_5 is a 6436343x23 map
         n = 23
         upper = [str(int(i <= j)) for i in range(n) for j in range(n)]
         doc = {"format_version": "1", "field": {"kind": "prime_field", "modulus": 7},
                "objects": {"big": {"dim": n, "alpha": upper, "beta": upper,
                                    "kappa": upper, "nu": upper}},
-               "structures": {"s": {"object": "big", "mu": ["0"] * n ** 3}}}
+               "structures": {"s": {"object": "big", "mu": ["0"] * n ** 3,
+                                    "delta": ["0"] * n ** 3}}}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
-        assert main(["check", str(path), "--structure", "semigroup", "--name", "s"]) == 2
+        assert main(["check", str(path), "--structure", "semigroup", "--name", "s"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "semigroup: 5/5 diagrams commute"
+        assert main(["delta", str(path), "--name", "s", "-n", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "12167x12167" in err
+        assert "6436343x23" in err
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json"),

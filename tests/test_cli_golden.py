@@ -65,6 +65,9 @@ _case("antipode", "q_nohopf.json", "--name", "nohopf")
 for _stem in ("f7_c6", "q_c6"):
     for _method in ("direct", "untwist"):
         _case("antipode", f"{_stem}.json", "--name", "twisted", "--method", _method)
+    _case("check", f"{_stem}.json", "--structure", "bimonoid", "--name", "twisted")
+    _case("delta", f"{_stem}.json", "--name", "twisted", "-n", "2",
+          "--check-all-sequences", "--max-K", "4")
 _case("twist", "f7_c3.json", "--name", "plain", "-o", "out.json", writes=["out.json"])
 _case("twist", "q_c4.json", "--name", "twisted", "--direction", "untwist",
       "-o", "out.json", writes=["out.json"])

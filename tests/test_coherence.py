@@ -39,7 +39,7 @@ from bihomcheck.errors import (
     ShapeMismatch,
     SlotOutOfRange,
 )
-from bihomcheck.exactlin import GF, QQ, DenseMap, compose, kron
+from bihomcheck.exactlin import GF, QQ, DenseMap, compose, kron, kron_all
 from bihomcheck.fixtures import cyclic_group_bundle
 from bihomcheck.structures import coassoc_sequences, delta_n, sweep_generalized_coassoc
 from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
@@ -136,29 +136,29 @@ class TestCoherenceMap:
     def test_all_ones_trivial(self):
         rng = random.Random(1)
         objs = [random_object(rng, F7, 2, four=False) for _ in range(3)]
-        m = coherence_map((1, 1, 1), BIG_PHI, [[o] for o in objs])
+        m = kron_all(F7, coherence_map((1, 1, 1), BIG_PHI, [[o] for o in objs]))
         assert m.is_identity()
 
     def test_singleton_sequence_trivial(self):
         rng = random.Random(2)
         objs = [random_object(rng, F7, 2, four=False) for _ in range(3)]
-        assert coherence_map((3,), BIG_PHI, [objs]).is_identity()
+        assert kron_all(F7, coherence_map((3,), BIG_PHI, [objs])).is_identity()
 
     def test_small_phi_no_zeros_trivial(self):
         rng = random.Random(3)
         groups = [[random_object(rng, F7, 2, four=False) for _ in range(3)],
                   [random_object(rng, F7, 2, four=False) for _ in range(2)]]
-        assert coherence_map((3, 2), SMALL_PHI, groups).is_identity()
+        assert kron_all(F7, coherence_map((3, 2), SMALL_PHI, groups)).is_identity()
 
     def test_all_zero_sequence_trivial(self):
-        assert coherence_map((0, 0), BIG_PHI, [[], []], QQ).is_identity()
+        assert kron_all(QQ, coherence_map((0, 0), BIG_PHI, [[], []])).is_identity()
 
     def test_derived_diagonal_example(self):
         rng = random.Random(4)
         o1 = obj_with(QQ, DenseMap.identity(QQ, 2), diag(QQ, 3, 5))
         o2 = obj_with(QQ, DenseMap.identity(QQ, 2), diag(QQ, 7, 11))
         o3 = obj_with(QQ, DenseMap.identity(QQ, 2), diag(QQ, 2, 3))
-        m = coherence_map((2, 1), BIG_PHI, [[o1, o2], [o3]])
+        m = kron_all(QQ, coherence_map((2, 1), BIG_PHI, [[o1, o2], [o3]]))
         assert m == kron(DenseMap.identity(QQ, 4), diag(QQ, 2, 3))
 
     def test_psi_needs_oplax_endos(self):
@@ -191,7 +191,7 @@ class TestCoherenceMap:
                         for _ in range(b):
                             factor = compose(factor, second)
                         assembled = kron(assembled, factor)
-                assert assembled == coherence_map(k, which, groups, F7)
+                assert assembled == kron_all(F7, coherence_map(k, which, groups))
 
 
 def per_call_coherence_map(k, which, groups, field):
@@ -225,7 +225,7 @@ class TestSlotFactors:
                 continue
             checked += 1
             for which in KINDS:
-                assert coherence_map(k, which, groups, field) == \
+                assert kron_all(field, coherence_map(k, which, groups)) == \
                     per_call_coherence_map(k, which, groups, field), (k, which)
 
     def test_lax_and_oplax_factors_are_never_shared(self):

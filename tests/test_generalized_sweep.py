@@ -36,7 +36,7 @@ from bihomcheck.structures import (
 )
 from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
 
-from conftest import operand_dtypes
+from conftest import chain, operand_dtypes
 
 MERSENNE_61 = GF(2 ** 61 - 1)
 SEQUENCES = coassoc_sequences(4)
@@ -53,10 +53,9 @@ def reference(b, k, side):
     iterated = delta_n if side.co else mu_n
     a, K, Z = b.obj, sum(k), k.count(0)
     groups = [[a] * v for v in k]
-    nested = side.chain(iterated(b, len(k)),
-                        kron_all(a.field, [iterated(b, v) for v in k]),
-                        coherence_map(k, side.big, groups, a.field))
-    flat = side.chain(iterated(b, K), coherence_map(k, side.small, groups, a.field))
+    nested = chain(side, iterated(b, len(k)), kron_all(a.field, [iterated(b, v) for v in k]),
+                   kron_all(a.field, coherence_map(k, side.big, groups)))
+    flat = side.chain(iterated(b, K), kron_all(a.field, coherence_map(k, side.small, groups)))
     padded = side.chain(iterated(b, K + Z), kron_all(a.field, [
         DenseMap.identity(a.field, a.dim ** v) if v else getattr(b, side.unit) for v in k]))
     co, tag = side.text("", "co"), ",".join(map(str, k))
@@ -144,11 +143,21 @@ def perturbed(b, name, rng, field):
     return b.replace(**{name: m.with_entry(i, j, m.entry(i, j).value + bump)})
 
 
-@pytest.mark.parametrize("field", [GF(7), MERSENNE_61, QQ], ids=str)
-@pytest.mark.parametrize("order", [3, 4])
-@pytest.mark.parametrize("make", [cyclic_group_bundle, dual_cyclic_bundle])
-def test_twisted_fixtures_and_their_perturbations(field, order, make):
-    b = yau_twist(PlainStructure(make(field, order, order - 1)), BIMONOID)
+# (make, order, power, field): powers coprime to the order give permutation
+# endomorphisms; g -> g^2 on an even order is not invertible and stays dense.
+# C_6 leaves out F_(2^61-1), where the dense reference alone takes 15 s.
+FIXTURES = [(make, order, order - 1, field)
+            for make in (cyclic_group_bundle, dual_cyclic_bundle) for order in (3, 4)
+            for field in (GF(7), MERSENNE_61, QQ)]
+FIXTURES += [(cyclic_group_bundle, order, 2, field) for order in (4, 6)
+             for field in (GF(7), MERSENNE_61, QQ) if order == 4 or field != MERSENNE_61]
+FIXTURE_IDS = [f"{make.__name__}-{order}{'' if power == order - 1 else f'-power-{power}'}"
+               f"-{field}" for make, order, power, field in FIXTURES]
+
+
+@pytest.mark.parametrize("make, order, power, field", FIXTURES, ids=FIXTURE_IDS)
+def test_twisted_fixtures_and_their_perturbations(make, order, power, field):
+    b = yau_twist(PlainStructure(make(field, order, power)), BIMONOID)
     for side in SIDES:
         assert all(r.passed for r in assert_sweep_matches_reference(b, side))
     rng = random.Random(f"{field} {order} {make.__name__}")

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from bihomcheck.coherence import BiHomObject, coherence_map, xi_map
 from bihomcheck.combinat import Permutation
+from bihomcheck.errors import NotInvertible
 from bihomcheck.exactlin import GF, QQ, DenseMap, compose, compose_all, invert, kron, kron_all
 from bihomcheck.fixtures import cyclic_group_bundle, dual_cyclic_bundle
 from bihomcheck.structures import (
@@ -55,7 +56,7 @@ from bihomcheck.twist import (
     yau_twist,
 )
 
-from conftest import operand_dtypes
+from conftest import chain, operand_dtypes
 
 MERSENNE_61 = GF(2 ** 61 - 1)
 FIELDS = [GF(7), MERSENNE_61, QQ]
@@ -86,11 +87,11 @@ def ref_morphism_entries(prefix, b, name):
 def ref_semigroup_entries(b, side):
     a, m = b.obj, getattr(b, side.mult)
     one, co = DenseMap.identity(a.field, a.dim), side.text("", "co")
-    big21 = coherence_map((2, 1), side.big, [[a, a], [a]])
-    big12 = coherence_map((1, 2), side.big, [[a], [a, a]])
+    big21 = kron_all(a.field, coherence_map((2, 1), side.big, [[a, a], [a]]))
+    big12 = kron_all(a.field, coherence_map((1, 2), side.big, [[a], [a, a]]))
     return ref_morphism_entries(f"{co}semigroup", b, side.mult) + [outcome(
         f"{co}semigroup/{co}associativity",
-        side.chain(m, kron(m, one), big21), side.chain(m, kron(one, m), big12))]
+        chain(side, m, kron(m, one), big21), chain(side, m, kron(one, m), big12))]
 
 
 def ref_unit_entries(b, side):
@@ -98,9 +99,9 @@ def ref_unit_entries(b, side):
     one, co = DenseMap.identity(a.field, a.dim), side.text("", "co")
     return ref_morphism_entries(f"{co}monoid", b, side.unit) + [
         outcome(f"{co}monoid/{co}unit-left", side.chain(m, kron(u, one)),
-                coherence_map((0, 1), side.small, [[], [a]])),
+                kron_all(a.field, coherence_map((0, 1), side.small, [[], [a]]))),
         outcome(f"{co}monoid/{co}unit-right", side.chain(m, kron(one, u)),
-                coherence_map((1, 0), side.small, [[a], []]))]
+                kron_all(a.field, coherence_map((1, 0), side.small, [[a], []])))]
 
 
 def ref_action_entries(x, b, rho, side):
@@ -111,13 +112,14 @@ def ref_action_entries(x, b, rho, side):
                for name, ex in x.endos().items() if name in a.endos()]
     entries.append(outcome(
         f"{co}module/{co}associativity",
-        side.chain(rho, kron(idx, getattr(b, side.mult)),
-                   coherence_map((1, 2), side.big, [[x], [a, a]])),
-        side.chain(rho, kron(rho, ida), coherence_map((2, 1), side.big, [[x, a], [a]]))))
+        chain(side, rho, kron(idx, getattr(b, side.mult)),
+              kron_all(a.field, coherence_map((1, 2), side.big, [[x], [a, a]]))),
+        chain(side, rho, kron(rho, ida),
+              kron_all(a.field, coherence_map((2, 1), side.big, [[x, a], [a]])))))
     unit = getattr(b, side.unit)
     if unit is not None:
         entries.append(outcome(f"{co}module/{co}unitality", side.chain(rho, kron(idx, unit)),
-                               coherence_map((1, 0), side.small, [[x], []])))
+                               kron_all(a.field, coherence_map((1, 0), side.small, [[x], []]))))
     return entries
 
 
@@ -126,12 +128,13 @@ def ref_iterated(b, n, variant, side):
     maps = [getattr(b, side.unit), DenseMap.identity(a.field, a.dim), m][:n + 1]
     for i in range(2, n):
         if variant == ITERATIVE:
-            big = coherence_map((1, i), side.big, [[a], [a] * i])
-            maps.append(side.chain(m, kron(DenseMap.identity(a.field, a.dim), maps[i]), big))
+            big = kron_all(a.field, coherence_map((1, i), side.big, [[a], [a] * i]))
+            maps.append(chain(side, m, kron(DenseMap.identity(a.field, a.dim), maps[i]), big))
         else:
-            big = coherence_map((2,) + (1,) * (i - 1), side.big, [[a, a]] + [[a]] * (i - 1))
-            maps.append(side.chain(maps[i], kron(m, DenseMap.identity(a.field, a.dim ** (i - 1))),
-                                   big))
+            big = kron_all(a.field, coherence_map((2,) + (1,) * (i - 1), side.big,
+                                                  [[a, a]] + [[a]] * (i - 1)))
+            maps.append(chain(side, maps[i], kron(m, DenseMap.identity(a.field, a.dim ** (i - 1))),
+                              big))
     return maps[-1]
 
 
@@ -293,13 +296,16 @@ def in_basis(b, p):
                            epsilon=compose(b.epsilon, q))
 
 
-def plain_fixture(make, field, rng, big):
-    """The group bialgebra of C_5 or its dual, with the powers 1, 2, 3, 2 of
-    g -> g^2 as alpha, beta, kappa, nu, in a random basis."""
-    b = make(field, 5, 1)
-    phi = cyclic_group_bundle(field, 5, 2).obj.alpha
-    obj = BiHomObject(5, field, *(phi.power(k) for k in (1, 2, 3, 2)))
-    return in_basis(b.replace(obj=obj), unitriangular(rng, field, 5, big))
+def plain_fixture(make, field, rng, big, order=5):
+    """The group bialgebra of C_order or its dual in a random basis, with the
+    powers 1, 2, 3, 2 of g -> g^2 as alpha, beta, kappa, nu on an odd order;
+    on an even order, where g -> g^2 is not invertible, with g -> g^2 in every
+    slot, as in cyclic_group_bundle(field, order, 2)."""
+    b = make(field, order, 1)
+    phi = cyclic_group_bundle(field, order, 2).obj.alpha
+    powers = (1, 2, 3, 2) if order % 2 else (1, 1, 1, 1)
+    obj = BiHomObject(order, field, *(phi.power(k) for k in powers))
+    return in_basis(b.replace(obj=obj), unitriangular(rng, field, order, big))
 
 
 def perturbed(b, name, rng):
@@ -313,15 +319,18 @@ def ref_twisted(b, side, endos):
     return side.chain(getattr(b, side.mult), kron(*endos))
 
 
-CASES = [(make, field, big) for make in (cyclic_group_bundle, dual_cyclic_bundle)
+FIXTURES = [(cyclic_group_bundle, 5), (dual_cyclic_bundle, 5),
+            (cyclic_group_bundle, 4), (cyclic_group_bundle, 6)]
+CASES = [(make, order, field, big) for make, order in FIXTURES
          for field in FIELDS for big in ((False, True) if field == QQ else (False,))]
-CASE_IDS = [f"{make.__name__}-{field}{'-big' if big else ''}" for make, field, big in CASES]
+CASE_IDS = [f"{make.__name__}{'' if order == 5 else f'-{order}-power-2'}-{field}"
+            f"{'-big' if big else ''}" for make, order, field, big in CASES]
 
 
-@pytest.mark.parametrize("make, field, big", CASES, ids=CASE_IDS)
-def test_twist_untwist_and_checks_on_fixtures(make, field, big):
+@pytest.mark.parametrize("make, order, field, big", CASES, ids=CASE_IDS)
+def test_twist_untwist_and_checks_on_fixtures(make, order, field, big):
     rng = random.Random(f"{make.__name__} {field} {big}")
-    plain = plain_fixture(make, field, rng, big)
+    plain = plain_fixture(make, field, rng, big, order)
     for direction, sides in ((COMONOID, [COMONOID_SIDE]), (MONOID, [MONOID_SIDE]),
                              (BIMONOID, [COMONOID_SIDE, MONOID_SIDE])):
         got = yau_twist(PlainStructure(plain), direction)
@@ -334,12 +343,17 @@ def test_twist_untwist_and_checks_on_fixtures(make, field, big):
     assert all(not check_monoid(b).passed or not check_comonoid(b).passed for b in bad)
     for b in [t] + bad:
         assert_checks_match(b)
+        if order % 2 == 0:  # g -> g^2 is not invertible on an even order
+            with pytest.raises(NotInvertible):
+                untwist(b)
+            continue
         inverses = {name: invert(e) for name, e in b.obj.endos().items()}
         back = untwist(b).bundle
         for side in (COMONOID_SIDE, MONOID_SIDE):
             want = ref_twisted(b, side, [inverses[name] for name in side.endos])
             assert getattr(back, side.mult) == want
-    assert untwist(t).bundle.mu == plain.mu and untwist(t).bundle.delta == plain.delta
+    if order % 2:
+        assert untwist(t).bundle.mu == plain.mu and untwist(t).bundle.delta == plain.delta
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

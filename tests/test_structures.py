@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bihomcheck import exactlin, structures
 from bihomcheck.coherence import BiHomObject
 from bihomcheck.errors import (
     InvariantViolation,
@@ -41,6 +42,7 @@ from bihomcheck.structures import (
     regular_comodule,
     regular_module,
 )
+from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
 
 F7 = GF(7)
 
@@ -271,6 +273,22 @@ class TestBisemigroupAndBimonoid:
         rep = check_bimonoid(twisted_c3())
         names = [e.name for e in rep.entries]
         assert names == sorted(names)
+
+    def test_no_dense_coherence_morphism_on_a_non_bijective_twist(self, monkeypatch):
+        # g -> g^2 on C_16 is no permutation, so its coherence factors are
+        # dense; applied leg by leg, no map past a 16 x 16^3 side is asked for
+        b = yau_twist(PlainStructure(cyclic_group_bundle(F7, 16, 2)), BIMONOID)
+        largest = [0]
+        original = exactlin._check_budget
+
+        def recording(rows, cols):
+            largest[0] = max(largest[0], rows * cols)
+            return original(rows, cols)
+
+        for module in (exactlin, structures):
+            monkeypatch.setattr(module, "_check_budget", recording)
+        assert check_bimonoid(b).passed
+        assert 0 < largest[0] <= 16 ** 4
 
 
 class TestModules:
