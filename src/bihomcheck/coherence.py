@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .combinat import (
     IndexSeq,
     bar,
@@ -40,7 +42,7 @@ from .errors import (
     ShapeMismatch,
     SlotOutOfRange,
 )
-from .exactlin import DenseMap, FieldTag, compose, compose_all, kron_all
+from .exactlin import DenseMap, FieldTag, _canonical, _check_budget, compose, compose_all, kron_all
 from .report import CheckReport, compare_entry, make_report
 
 BIG_PHI = "BigPhi"
@@ -453,12 +455,19 @@ _DIM_CAP = 4096
 
 
 def random_diagonal_endo(rng, field: FieldTag, dim: int) -> DenseMap:
+    """A diagonal endomorphism with random entries, built from its diagonal:
+    the identity index map when every entry is 1, as from_flat keeps it, and
+    a dense map otherwise."""
     if field.kind == "prime_field":
         diag = [rng.randrange(field.modulus) for _ in range(dim)]
     else:
         diag = [rng.randint(-3, 3) for _ in range(dim)]
-    rows = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
-    return DenseMap.from_rows(field, rows)
+    if diag.count(1) == dim:
+        return DenseMap.identity(field, dim)
+    _check_budget(dim, dim)
+    num = np.zeros((dim, dim), dtype=object if max(diag) >= 1 << 62 else np.int64)
+    np.fill_diagonal(num, diag)
+    return _canonical(field, dim, dim, num)
 
 
 def random_object(rng, field: FieldTag, max_dim: int, four: bool) -> BiHomObject:

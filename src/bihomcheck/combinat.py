@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, TypeVar
 
 from .errors import LengthMismatch, ShapeMismatch
-from .exactlin import DenseMap, FieldTag
+from .exactlin import DenseMap, FieldTag, _index_map
 
 import numpy as np
 
@@ -195,18 +195,18 @@ def flip_perm(n: int, p: int, block_dims: Optional[Sequence[int]] = None,
     Input slot (i, j) (group i < p, position j < n, flat i*n + j) is sent to
     output position (j, i) (flat j*p + i).  With block_dims (a flat list of
     n*p slot dimensions in input order) and a field, the permutation is
-    returned as the corresponding DenseMap on the tensor product.
+    returned as its index map on the tensor product (see DenseMap): one
+    transpose of arange over the slot dimensions, with no Permutation built.
     """
-    images = [0] * (n * p)
-    for i in range(p):
-        for j in range(n):
-            images[i * n + j] = j * p + i
-    perm = Permutation(tuple(images))
     if block_dims is None:
-        return perm
+        return Permutation(tuple((s % n) * p + s // n for s in range(n * p)))
     if field is None:
         raise ValueError("field required for the DenseMap form")
-    return perm.matrix(list(block_dims), field)
+    if len(block_dims) != n * p:
+        raise LengthMismatch(f"{len(block_dims)} dims for a permutation of {n * p}")
+    axes = np.arange(n * p).reshape(p, n).T.reshape(-1)  # output slot (j, i) reads (i, j)
+    src_of_dst = np.arange(math.prod(block_dims)).reshape(block_dims).transpose(axes)
+    return _index_map(field, src_of_dst.reshape(-1))
 
 
 def pad(objects_per_slot: Sequence[Sequence[T]], k: IndexSeq, unit: T) -> list:

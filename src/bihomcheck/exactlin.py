@@ -8,13 +8,16 @@ permutation map (every identity, each tensor-factor flip such as the
 interchange, and every 0/1 permutation matrix that DenseMap.from_flat reads)
 holds only the index array of its ones, is applied to another map by
 gathering that map's rows or columns, and turns dense only when its entries
-are read.  Index arrays are read-only and are checked to be bijections once,
-where they enter: DenseMap.permutation checks the array, and from_flat keeps
-a square integral matrix as one only when its entries are 0/1 with exactly one
-1 in every row and every column.  from_flat reads integer entries (Python
-ints and integer strings below 2^63 in absolute value) in one pass; every
-other entry goes through the per-entry parser, which words every parse
-error.  No operation
+are read.  Such a gather of a canonical map is canonical as it stands, so it
+is kept with no second reduction; two index maps compare on their index
+arrays, and each knows, once asked, whether it is the identity.
+first_difference finds the first mismatch in one pass.  Index arrays are
+read-only and are checked to be bijections once, where they enter:
+DenseMap.permutation checks the array, and from_flat keeps a square integral
+matrix as one only when its entries are 0/1 with exactly one 1 in every row
+and every column.  from_flat reads integer entries (Python ints and integer
+strings below 2^63 in absolute value) in one pass; every other entry goes
+through the per-entry parser, which words every parse error.  No operation
 builds a dense array of more than ENTRY_BUDGET entries; it raises TooLarge,
 which the CLI reports with exit code 2.  Every exact linear system goes
 through one solver, _solve, which classifies C X = B for any number of
@@ -239,6 +242,13 @@ def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
     return DenseMap(field, src_of_dst.size, src_of_dst.size, None, src_of_dst)
 
 
+def _gathered(m: "DenseMap", num: np.ndarray) -> "DenseMap":
+    """The map of num, a fresh permutation gather of m's numerators: m's entries
+    in new places, so canonical as m is, over m's denominator, with no reduction."""
+    num.flags.writeable = False
+    return DenseMap(m.field, *num.shape, num, den=m._den)
+
+
 class DenseMap:
     """A linear map as a dst_dim x src_dim matrix over an exact field.
 
@@ -253,7 +263,7 @@ class DenseMap:
     built on first read.
     """
 
-    __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_den", "_src_of_dst")
+    __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_den", "_src_of_dst", "_identity")
 
     def __init__(self, field: FieldTag, dst_dim: int, src_dim: int,
                  array: Optional[np.ndarray], src_of_dst: Optional[np.ndarray] = None,
@@ -268,6 +278,7 @@ class DenseMap:
         self._dense = array
         self._den = den
         self._src_of_dst = src_of_dst
+        self._identity = None  # whether an index map is the identity, once known
 
     @property
     def _num(self) -> np.ndarray:
@@ -345,7 +356,9 @@ class DenseMap:
 
     @staticmethod
     def identity(field: FieldTag, n: int) -> "DenseMap":
-        return _index_map(field, np.arange(n))
+        m = _index_map(field, np.arange(n))
+        m._identity = True
+        return m
 
     @staticmethod
     def zero(field: FieldTag, dst_dim: int, src_dim: int) -> "DenseMap":
@@ -382,8 +395,11 @@ class DenseMap:
         return self.dst_dim == self.src_dim
 
     def is_identity(self) -> bool:
+        """For an index map, computed at most once and kept."""
         if self._src_of_dst is not None:
-            return bool((self._src_of_dst == np.arange(self.dst_dim)).all())
+            if self._identity is None:
+                self._identity = bool((self._src_of_dst == np.arange(self.dst_dim)).all())
+            return self._identity
         return self.is_square() and self == DenseMap.identity(self.field, self.dst_dim)
 
     def __repr__(self):
@@ -392,25 +408,27 @@ class DenseMap:
     def __eq__(self, other):
         if not isinstance(other, DenseMap):
             return NotImplemented
-        return (self.field == other.field
-                and self.dst_dim == other.dst_dim
-                and self.src_dim == other.src_dim
-                and self._den == other._den
-                and bool(np.array_equal(self._num, other._num)))
+        if (self.field, self.dst_dim, self.src_dim, self._den) != (
+                other.field, other.dst_dim, other.src_dim, other._den):
+            return False
+        if self._src_of_dst is not None and other._src_of_dst is not None:
+            return bool(np.array_equal(self._src_of_dst, other._src_of_dst))
+        return bool(np.array_equal(self._num, other._num))
 
     def __hash__(self):
         return hash((self.field, self.dst_dim, self.src_dim, self._den,
                      tuple(self._num.reshape(-1).tolist())))
 
     def first_difference(self, other: "DenseMap"):
-        """First (row, col, lhs, rhs) where the two maps differ, else None."""
+        """First (row, col, lhs, rhs) where the two maps differ, else None; one
+        pass of !=, whose argmax is the first mismatch in row-major order."""
         if self.dst_dim != other.dst_dim or self.src_dim != other.src_dim:
             raise DimensionMismatch("comparing maps of different shapes")
         a, b, _ = _common_denominator(self, other)
-        hits = np.argwhere(a != b)
-        if not len(hits):
+        ne = a != b
+        if not ne.any():
             return None
-        i, j = int(hits[0, 0]), int(hits[0, 1])
+        i, j = divmod(int(ne.argmax()), self.src_dim)
         return (i, j, str(self._value(i, j)), str(other._value(i, j)))
 
     # -- algebra -----------------------------------------------------------
@@ -478,7 +496,8 @@ def _common_denominator(f: DenseMap, g: DenseMap):
 
 
 def compose(f: DenseMap, g: DenseMap) -> DenseMap:
-    """Matrix product f.g (g applied first)."""
+    """Matrix product f.g (g applied first).  With an index map on either
+    side it is a gather of the other's rows or columns, kept as it stands."""
     f._check_field(g)
     if f.src_dim != g.dst_dim:
         raise DimensionMismatch(
@@ -488,12 +507,11 @@ def compose(f: DenseMap, g: DenseMap) -> DenseMap:
     if fp is not None and gp is not None:
         return _index_map(f.field, gp[fp])
     if fp is not None:
-        num = g._num[fp]
-    elif gp is not None:
-        num = f._num[:, np.argsort(gp)]
-    else:
-        _check_budget(f.dst_dim, g.src_dim)
-        num = np.dot(*_operands((f, g), f.src_dim))
+        return _gathered(g, g._num[fp])
+    if gp is not None:
+        return _gathered(f, f._num[:, np.argsort(gp)])
+    _check_budget(f.dst_dim, g.src_dim)
+    num = np.dot(*_operands((f, g), f.src_dim))
     return _canonical(f.field, f.dst_dim, g.src_dim, num, f._den * g._den)
 
 
@@ -538,9 +556,9 @@ def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> D
     """compose(kron_all(field, factors), g), without the Kronecker product:
     the rows of g form one tensor leg per factor, and each factor acts on its
     own leg (Van Loan, J. Comput. Appl. Math. 123, 2000).  Identities are
-    skipped, other permutations re-index their leg, and every other factor is
-    contracted into it under the overflow guard and entry budget of compose,
-    those that shrink their leg (a counit) first."""
+    skipped, other permutations re-index their leg by a gather kept as it
+    stands, and every other factor is contracted into it under the overflow
+    guard and entry budget of compose, those that shrink their leg (a counit) first."""
     for m in (*factors, g):
         if m.field != field:
             raise FieldMismatch(f"{field} vs {m.field}")
@@ -550,17 +568,18 @@ def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> D
     out = g
     for i in sorted(range(len(factors)), key=lambda i: factors[i].dst_dim - factors[i].src_dim):
         f, p = factors[i], factors[i]._src_of_dst
-        if p is not None and (p == np.arange(p.size)).all():
+        if p is not None and f.is_identity():
             continue
         lead, trail = math.prod(legs[:i]), math.prod(legs[i + 1:]) * g.src_dim
         legs[i] = f.dst_dim
         _check_budget(rows := math.prod(legs), g.src_dim)
         if p is not None:
-            num, den = out._num.reshape(lead, f.src_dim, trail)[:, p], out._den
+            num = out._num.reshape(lead, f.src_dim, trail)[:, p]
+            out = _gathered(out, num.reshape(rows, g.src_dim))
         else:
             a, b = _operands((f, out), f.src_dim)
-            num, den = a @ b.reshape(lead, f.src_dim, trail), f._den * out._den
-        out = _canonical(field, rows, g.src_dim, num.reshape(rows, g.src_dim), den)
+            num = (a @ b.reshape(lead, f.src_dim, trail)).reshape(rows, g.src_dim)
+            out = _canonical(field, rows, g.src_dim, num, f._den * out._den)
     return out
 
 

@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import copy
 import io
 import json
+import sys
 from functools import reduce
 from operator import getitem
 
@@ -18,7 +20,7 @@ from bihomcheck.cli import (
     main,
     save_instance,
 )
-from bihomcheck import exactlin
+from bihomcheck import coherence, exactlin
 from bihomcheck.errors import ParseError, TooLarge, UnknownName
 from bihomcheck.exactlin import GF, QQ
 from bihomcheck.fixtures import (
@@ -572,3 +574,47 @@ class TestDeltaCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def kernel_call_counts(monkeypatch):
+    """A Counter of the compose, kron, power and first_difference calls made
+    while monkeypatch is active: each function is wrapped under every
+    bihomcheck module name bound to it, as the modules import it by name."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("compose", "kron"):
+        original = getattr(exactlin, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("bihomcheck")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    for name in ("power", "first_difference"):
+        monkeypatch.setattr(exactlin.DenseMap, name, counted(name, getattr(exactlin.DenseMap, name)))
+    return counts
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{c3}", "--structure", "bimonoid", "--name", "twisted"],
+    ["delta", "{c3}", "--name", "twisted", "-n", "3", "--check-all-sequences", "--max-K", "4"],
+    ["coherence", "--level", "matrix", "--trials", "8", "--seed", "3"],
+], ids=["check", "delta-sweep", "coherence-matrix"])
+def test_a_repeated_request_does_the_same_work(c3_file, capsys, monkeypatch, argv):
+    """Each command is one process, so nothing a request builds may be kept for
+    the next: run twice in one process, a request prints the same bytes and
+    makes the same kernel calls.  The unit objects, built once per field by
+    design, are cleared before each run as a new process would start."""
+    counts = kernel_call_counts(monkeypatch)
+    argv = [a.format(c3=c3_file) for a in argv]
+    runs = []
+    for _ in range(2):
+        coherence.unit_object.cache_clear()
+        counts.clear()
+        code = main(argv)
+        runs.append((code, capsys.readouterr().out, dict(counts)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and set(runs[0][2]) >= {"compose", "first_difference"}

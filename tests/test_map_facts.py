@@ -1,0 +1,283 @@
+"""Facts a map already carries, used without deriving them again, against the
+code that derived them.
+
+- first_difference finds the first mismatch in one pass; the np.argwhere
+  version it replaced is kept here as the reference.
+- A permutation gather of a canonical map (compose with an index map on
+  either side, a permutation leg of kron_compose) is kept as it stands; it
+  must hold what exactlin._canonical makes of the same product on dense
+  twins: the same values, denominator, dtype and read-only flag.
+- is_identity is known per map; it must agree with a fresh scan.
+- Two index maps compare on their index arrays; == and hash must agree with
+  their dense twins.
+- flip_perm and random_diagonal_endo build their maps directly; the
+  Permutation.matrix and nested-rows builders they replaced are the
+  references.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bihomcheck import exactlin
+from bihomcheck.coherence import random_diagonal_endo
+from bihomcheck.combinat import Permutation, flip_perm
+from bihomcheck.errors import LengthMismatch
+from bihomcheck.exactlin import (
+    GF,
+    QQ,
+    DenseMap,
+    _canonical,
+    compose,
+    kron,
+    kron_all,
+    kron_compose,
+)
+
+from conftest import small_fracs
+
+F7 = GF(7)
+MERSENNE_61 = GF(2 ** 61 - 1)
+OBJECT_RESIDUES = GF(2 ** 64 - 59)  # a prime above 2^62: residues past it are Python ints
+
+big_fracs = st.builds(Fraction, st.integers(-2 ** 66, 2 ** 66), st.integers(1, 7))
+
+
+def field_values(field):
+    if field == QQ:
+        return small_fracs | big_fracs
+    return st.integers(0, field.modulus - 1)
+
+
+def twin(m):
+    """The dense twin of m: the same numerators, kept as an array."""
+    return _canonical(m.field, m.dst_dim, m.src_dim, m._num.copy(), m._den)
+
+
+# -- first_difference --------------------------------------------------------
+
+def reference_first_difference(f, g):
+    """first_difference as it was written, through np.argwhere."""
+    a, b, _ = exactlin._common_denominator(f, g)
+    hits = np.argwhere(a != b)
+    if not len(hits):
+        return None
+    i, j = int(hits[0, 0]), int(hits[0, 1])
+    return (i, j, str(f._value(i, j)), str(g._value(i, j)))
+
+
+@st.composite
+def map_pair(draw):
+    """Two maps of one shape over F_7, F_(2^61-1) or Q, as equal maps, maps that
+    differ only in their last entry, in a few entries or everywhere; 0 x n
+    shapes included, and either map possibly a transposed (non-contiguous)
+    view."""
+    field = draw(st.sampled_from([F7, MERSENNE_61, QQ]))
+    dst, src = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    values = field_values(field)
+    lhs = draw(st.lists(values, min_size=dst * src, max_size=dst * src))
+    rhs = list(lhs)
+    how = draw(st.sampled_from(["equal", "last", "some", "fresh"]))
+    if rhs and how == "last":
+        rhs[-1] = draw(values.filter(lambda v: v != lhs[-1]))
+    elif how == "some":
+        for k in draw(st.lists(st.integers(0, max(len(rhs) - 1, 0)), max_size=3)):
+            if rhs:
+                rhs[k] = draw(values)
+    elif how == "fresh":
+        rhs = draw(st.lists(values, min_size=dst * src, max_size=dst * src))
+
+    def build(entries):
+        if not draw(st.booleans()):
+            return DenseMap.from_flat(field, dst, src, entries)
+        columns = [entries[i * src + j] for j in range(src) for i in range(dst)]
+        return DenseMap.from_flat(field, src, dst, columns).transpose()
+
+    return build(lhs), build(rhs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(map_pair())
+def test_first_difference_against_argwhere(pair):
+    f, g = pair
+    assert f.first_difference(g) == reference_first_difference(f, g)
+    assert g.first_difference(f) == reference_first_difference(g, f)
+
+
+def test_first_difference_edge_shapes():
+    for field in (F7, MERSENNE_61, QQ):
+        for dst, src in ((0, 0), (0, 3), (3, 0)):
+            z = DenseMap.zero(field, dst, src)
+            assert z.first_difference(z) is None
+        wide = DenseMap.from_flat(field, 2, 3, [0, 0, 0, 0, 0, 1])
+        assert wide.first_difference(DenseMap.zero(field, 2, 3)) == (1, 2, "1", "0")
+        tall = wide.transpose()
+        assert tall.first_difference(DenseMap.zero(field, 3, 2)) == (2, 1, "1", "0")
+    half = DenseMap.from_flat(QQ, 1, 2, [Fraction(1, 2), 1])
+    third = DenseMap.from_flat(QQ, 1, 2, [Fraction(1, 2), Fraction(1, 3)])
+    assert half.first_difference(third) == (0, 1, "1", "1/3")
+
+
+# -- permutation gathers stay canonical ------------------------------------
+
+GATHER_CASES = [(F7, False), (OBJECT_RESIDUES, False), (QQ, False), (QQ, True)]
+GATHER_IDS = ["F_7", "F_(2^64-59)", "Q", "Q-past-2^62"]
+
+
+def random_map(rng, field, dst, src, big):
+    """Random entries, kept dense even where they form a permutation matrix."""
+    if field == QQ:
+        top = 2 ** 66 if big else 5
+        entries = [Fraction(rng.randint(-top, top), rng.randint(1, 3))
+                   for _ in range(dst * src)]
+    else:
+        entries = [rng.randrange(field.modulus) for _ in range(dst * src)]
+    return twin(DenseMap.from_flat(field, dst, src, entries))
+
+
+def random_permutation(rng, field, n):
+    return DenseMap.permutation(field, rng.sample(range(n), n))
+
+
+def assert_same_canonical_map(got, want):
+    assert got._src_of_dst is None and want._src_of_dst is None
+    assert got == want and got.flat_strings() == want.flat_strings()
+    assert got._den == want._den
+    assert got._num.dtype == want._num.dtype
+    assert not got._num.flags.writeable
+
+
+@pytest.mark.parametrize("field, big", GATHER_CASES, ids=GATHER_IDS)
+def test_compose_gathers_stay_canonical(field, big):
+    rng = random.Random(f"compose {field} {big}")
+    for _ in range(40):
+        n, other = rng.randint(1, 5), rng.randint(1, 4)
+        p = random_permutation(rng, field, n)
+        right, left = random_map(rng, field, n, other, big), random_map(rng, field, other, n, big)
+        assert_same_canonical_map(compose(p, right), compose(twin(p), right))
+        assert_same_canonical_map(compose(left, p), compose(left, twin(p)))
+
+
+@pytest.mark.parametrize("field, big", GATHER_CASES, ids=GATHER_IDS)
+def test_kron_compose_permutation_legs_stay_canonical(field, big):
+    rng = random.Random(f"kron_compose {field} {big}")
+    for _ in range(40):
+        legs = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        factors = [random_permutation(rng, field, s) if rng.random() < 0.7
+                   else DenseMap.identity(field, s) for s in legs]
+        g = random_map(rng, field, math.prod(legs), rng.randint(1, 3), big)
+        got = kron_compose(field, factors, g)
+        want = compose(kron_all(field, [twin(f) for f in factors]), g)
+        if all(f.is_identity() for f in factors):
+            assert got is g
+        else:
+            assert_same_canonical_map(got, want)
+
+
+# -- identity known per map ------------------------------------------------
+
+def identity_cases(field, rng):
+    """Index maps built every way that makes them: (how, map)."""
+    p = random_permutation(rng, field, 4)
+    i3 = DenseMap.identity(field, 3)
+    yield "identity", DenseMap.identity(field, rng.randint(0, 4))
+    yield "from_flat identity", DenseMap.from_flat(field, 3, 3, [int(i == j) for i in range(3)
+                                                               for j in range(3)])
+    yield "from_flat", DenseMap.from_flat(field, 2, 2, [0, 1, 1, 0])
+    yield "compose inverse", compose(p, p.transpose())
+    yield "compose", compose(p, p)
+    yield "kron identities", kron(i3, DenseMap.identity(field, 2))
+    yield "kron", kron(p, i3)
+    yield "transpose", p.transpose()
+    yield "transpose identity", i3.transpose()
+    yield "power(0)", p.power(0)
+    yield "power", p.power(rng.randint(1, 5))
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=str)
+def test_is_identity_agrees_with_a_fresh_scan(field):
+    rng = random.Random(str(field))
+    for _ in range(20):
+        for how, m in identity_cases(field, rng):
+            assert m._src_of_dst is not None, how
+            fresh = bool((m._src_of_dst == np.arange(m.dst_dim)).all())
+            assert m.is_identity() == fresh, how
+            assert m.is_identity() == fresh and m._identity == fresh, how  # kept
+            assert twin(m).is_identity() == fresh, how
+    assert DenseMap.identity(field, 5)._identity is True
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([F7, QQ]), st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_index_map_equality_and_hash_agree_with_dense_twins(field, images):
+    p, q = (DenseMap.permutation(field, list(i)) for i in images)
+    assert (p == q) == (twin(p) == twin(q)) == (list(images[0]) == list(images[1]))
+    assert p == twin(p) and twin(p) == p
+    assert hash(p) == hash(twin(p))
+    if p == q:
+        assert hash(p) == hash(q)
+    other_field = QQ if field == F7 else F7
+    assert p != DenseMap.permutation(other_field, list(images[0]))
+    assert p != DenseMap.identity(field, p.dst_dim + 1)
+
+
+# -- direct builders against the code they replaced ------------------------
+
+def reference_flip_images(n, p):
+    """flip_perm's image loop as it was written."""
+    images = [0] * (n * p)
+    for i in range(p):
+        for j in range(n):
+            images[i * n + j] = j * p + i
+    return tuple(images)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([F7, QQ]), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_flip_perm_against_permutation_matrix(field, n, p, data):
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=n * p, max_size=n * p))
+    got = flip_perm(n, p, dims, field)
+    want = Permutation(reference_flip_images(n, p)).matrix(dims, field)
+    assert got._src_of_dst is not None and not got._src_of_dst.flags.writeable
+    assert np.array_equal(got._src_of_dst, want._src_of_dst)
+    assert got == want and got.dst_dim == math.prod(dims)
+    assert flip_perm(n, p).images == reference_flip_images(n, p)
+
+
+def test_flip_perm_checks_its_dims():
+    with pytest.raises(LengthMismatch):
+        flip_perm(2, 2, [2, 2, 2], F7)
+    with pytest.raises(ValueError):
+        flip_perm(2, 2, [2, 2, 2, 2])
+
+
+def reference_diagonal_endo(rng, field, dim):
+    """random_diagonal_endo as it was written, through nested rows."""
+    if field.kind == "prime_field":
+        diag = [rng.randrange(field.modulus) for _ in range(dim)]
+    else:
+        diag = [rng.randint(-3, 3) for _ in range(dim)]
+    rows = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return DenseMap.from_rows(field, rows)
+
+
+@pytest.mark.parametrize("field", [F7, QQ, GF(2 ** 64 + 13)], ids=str)
+def test_random_diagonal_endo_against_nested_rows(field):
+    identities = 0
+    for seed in range(300):
+        dim = seed % 4 + 1
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got, want = random_diagonal_endo(ours, field, dim), reference_diagonal_endo(theirs, field, dim)
+        assert ours.getstate() == theirs.getstate()  # the same draws, in the same order
+        assert (got._src_of_dst is None) == (want._src_of_dst is None)
+        assert got == want and got.flat_strings() == want.flat_strings()
+        if got._src_of_dst is None:
+            assert got._num.dtype == want._num.dtype and not got._num.flags.writeable
+        identities += got._src_of_dst is not None
+    assert identities > 0 or field.modulus == 2 ** 64 + 13
