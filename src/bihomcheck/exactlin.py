@@ -21,12 +21,11 @@ through the per-entry parser, which words every parse error.  No operation
 builds a dense array of more than ENTRY_BUDGET entries; it raises TooLarge,
 which the CLI reports with exit code 2.  Every exact linear system goes
 through one solver, _solve, which classifies C X = B for any number of
-right-hand columns; invert is _solve of [num(f) | I].  Elimination runs on
-int64 residues mod a prime below 2^31: over such an F_p that gives the
-reduced row echelon form itself, and over Q a unique solution mod 2^31 - 1
-is rebuilt by rational reconstruction and kept only after an exact check.
-Every other case is fraction-free Gauss-Jordan (Bareiss) on the same integer
-numerators.
+right-hand columns; invert is _solve of [num(f) | I].  Over F_p _solve reads
+the reduced row echelon form mod p.  Over Q the same elimination runs mod
+primes from 2^31 - 1 down, on int64 residues, and the reduced row echelon
+form is rebuilt from them by rational reconstruction and kept only after an
+exact integer check, which proves it is the one over Q.
 
 Maps carry explicit source/target dimensions; a map f: V_src -> V_dst has
 shape dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies
@@ -65,8 +64,8 @@ _INT64_ENTRY_LIMIT = 1 << 62  # stored numerators below it are int64
 # No operation builds a dense array of more entries (1 GiB of int64).
 ENTRY_BUDGET = 1 << 27
 # Elimination on int64 residues mod a prime up to _MODULAR_PRIME, the largest
-# below 2^31, cannot overflow; over Q it runs mod _MODULAR_PRIME and is
-# certified by an exact check.
+# below 2^31, cannot overflow; over Q it runs mod _MODULAR_PRIME and the
+# primes below it, and is certified by an exact check.
 _MODULAR_PRIME = (1 << 31) - 1
 
 
@@ -583,51 +582,30 @@ def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> D
     return out
 
 
-def _reduce_mod(a: np.ndarray, ncols: int, p: int):
-    """Gauss-Jordan elimination of the integer array a mod a prime p, on its
-    first ncols columns; the pivot is the first nonzero row at or below the
-    current one.  The pivot row is scaled to 1 and subtracted only from the
-    rows with a nonzero entry in its column.  The residues are int64 for
-    p < 2^31, where each product of two of them is below 2^62 and nothing
-    overflows, and Python ints otherwise.  Returns the reduced row echelon
-    form of a mod p, as a fresh array, and the pivot columns."""
+def _reduce_mod(a: np.ndarray, p: int):
+    """Gauss-Jordan elimination of the integer array a mod a prime p; the
+    pivot is the first nonzero row at or below the current one.  The pivot
+    row is scaled to 1 and subtracted only from the rows with a nonzero entry
+    in its column.  The residues are int64 for p < 2^31, where each product
+    of two of them is below 2^62 and nothing overflows, and Python ints
+    otherwise.  Returns the reduced row echelon form of a mod p, as a fresh
+    array, and its pivot columns."""
     num = (np.remainder(a, p).astype(np.int64, copy=False) if p <= _MODULAR_PRIME
            else np.remainder(a.astype(object), p))
     pivots = []
-    for col in range(ncols):
+    for col in range(num.shape[1]):
         r = len(pivots)
-        nonzero = np.flatnonzero(num[r:, col])
+        nonzero = num[r:, col].nonzero()[0]
         if not nonzero.size:
             continue
         num[[r, r + nonzero[0]]] = num[[r + nonzero[0], r]]
         # rows r and below are zero left of col, so only columns col on change
         num[r, col:] = num[r, col:] * pow(int(num[r, col]), -1, p) % p
-        rows = np.flatnonzero(num[:, col])
+        rows = num[:, col].nonzero()[0]
         rows = rows[rows != r]
         num[rows, col:] = (num[rows, col:] - num[rows, col:col + 1] * num[r, col:]) % p
         pivots.append(col)
     return num, pivots
-
-
-def _row_reduce(num: np.ndarray, ncols: int):
-    """Fraction-free Gauss-Jordan elimination over Q (Bareiss, Math. Comp.
-    22, 1968) of the integer object array num, in place, on its first ncols
-    columns, with the pivot rule of _reduce_mod.  Each other row becomes
-    (pivot * row - row[col] * pivot_row) / d, an exact quotient by the
-    previous pivot d.  Returns the pivot columns and the last pivot d; every
-    pivot entry ends equal to d, so num / d is the reduced row echelon form."""
-    pivots, d = [], 1
-    for col in range(ncols):
-        r = len(pivots)
-        nonzero = np.flatnonzero(num[r:, col])
-        if not nonzero.size:
-            continue
-        num[[r, r + nonzero[0]]] = num[[r + nonzero[0], r]]
-        others = np.arange(len(num)) != r
-        num[others] = (num[r, col] * num[others] - num[others, col:col + 1] * num[r]) // d
-        d = num[r, col]
-        pivots.append(col)
-    return pivots, d
 
 
 def _reconstruct(residues: np.ndarray, p: int) -> Optional[DenseMap]:
@@ -650,23 +628,46 @@ def _reconstruct(residues: np.ndarray, p: int) -> Optional[DenseMap]:
     return _canonical(QQ, *residues.shape, num, lcm)
 
 
-def _certified_solution(c: np.ndarray, b: np.ndarray) -> Optional[DenseMap]:
-    """The unique X over Q with c X = b, for integer arrays c and b, found
-    mod _MODULAR_PRIME and kept only when it passes the exact check c X = b;
-    None (leave it to Bareiss) when c loses rank mod the prime, the system is
-    inconsistent mod the prime, an entry has no rational reconstruction, or
-    the check fails.  A rank mod p equal to the number of columns proves full
-    column rank over Q, as rank can only drop mod p."""
-    rows, unknowns = c.shape
-    num, pivots = _reduce_mod(np.hstack((c, b)), unknowns, _MODULAR_PRIME)
-    if len(pivots) < unknowns or num[unknowns:, unknowns:].any():
-        return None
-    x = _reconstruct(num[:unknowns, unknowns:], _MODULAR_PRIME)
-    if x is None:
-        return None
-    cx = np.dot(*_operands((DenseMap(QQ, rows, unknowns, c), x), unknowns))
-    rhs = DenseMap(QQ, rows, b.shape[1], b)
-    return x if _canonical(QQ, rows, b.shape[1], cx, x._den) == rhs else None
+def _rref_over_q(a: np.ndarray):
+    """The reduced row echelon form R over Q of the integer array a, as the
+    numerators of its nonzero rows, its pivot columns and the numerators'
+    denominator; multimodular, as FLINT's fmpz_mat_rref_mul.  a is reduced mod
+    the primes from _MODULAR_PRIME down.  Rank and pivots can only get worse
+    mod p, so the primes with the best pivots seen (the most, then the
+    lexicographically first) are combined by the Chinese remainder theorem,
+    a worse prime is skipped and a better one starts afresh.  The entries of
+    R off its pivot columns are rebuilt by _reconstruct and kept once
+    a[:, free] = a[:, pivots] R[:, free] holds exactly.  That check proves R
+    is the reduced row echelon form over Q: its pivot columns of a, being
+    independent mod p, are independent over Q.  Only finitely many primes
+    are unlucky, and the Hadamard bound caps the modulus R needs, so the
+    loop ends."""
+    rows, width = a.shape
+    best, p = None, _MODULAR_PRIME
+    while True:
+        num, pivots = _reduce_mod(a, p)
+        rank = len(pivots)
+        if pivots == best:
+            step = (num[:rank, free] - residues) * pow(modulus, -1, p) % p
+            residues = residues.astype(object) + modulus * step.astype(object)
+            modulus, count = modulus * p, count + 1
+        elif best is None or (-rank, pivots) < (-len(best), best):
+            free = np.delete(np.arange(width), pivots)
+            best, residues, modulus, count = pivots, num[:rank, free], p, 1
+        # reconstruct at 1, 2, 4, ... primes, so that the attempts cost at
+        # most about twice the last one
+        if (pivots == best and count & (count - 1) == 0
+                and (x := _reconstruct(residues, modulus)) is not None):
+            basis = DenseMap(QQ, rows, rank, a[:, pivots])
+            product = np.dot(*_operands((basis, x), rank))
+            if _canonical(QQ, rows, free.size, product, x._den) == \
+                    DenseMap(QQ, rows, free.size, a[:, free]):
+                break
+        p = next(q for q in range(p - 2, 2, -2) if _is_prime(q))
+    rref = np.zeros((rank, width), dtype=x._num.dtype if x._den < _INT64_ENTRY_LIMIT else object)
+    rref[:, free] = x._num
+    rref[np.arange(rank), pivots] = x._den
+    return rref, pivots, x._den
 
 
 def invert(f: DenseMap) -> Optional[DenseMap]:
@@ -719,25 +720,21 @@ def solve_linear(system: Sequence[tuple], unknowns: int,
 
 
 def _solve(augmented: DenseMap, unknowns: int):
-    """Reduce the augmented map [C | B] on its first `unknowns` columns and
-    classify C X = B, for every column of B at once.  Returns the status,
-    then the numerators of a solution X as a fresh array (every free unknown
-    set to zero in each column) and their denominator; both are None when
-    some column has no solution.  Over F_p _reduce_mod gives the reduced row
-    echelon form itself; over Q a certified solution mod a prime decides a
-    unique solution, and every other case is reduced by Bareiss.  The reduced
+    """Reduce the augmented map [C | B] and classify C X = B, for every
+    column of B at once: no solution when a pivot falls in B, else a unique
+    one when every unknown has a pivot.  Returns the status, then the
+    numerators of a solution X as a fresh array (every free unknown set to
+    zero in each column) and their denominator; both are None when some
+    column has no solution.  Over F_p _reduce_mod gives the reduced row
+    echelon form, and over Q _rref_over_q its certified lift.  The reduced
     row echelon form does not depend on the order of the rows, so neither do
     the status and the solution's values."""
     p = augmented.field.modulus
-    if p is not None:
-        (num, pivots), d = _reduce_mod(augmented._num, unknowns, p), 1
-    elif (x := _certified_solution(augmented._num[:, :unknowns],
-                                   augmented._num[:, unknowns:])) is not None:
-        return UNIQUE, x._num.copy(), x._den
+    if p is None:
+        num, pivots, d = _rref_over_q(augmented._num)
     else:
-        num = augmented._num.astype(object)  # the rows scaled by the common denominator
-        pivots, d = _row_reduce(num, unknowns)
-    if num[len(pivots):, unknowns:].any():
+        (num, pivots), d = _reduce_mod(augmented._num, p), 1
+    if pivots and pivots[-1] >= unknowns:
         return NO_SOLUTION, None, None
     solution = np.zeros((unknowns, augmented.src_dim - unknowns), dtype=num.dtype)
     solution[pivots] = num[:len(pivots), unknowns:]

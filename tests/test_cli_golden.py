@@ -35,7 +35,7 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 # the antipode is not unique, untwist is refused, and the file has no dual.
 INSTANCES = {"f7_c3": (GF(7), 3, 2), "q_c3": (QQ, 3, 2), "q_c4": (QQ, 4, 3),
              "f7_c5": (GF(7), 5, 2), "q_c5": (QQ, 5, 3),
-             "f7_c6": (GF(7), 6, 2), "q_c6": (QQ, 6, 2)}
+             "f7_c6": (GF(7), 6, 2), "q_c6": (QQ, 6, 2), "q_c12": (QQ, 12, 2)}
 
 CASES = []
 
@@ -68,6 +68,10 @@ for _stem in ("f7_c6", "q_c6"):
     _case("check", f"{_stem}.json", "--structure", "bimonoid", "--name", "twisted")
     _case("delta", f"{_stem}.json", "--name", "twisted", "-n", "2",
           "--check-all-sequences", "--max-K", "4")
+# a non-unique antipode over Q whose system (288 x 145) is large enough for
+# the cost of its elimination to show
+for _method in ("direct", "untwist"):
+    _case("antipode", "q_c12.json", "--name", "twisted", "--method", _method)
 _case("twist", "f7_c3.json", "--name", "plain", "-o", "out.json", writes=["out.json"])
 _case("twist", "q_c4.json", "--name", "twisted", "--direction", "untwist",
       "-o", "out.json", writes=["out.json"])

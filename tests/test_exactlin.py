@@ -724,17 +724,18 @@ def reference_solve(system, unknowns, field):
 
 
 # F_(2^31 - 1) is the largest modulus eliminated on int64 residues, and
-# 2147483659 the first prime past 2^31, which Bareiss reduces.
+# 2147483659 the first prime past 2^31, whose residues _reduce_mod keeps as
+# Python ints.
 ELIMINATION_FIELDS = (QQ, GF(2), F7, GF(2 ** 31 - 1), GF(2147483659), GF(2 ** 61 - 1))
 
 
 @st.composite
-def linear_system(draw, square=False, sparse=False):
+def linear_system(draw, square=False, sparse=False, fields=ELIMINATION_FIELDS):
     """A system whose rows are random, or combinations of a few base rows
     (rank-deficient), with one right-hand side optionally knocked off.  A
     sparse system has up to 12 unknowns and 0/+-1 coefficients, as the
     antipode systems have, and the right-hand sides of a drawn solution."""
-    field = draw(st.sampled_from(ELIMINATION_FIELDS))
+    field = draw(st.sampled_from(fields))
     unknowns = draw(st.integers(0, 12 if sparse else 4))
     n_rows = unknowns if square else draw(st.integers(unknowns, 2 * unknowns + 1) if sparse
                                           else st.integers(0, 5))
@@ -807,12 +808,12 @@ def test_sparse_invert_against_fraction_reference(case):
 
 
 @st.composite
-def permuted_augmented_system(draw):
+def permuted_augmented_system(draw, fields=(F7, GF(2 ** 61 - 1), QQ)):
     """[C | B] over F_7, F_(2^61-1) or Q with one to three right-hand columns,
     and the same map with its rows permuted.  C has random rows or
     combinations of a few base rows (rank-deficient); B is C X for a drawn X,
     with one entry optionally knocked off, or random."""
-    field = draw(st.sampled_from((F7, GF(2 ** 61 - 1), QQ)))
+    field = draw(st.sampled_from(fields))
     unknowns, columns, n_rows = draw(st.integers(0, 4)), draw(st.integers(1, 3)), \
         draw(st.integers(0, 6))
     entries = field_entries(field)
@@ -854,76 +855,203 @@ def test_solve_ignores_row_order(case):
     assert solved(permuted) == solved(augmented)
 
 
-@pytest.fixture
-def elimination_calls(monkeypatch):
-    """Counts of the Bareiss and int64 eliminations run, and whether each
-    rational reconstruction found an answer."""
-    calls = {"bareiss": 0, "modular": 0, "reconstructed": []}
+# The fraction-free elimination over Q as it was written in exactlin, kept
+# verbatim as the reference for the multimodular one.
 
-    def wrap(name, record):
-        original = getattr(exactlin, name)
+def _row_reduce(num: np.ndarray, ncols: int):
+    """Fraction-free Gauss-Jordan elimination over Q (Bareiss, Math. Comp.
+    22, 1968) of the integer object array num, in place, on its first ncols
+    columns, with the pivot rule of _reduce_mod.  Each other row becomes
+    (pivot * row - row[col] * pivot_row) / d, an exact quotient by the
+    previous pivot d.  Returns the pivot columns and the last pivot d; every
+    pivot entry ends equal to d, so num / d is the reduced row echelon form."""
+    pivots, d = [], 1
+    for col in range(ncols):
+        r = len(pivots)
+        nonzero = np.flatnonzero(num[r:, col])
+        if not nonzero.size:
+            continue
+        num[[r, r + nonzero[0]]] = num[[r + nonzero[0], r]]
+        others = np.arange(len(num)) != r
+        num[others] = (num[r, col] * num[others] - num[others, col:col + 1] * num[r]) // d
+        d = num[r, col]
+        pivots.append(col)
+    return pivots, d
 
-        def recording(*args):
-            out = original(*args)
-            record(out)
-            return out
-        monkeypatch.setattr(exactlin, name, recording)
 
-    wrap("_row_reduce", lambda out: calls.update(bareiss=calls["bareiss"] + 1))
-    wrap("_reduce_mod", lambda out: calls.update(modular=calls["modular"] + 1))
-    wrap("_reconstruct", lambda out: calls["reconstructed"].append(out is not None))
-    return calls
+def bareiss_solve(augmented: DenseMap, unknowns: int):
+    """_solve's (status, numerators, denominator) over Q, by _row_reduce."""
+    num = augmented._num.astype(object)  # the rows scaled by the common denominator
+    pivots, d = _row_reduce(num, unknowns)
+    if num[len(pivots):, unknowns:].any():
+        return NO_SOLUTION, None, None
+    solution = np.zeros((unknowns, augmented.src_dim - unknowns), dtype=object)
+    solution[pivots] = num[:len(pivots), unknowns:]
+    return (UNIQUE if len(pivots) == unknowns else UNDERDETERMINED), solution, d
+
+
+def fraction_solve(augmented: DenseMap, unknowns: int):
+    """The status and zero-filled solution map over Q, by reference_row_reduce."""
+    rows, columns = augmented.rows(), augmented.src_dim - unknowns
+    pivots = reference_row_reduce(QQ, rows, unknowns)
+    if any(v for row in rows[len(pivots):] for v in row[unknowns:]):
+        return NO_SOLUTION, None
+    solution = [[0] * columns for _ in range(unknowns)]
+    for i, col in enumerate(pivots):
+        solution[col] = rows[i][unknowns:]
+    return ((UNIQUE if len(pivots) == unknowns else UNDERDETERMINED),
+            DenseMap.from_rows(QQ, solution, columns))
+
+
+def solved_map(result, unknowns: int, columns: int):
+    status, num, d = result
+    return status, num if num is None else exactlin._canonical(QQ, unknowns, columns, num, d)
 
 
 P = exactlin._MODULAR_PRIME
 
+# entries for which P is unlucky or too small a modulus: multiples of P, and
+# numerators or denominators past sqrt(P/2), past P and past 2^62
+multi_prime_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-2, 2).map(lambda k: k * P),
+    st.builds(Fraction,
+              st.sampled_from([1, 40000, P + 1, 2 ** 62 + 1, 10 ** 25]).flatmap(
+                  lambda n: st.sampled_from([n, -n])),
+              st.sampled_from([1, 3, 40000, 2 ** 31 + 1, 2 ** 63 + 5])))
+
+
+@st.composite
+def multi_prime_system(draw):
+    """[C | B] over Q that needs more primes than P: entries from
+    multi_prime_entries, and optionally a column of C that is P times
+    another.  B is C X for a drawn X of the same entries, or random, with
+    one entry optionally knocked off."""
+    unknowns, columns = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    n_rows = draw(st.integers(1, 5))
+
+    def matrix(dst, src):
+        return draw(st.lists(st.lists(multi_prime_entries, min_size=src, max_size=src),
+                             min_size=dst, max_size=dst))
+
+    c = matrix(n_rows, unknowns)
+    if unknowns > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(unknowns)))[:2]
+        for row in c:
+            row[j] = P * row[i]
+    if draw(st.booleans()):
+        x = matrix(unknowns, columns)
+        b = [[sum(ci * xr[k] for ci, xr in zip(row, x)) for k in range(columns)] for row in c]
+    else:
+        b = matrix(n_rows, columns)
+    if draw(st.booleans()):
+        b[-1][-1] += 1
+    return DenseMap.from_rows(QQ, [cr + br for cr, br in zip(c, b)]), unknowns
+
+
+def _as_augmented(case):
+    _, unknowns, system = case
+    return DenseMap.from_flat(QQ, len(system), unknowns + 1,
+                              [v for coeffs, rhs in system for v in (*coeffs, rhs)]), unknowns
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(linear_system(fields=(QQ,)).map(_as_augmented),
+                 permuted_augmented_system(fields=(QQ,)).map(lambda case: (case[0], case[2])),
+                 multi_prime_system()))
+def test_solve_over_q_against_bareiss_and_fraction_references(case):
+    augmented, unknowns = case
+    columns = augmented.src_dim - unknowns
+    got = solved_map(exactlin._solve(augmented, unknowns), unknowns, columns)
+    assert got == solved_map(bareiss_solve(augmented, unknowns), unknowns, columns)
+    assert got == fraction_solve(augmented, unknowns)
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """The primes _reduce_mod ran modulo, in order, and whether each
+    rational reconstruction found an answer."""
+    calls = {"primes": [], "reconstructed": []}
+    reduce_mod, reconstruct = exactlin._reduce_mod, exactlin._reconstruct
+
+    def reducing(a, p):
+        calls["primes"].append(p)
+        return reduce_mod(a, p)
+
+    def reconstructing(residues, p):
+        out = reconstruct(residues, p)
+        calls["reconstructed"].append(out is not None)
+        return out
+    monkeypatch.setattr(exactlin, "_reduce_mod", reducing)
+    monkeypatch.setattr(exactlin, "_reconstruct", reconstructing)
+    return calls
+
+
+# the primes below P, found by trial division
+PRIMES = [P] + [q for q in range(P - 2, P - 100, -2) if trial_division_is_prime(q)]
+
 
 class TestModularElimination:
-    @pytest.mark.parametrize("system, unknowns, reconstructed", [
-        ([([P, 0], 2 * P), ([0, 1], 3)], 2, []),   # det P: rank 1 mod P
-        ([([1, 1], 1), ([P + 1, 1], 0)], 2, []),   # det P, off the diagonal
-        ([([1], 40000)], 1, [False]),              # numerator past sqrt(P/2)
-        ([([40000], 1)], 1, [False]),              # denominator past it
-        ([([1], P + 1)], 1, [True]),               # reconstructs as 1, fails the check
-        ([([1], 0), ([P], 1)], 1, []),             # 0 = 1 mod P
-        ([([1], 1), ([1], P + 1)], 1, [True]),     # consistent mod P only
+    """Inputs on which P is unlucky or too small: the route goes on to the
+    primes below it, and the results equal the references.  Reconstruction
+    runs at 1, 2, 4, ... primes since the last better pivot list.  The test
+    names are those of the Bareiss fallback these inputs once reached."""
+
+    @pytest.mark.parametrize("system, unknowns, primes, reconstructed", [
+        # det P: rank 1 mod P, then the full rank mod the next prime starts afresh
+        ([([P, 0], 2 * P), ([0, 1], 3)], 2, 2, [True, True]),
+        # det P, off the diagonal: x = -1/P needs four primes past P
+        ([([1, 1], 1), ([P + 1, 1], 0)], 2, 5, [True, True, False, True]),
+        ([([1], 40000)], 1, 2, [False, True]),           # numerator past sqrt(P/2)
+        ([([40000], 1)], 1, 2, [False, True]),           # denominator past it
+        ([([1], P + 1)], 1, 4, [True, False, True]),     # reconstructs as 1 mod P
+        ([([1], 0), ([P], 1)], 1, 1, [True]),            # 0 = 1 mod P: a pivot in B
+        ([([1], 1), ([1], P + 1)], 1, 2, [True, True]),  # consistent mod P only
     ], ids=["diagonal", "dense", "numerator", "denominator", "congruent", "inconsistent",
             "inconsistent-over-q"])
     def test_unlucky_prime_falls_back_to_bareiss(self, elimination_calls, system, unknowns,
-                                                 reconstructed):
+                                                 primes, reconstructed):
         got = solve_linear(system, unknowns, QQ)
-        assert elimination_calls["bareiss"] == 1
+        assert elimination_calls["primes"] == PRIMES[:primes]
         assert elimination_calls["reconstructed"] == reconstructed
         assert _typed(got) == _typed(reference_solve(system, unknowns, QQ))
+        augmented = _as_augmented((QQ, unknowns, system))[0]
+        assert solved_map(exactlin._solve(augmented, unknowns), unknowns, 1) == \
+            solved_map(bareiss_solve(augmented, unknowns), unknowns, 1)
 
-    @pytest.mark.parametrize("rows, reconstructed", [
-        ([[P, 0], [0, 1]], []), ([[40000]], [False]), ([[P + 1]], [True]),
+    @pytest.mark.parametrize("rows, primes, reconstructed", [
+        ([[P, 0], [0, 1]], 5, [True, True, False, True]),
+        ([[40000]], 2, [False, True]),
+        ([[P + 1]], 4, [True, False, True]),
     ], ids=["diagonal", "denominator", "congruent"])
-    def test_unlucky_inverse_falls_back_to_bareiss(self, elimination_calls, rows, reconstructed):
+    def test_unlucky_inverse_falls_back_to_bareiss(self, elimination_calls, rows, primes,
+                                                   reconstructed):
         f = DenseMap.from_rows(QQ, rows)
         got = invert(f)
-        assert elimination_calls["bareiss"] == 1
+        assert elimination_calls["primes"] == PRIMES[:primes]
         assert elimination_calls["reconstructed"] == reconstructed
         assert got == reference_invert(f)
 
     def test_certified_solution_skips_bareiss(self, elimination_calls):
+        # one prime and one reconstruction: a unique solution with small entries
         system = [([2, 1], 1), ([1, -1], Fraction(1, 3)), ([3, 0], Fraction(4, 3))]
         got = solve_linear(system, 2, QQ)
-        assert elimination_calls == {"bareiss": 0, "modular": 1, "reconstructed": [True]}
+        assert elimination_calls == {"primes": [P], "reconstructed": [True]}
         assert _typed(got) == _typed(reference_solve(system, 2, QQ))
         for rows in ([[2, 1], [Fraction(1, 2), -1]], [[Fraction(1, P + 1)]]):
             f = DenseMap.from_rows(QQ, rows)  # the inverse of num(f) is scaled by den(f)
             assert invert(f) == reference_invert(f)
-        assert elimination_calls["bareiss"] == 0
+        assert elimination_calls["primes"] == [P] * 3
 
     @pytest.mark.parametrize("field", [GF(2), GF(2 ** 31 - 1), GF(2147483659), GF(2 ** 61 - 1),
                                        GF(2 ** 64 + 13)], ids=str)
     def test_prime_fields_skip_bareiss(self, elimination_calls, field):
+        # over F_p one _reduce_mod per solve, modulo p itself, and no reconstruction
         system = [([1, 2], 3), ([0, 1], 1), ([1, 1], 1)]
         got = solve_linear(system, 2, field)
         f = DenseMap.from_rows(field, [[2, 1], [1, 1]])
         inv = invert(f)
-        assert elimination_calls == {"bareiss": 0, "modular": 2, "reconstructed": []}
+        assert elimination_calls == {"primes": [field.modulus] * 2, "reconstructed": []}
         assert _typed(got) == _typed(reference_solve(system, 2, field))
         assert inv == reference_invert(f)
 
@@ -939,12 +1067,12 @@ def test_invert_index_map_against_fraction_reference(field, images, read):
     else:
         f = DenseMap.permutation(field, images)
     assert f._src_of_dst is not None
-    original = exactlin._row_reduce, exactlin._reduce_mod
+    original = exactlin._reduce_mod
     try:
-        exactlin._row_reduce = exactlin._reduce_mod = None  # no elimination may run
+        exactlin._reduce_mod = None  # no elimination may run
         got = invert(f)
     finally:
-        exactlin._row_reduce, exactlin._reduce_mod = original
+        exactlin._reduce_mod = original
     assert got._src_of_dst is not None
     assert got == reference_invert(f)
 

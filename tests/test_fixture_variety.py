@@ -18,6 +18,7 @@ from bihomcheck.coherence import (
     check_duoidal_figure,
     check_lax_figure,
 )
+from bihomcheck.errors import NotInvertible
 from bihomcheck.exactlin import GF, QQ, DenseMap, compose
 from bihomcheck.fixtures import (
     cyclic_group_bundle,
@@ -27,6 +28,7 @@ from bihomcheck.fixtures import (
 from bihomcheck.structures import (
     ALTERNATIVE,
     ITERATIVE,
+    StructureBundle,
     check_bimonoid,
     check_generalized_assoc,
     check_generalized_coassoc,
@@ -40,6 +42,7 @@ from bihomcheck.structures import (
 from bihomcheck.twist import (
     DIRECT,
     FOUND,
+    NON_UNIQUE,
     VIA_UNTWIST,
     PlainStructure,
     antipode_solve,
@@ -109,6 +112,53 @@ class TestCompositeOrderOverRationals:
         t = yau_twist(PlainStructure(cyclic_group_bundle(QQ, 4, 3)))
         for k in coassoc_sequences(4):
             assert check_generalized_coassoc(t, k).passed, k
+
+
+def product_group_bundle(field, m, n):
+    """k[C_m x C_n] from its group table, basis (a, b) at index a * n + b,
+    with (a, b) -> (a, 0) in every endomorphism slot: a bialgebra
+    endomorphism that is not invertible for n > 1."""
+    elements = [(a, b) for a in range(m) for b in range(n)]
+    index = {g: i for i, g in enumerate(elements)}
+    d = len(elements)
+
+    def basis_map(dst, images):  # source basis j goes to target basis images[j]
+        return DenseMap.from_flat(field, dst, len(images), [
+            int(images[j] == i) for i in range(dst) for j in range(len(images))])
+
+    mu = basis_map(d, [index[(a + c) % m, (b + e) % n] for a, b in elements for c, e in elements])
+    delta = basis_map(d * d, [i * d + i for i in range(d)])
+    phi = basis_map(d, [index[a, 0] for a, _ in elements])
+    return StructureBundle(BiHomObject(d, field, phi, phi, phi, phi), mu=mu,
+                           eta=basis_map(d, [index[0, 0]]), delta=delta,
+                           epsilon=DenseMap.from_flat(field, 1, d, [1] * d))
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3)], ids=lambda v: str(v))
+class TestTwistThatCannotBeUndone:
+    """k[C_m x C_n] twisted along (a, b) -> (a, 0): a singular alpha for invert
+    and a non-unique antipode for the solver."""
+
+    def test_is_a_bimonoid_and_a_regular_hopf_module(self, field, m, n):
+        t = yau_twist(PlainStructure(product_group_bundle(field, m, n)))
+        assert check_bimonoid(t).passed
+        assert check_hopf_module(regular_module(t), regular_comodule(t)).passed
+
+    def test_untwist_is_refused(self, field, m, n):
+        t = yau_twist(PlainStructure(product_group_bundle(field, m, n)))
+        with pytest.raises(NotInvertible, match="^alpha is singular$"):
+            untwist(t)
+
+    def test_direct_antipode_is_not_unique(self, field, m, n):
+        t = yau_twist(PlainStructure(product_group_bundle(field, m, n)))
+        got = antipode_solve(t, DIRECT)
+        assert got.status == NON_UNIQUE and got.both_sided
+        # the witness of the reduced row echelon form, every free unknown zero:
+        # (a, 0) -> (-a, 0), and every (a, b) with b != 0 to zero
+        images = {a * n: (-a % m) * n for a in range(m)}
+        assert got.witness == DenseMap.from_flat(field, m * n, m * n, [
+            int(images.get(j) == i) for i in range(m * n) for j in range(m * n)])
 
 
 def poly_endo(rng, m, field):
