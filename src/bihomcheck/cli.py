@@ -118,7 +118,7 @@ def _field_from_json(doc) -> FieldTag:
 def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str) -> DenseMap:
     if not isinstance(data, list) or len(data) != dst * src:
         raise ParseError(f"{what}: expected {dst * src} entries")
-    try:  # from_flat screens the entry types once, and refuses every other type
+    try:  # from_flat screens the entry types, then reads each distinct entry once
         return DenseMap.from_flat(field, dst, src, data)
     except ParseError:
         for v in data:  # an entry of the wrong type is named before a bad string

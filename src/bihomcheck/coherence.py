@@ -75,7 +75,7 @@ class BiHomObject:
     def __post_init__(self):
         endos = self.endos()
         for name, e in endos.items():
-            if e.field != self.field:
+            if e.field is not self.field and e.field != self.field:
                 raise FieldMismatch(f"{name} over {e.field}, object over {self.field}")
             if e.dst_dim != self.dim or e.src_dim != self.dim:
                 raise ShapeMismatch(
@@ -143,7 +143,7 @@ def nprod(objs: Sequence[BiHomObject], field: Optional[FieldTag] = None) -> BiHo
             raise ValueError("field required for the empty product")
         return unit_object(field)
     f = objs[0].field
-    if any(o.field != f for o in objs) or (field is not None and field != f):
+    if any(o.field is not f and o.field != f for o in objs) or field not in (f, None):
         raise FieldMismatch("mixed fields in product")
     if len(objs) == 1:
         return objs[0]

@@ -13,19 +13,19 @@ is kept with no second reduction; two index maps compare on their index
 arrays, and each knows, once asked, whether it is the identity.
 first_difference finds the first mismatch in one pass.  Index arrays are
 read-only and are checked to be bijections once, where they enter:
-DenseMap.permutation checks the array, and from_flat keeps a square integral
-matrix as one only when its entries are 0/1 with exactly one 1 in every row
-and every column.  from_flat reads integer entries (Python ints and integer
-strings below 2^63 in absolute value) in one pass; every other entry goes
-through the per-entry parser, which words every parse error.  No operation
-builds a dense array of more than ENTRY_BUDGET entries; it raises TooLarge,
-which the CLI reports with exit code 2.  Every exact linear system goes
-through one solver, _solve, which classifies C X = B for any number of
+DenseMap.permutation checks the array, and from_flat keeps a square 0/1 matrix
+with one 1 in every row and every column as one.  from_flat reads integer
+entries (Python ints and integer strings below 2^63 in absolute value) once
+per distinct entry, and keeps them as read when they are canonical; every
+other entry goes through the per-entry parser, which words every parse error.
+No operation builds a dense array of more than ENTRY_BUDGET entries; it raises
+TooLarge, which the CLI reports with exit code 2.  Every exact linear system
+goes through one solver, _solve, which classifies C X = B for any number of
 right-hand columns; invert is _solve of [num(f) | I].  Over F_p _solve reads
 the reduced row echelon form mod p.  Over Q the same elimination runs mod
-primes from 2^31 - 1 down, on int64 residues, and the reduced row echelon
-form is rebuilt from them by rational reconstruction and kept only after an
-exact integer check, which proves it is the one over Q.
+primes from 2^31 - 1 down, on int64 residues, and the reduced row echelon form
+is rebuilt from them by rational reconstruction and kept only after an exact
+integer check, which proves it is the one over Q.
 
 Maps carry explicit source/target dimensions; a map f: V_src -> V_dst has
 shape dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies
@@ -123,6 +123,7 @@ class FieldTag:
 QQ = FieldTag(RATIONALS)
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # one tag per modulus: checks pass by identity
 def GF(p: int) -> FieldTag:
     return FieldTag(PRIME_FIELD, p)
 
@@ -184,18 +185,22 @@ class Scalar:
         return str(self.value)  # a Fraction prints p/q in lowest terms, or plain p
 
 
-def _int64_entries(entries: Sequence[RawScalar]) -> Optional[np.ndarray]:
-    """The entries as a fresh int64 array when every one is a Python int or an
-    integer string of absolute value below 2^63, else None (-2^63 fits int64,
-    but np.abs of it overflows).  Every string int() accepts, _parse accepts
-    with the same value."""
+def _int64_entries(entries: Sequence[RawScalar]) -> Optional[tuple]:
+    """The entries as a fresh int64 array, with the set of their values, when
+    every one is a Python int or an integer string of absolute value below
+    2^63, else None (-2^63 fits int64, but np.abs of it overflows).  The types
+    are screened first (True == 1 as a key), then each distinct entry is read
+    once; every string int() accepts, _parse accepts with the same value."""
     if not set(map(type, entries)) <= {int, str}:
         return None
     try:
-        num = np.fromiter(map(int, entries), dtype=np.int64, count=len(entries))
-    except (ValueError, OverflowError):
+        value_of = {v: int(v) for v in set(entries)}
+    except ValueError:
         return None
-    return None if (num == np.iinfo(np.int64).min).any() else num
+    if all(-(1 << 63) < v < 1 << 63 for v in value_of.values()):
+        return (np.fromiter(map(value_of.__getitem__, entries), np.int64, len(entries)),
+                set(value_of.values()))
+    return None
 
 
 def _check_budget(rows: int, cols: int):
@@ -327,22 +332,31 @@ class DenseMap:
     def from_flat(field: FieldTag, dst_dim: int, src_dim: int,
                   entries: Sequence[RawScalar]) -> "DenseMap":
         if len(entries) != dst_dim * src_dim:
-            raise DimensionMismatch(
-                f"{len(entries)} entries for a {dst_dim}x{src_dim} map"
-            )
-        num, den = _int64_entries(entries), 1
-        if num is None:  # the per-entry path, which also words every error
-            values = [_coerce(field, v) for v in entries]
+            raise DimensionMismatch(f"{len(entries)} entries for a {dst_dim}x{src_dim} map")
+        found, p = _int64_entries(entries), field.modulus
+        if found is None:  # the per-entry path, which also words every error
+            values, den = [_coerce(field, v) for v in entries], 1
             fractions = [v for v in values if type(v) is not int]  # empty over F_p
             if fractions:
                 den = math.lcm(*(v.denominator for v in fractions))
                 values = [v.numerator * (den // v.denominator) for v in values]
-            num = np.array(values, dtype=object)
-        m = _canonical(field, dst_dim, src_dim, num.reshape(dst_dim, src_dim), den)
-        a = m._num  # a 0/1 permutation matrix is kept as its index array
-        if (m.is_square() and m._den == 1 and ((a == 0) | (a == 1)).all()
-                and (a.sum(0) == 1).all() and (a.sum(1) == 1).all()):
-            return _index_map(field, np.nonzero(a)[1])
+            num = np.array(values, dtype=object).reshape(dst_dim, src_dim)
+            m = _canonical(field, dst_dim, src_dim, num, den)
+        else:  # canonical as read when _canonical would leave every value as it is
+            num, values = found[0].reshape(dst_dim, src_dim), found[1]
+            limit = min(p or _INT64_ENTRY_LIMIT, _INT64_ENTRY_LIMIT)  # residues, or |numerators|
+            if all(-limit < v < limit and (v >= 0 or p is None) for v in values):
+                num.flags.writeable = False
+                m = DenseMap(field, dst_dim, src_dim, num)
+            else:
+                m = _canonical(field, dst_dim, src_dim, num)
+                values = {v % p for v in values} if p else values
+        # values holds m's numerators: a 0/1 permutation matrix is kept as its index array
+        if dst_dim == src_dim and m._den == 1 and {0, 1}.issuperset(values):
+            rows, cols = np.nonzero(m._num)  # one 1 in every row and every column
+            if (rows.size == dst_dim and np.bincount(rows, minlength=dst_dim).all()
+                    and np.bincount(cols, minlength=dst_dim).all()):
+                return _index_map(field, cols)
         return m
 
     @staticmethod
@@ -433,7 +447,7 @@ class DenseMap:
     # -- algebra -----------------------------------------------------------
 
     def _check_field(self, other: "DenseMap"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __matmul__(self, other: "DenseMap") -> "DenseMap":
@@ -546,7 +560,7 @@ def kron_all(field: FieldTag, maps: Iterable[DenseMap]) -> DenseMap:
     cost n - 1 kron calls, and the empty product is the 1x1 identity."""
     maps = list(maps)
     for m in maps:
-        if m.field != field:
+        if m.field is not field and m.field != field:
             raise FieldMismatch(f"{field} vs {m.field}")
     return functools.reduce(kron, maps) if maps else DenseMap.identity(field, 1)
 
@@ -559,7 +573,7 @@ def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> D
     stands, and every other factor is contracted into it under the overflow
     guard and entry budget of compose, those that shrink their leg (a counit) first."""
     for m in (*factors, g):
-        if m.field != field:
+        if m.field is not field and m.field != field:
             raise FieldMismatch(f"{field} vs {m.field}")
     legs = [f.src_dim for f in factors]
     if math.prod(legs) != g.dst_dim:

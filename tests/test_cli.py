@@ -166,6 +166,21 @@ class TestMalformedValues:
         assert self._run(c3_file, edit, capsys) == (
             2, "error: structure twisted.mu: entry 1.5 is not an integer or a string\n")
 
+    @pytest.mark.parametrize("other, named", [(True, "true"), (1.0, "1.0")],
+                             ids=["int-and-bool", "int-and-float"])
+    def test_value_equal_entry_of_another_type_is_named(self, c3_file, capsys, other, named):
+        def edit(doc):
+            doc["structures"]["twisted"]["mu"][3:5] = [1, other]
+        assert self._run(c3_file, edit, capsys) == (
+            2, f"error: structure twisted.mu: entry {named} is not an integer or a string\n")
+
+    def test_int_and_string_of_one_value_accepted(self, c3_file, capsys):
+        def edit(doc):
+            mu = doc["structures"]["twisted"]["mu"]
+            mu[:] = [int(v) if i % 2 else v for i, v in enumerate(mu)]
+            assert {1, "1"} <= set(mu)
+        assert self._run(c3_file, edit, capsys)[0] == 0
+
     def test_wrong_type_is_named_before_a_bad_string(self, c3_file, capsys):
         def edit(doc):
             doc["structures"]["twisted"]["mu"][3:5] = ["x", None]

@@ -100,6 +100,17 @@ class TestFieldTag:
         with pytest.raises(ParseError):
             FieldTag("rationals", 5)
 
+    def test_one_tag_per_modulus(self):
+        assert GF(7) is GF(7) and GF(7) is not GF(11)
+        by_value = FieldTag("prime_field", 7)
+        assert by_value is not GF(7)
+        assert by_value == GF(7) and hash(by_value) == hash(GF(7))
+        # a tag built by value still meets GF's through the value comparison
+        m = DenseMap.from_rows(by_value, [[2, 3], [0, 1]])
+        assert compose(m, DenseMap.from_rows(GF(7), [[1, 1], [0, 1]])).rows() == [[2, 5], [0, 1]]
+        with pytest.raises(FieldMismatch):
+            compose(m, DenseMap.from_rows(GF(11), [[1, 1], [0, 1]]))
+
 
 class TestScalar:
     def test_lowest_terms(self):
@@ -1099,6 +1110,9 @@ def reference_coerce(field: FieldTag, value):
         if value.field != field:
             raise FieldMismatch(f"scalar over {value.field}, expected {field}")
         return value.value
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+        kind = "float" if isinstance(value, float) else type(value).__name__
+        raise ParseError(f"{kind} {value!r} is not an exact scalar")
     if isinstance(value, str):
         text = value.strip()
         if field.kind == RATIONALS:
@@ -1171,6 +1185,48 @@ def test_from_flat_against_fraction_ingest(data):
     assert got == expected and got._num.dtype == expected._num.dtype
     assert all(type(v) is int for v in got._num.reshape(-1).tolist())
     assert got.rows() == expected.rows()
+
+
+# Values equal across types, so that a shortcut keyed on distinct values could
+# confuse them, and the bounds of the int64 read and of the 2^62 storage rule.
+REPEATED_POOL = [0, "0", 1, "1", " 1", "+1", "01", "1_0", True, 1.0, None, -1, "-6",
+                 2 ** 62 - 1, 2 ** 62, -(2 ** 63), "-9223372036854775808", 2 ** 63]
+
+
+def kept_as_index_map(m: DenseMap) -> bool:
+    """The rule from_flat keeps a map as an index array by: square, integral,
+    0/1 entries, and one 1 in every row and every column."""
+    a = m._num
+    return (m.is_square() and m._den == 1 and bool(((a == 0) | (a == 1)).all())
+            and bool((a.sum(0) == 1).all()) and bool((a.sum(1) == 1).all()))
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=st.data())
+def test_from_flat_with_repeated_entries(data):
+    field = data.draw(st.sampled_from([GF(2), F7, GF(2 ** 64 + 13), QQ]))
+    dst = data.draw(st.integers(0, 3))
+    src = data.draw(st.sampled_from([dst, dst, data.draw(st.integers(0, 3))]))
+    pool = data.draw(st.lists(st.sampled_from(REPEATED_POOL), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        entries = data.draw(st.lists(st.sampled_from(pool), min_size=dst * src,
+                                     max_size=dst * src))
+    else:  # one pool value per row and zeros elsewhere: permutations and near misses
+        at = data.draw(st.lists(st.integers(0, max(src - 1, 0)), min_size=dst, max_size=dst))
+        entries = [data.draw(st.sampled_from(pool if j == at[i] else [0, "0", "+0"]))
+                   for i in range(dst) for j in range(src)]
+    try:
+        expected = reference_from_flat(field, dst, src, entries)
+    except (ParseError, FieldMismatch) as exc:
+        with pytest.raises(type(exc)) as got:
+            DenseMap.from_flat(field, dst, src, entries)
+        assert str(got.value) == str(exc)
+        return
+    got = DenseMap.from_flat(field, dst, src, entries)
+    assert got == expected and got._den == expected._den
+    assert got._num.dtype == expected._num.dtype
+    assert not got._num.flags.writeable and not expected._num.flags.writeable
+    assert (got._src_of_dst is not None) == kept_as_index_map(expected)
 
 
 def test_integer_strings_parse_as_ints():
