@@ -242,7 +242,8 @@ _DUOIDAL_REGIONS = (
 # The lax regions that exponent identities 1-4 read, in order.
 _IDENTITY_REGIONS = ("upper-left", "lower-left", "upper-right", "lower-right")
 
-_LAX_STEP_KINDS = {"Phi": BIG_PHI, "phi": SMALL_PHI}
+# Step tags -> coherence kinds, for both figures; the lax figure reads Phi and phi.
+_STEP_KINDS = {"Phi": BIG_PHI, "phi": SMALL_PHI, "Psi": BIG_PSI, "psi": SMALL_PSI}
 
 
 def _lax_factors(m, k, objs, prods, unit) -> dict:
@@ -267,7 +268,7 @@ def _lax_factors(m, k, objs, prods, unit) -> dict:
         "hat": [(cat(ht), cat(group_by(pad([r], (s,), unit), h)
                               for r, s, h in zip(rows, tot.row_sums, ht)))],
     }
-    return {step: [(_LAX_STEP_KINDS[kind], seq, groups) for seq, groups in shapes[shape]]
+    return {step: [(_STEP_KINDS[kind], seq, groups) for seq, groups in shapes[shape]]
             for _, left, right in _LAX_REGIONS for step in left + right
             for kind, shape in [step.split(":")]}
 
@@ -389,42 +390,29 @@ def check_lax_figure(inst: LaxInstance) -> CheckReport:
 
 
 def _duoidal_maps(inst: DuoidalInstance):
+    """Each map named in _DUOIDAL_REGIONS.  The coherence steps come from the
+    kind table the lax figure reads: <tag>:slotwise acts slot by slot on each
+    oplax factor, <tag>:cols on the products of the columns.  Only the
+    interchanges xi:* are built; each reversed xi:*T is their transpose, for a
+    permutation its inverse."""
     n, p, k, objs, field = inst.n, inst.p, inst.k, inst.objects, inst.field
-    K = sum(k)
-
     flat_rows = [[o for g in objs[s] for o in g] for s in range(n)]
-    gridT = [[flat_rows[s][l] for s in range(n)] for l in range(K)]
     c_grid = [[nprod(objs[s][i], field) for i in range(p)] for s in range(n)]
-    c_gridT = [[c_grid[s][i] for s in range(n)] for i in range(p)]
     cols = [[nprod([objs[s][i][j] for s in range(n)], field)
              for j in range(k[i])] for i in range(p)]
-
-    def per_slot(which):
-        return kron_all(field, [x for s in range(n) for x in coherence_map(k, which, objs[s])])
-
-    xi_groups = kron_all(field, [
-        xi_map(n, k[i], [[objs[s][i][j] for j in range(k[i])] for s in range(n)], field)
-        for i in range(p)])
-    xi_groupsT = kron_all(field, [
-        xi_map(k[i], n, [[objs[s][i][j] for s in range(n)] for j in range(k[i])], field)
-        for i in range(p)])
-
-    return {
-        "Phi:slotwise": per_slot(BIG_PHI),
-        "phi:slotwise": per_slot(SMALL_PHI),
-        "Psi:slotwise": per_slot(BIG_PSI),
-        "psi:slotwise": per_slot(SMALL_PSI),
-        "Phi:cols": kron_all(field, coherence_map(k, BIG_PHI, cols)),
-        "phi:cols": kron_all(field, coherence_map(k, SMALL_PHI, cols)),
-        "Psi:cols": kron_all(field, coherence_map(k, BIG_PSI, cols)),
-        "psi:cols": kron_all(field, coherence_map(k, SMALL_PSI, cols)),
-        "xi:flat": xi_map(n, K, flat_rows, field),
-        "xi:flatT": xi_map(K, n, gridT, field),
+    maps = {
+        "xi:flat": xi_map(n, sum(k), flat_rows, field),
         "xi:blocks": xi_map(n, p, c_grid, field),
-        "xi:blocksT": xi_map(p, n, c_gridT, field),
-        "xi:groups": xi_groups,
-        "xi:groupsT": xi_groupsT,
-    }, flat_rows, c_grid
+        "xi:groups": kron_all(field, [
+            xi_map(n, k[i], [[objs[s][i][j] for j in range(k[i])] for s in range(n)], field)
+            for i in range(p)]),
+    }
+    maps |= {f"{name}T": xi.transpose() for name, xi in maps.items()}
+    for tag, which in _STEP_KINDS.items():
+        maps[f"{tag}:slotwise"] = kron_all(
+            field, [x for row in objs for x in coherence_map(k, which, row)])
+        maps[f"{tag}:cols"] = kron_all(field, coherence_map(k, which, cols))
+    return maps, flat_rows, c_grid
 
 
 def check_duoidal_figure(inst: DuoidalInstance) -> CheckReport:
@@ -484,16 +472,11 @@ def random_object(rng, field: FieldTag, max_dim: int, four: bool) -> BiHomObject
 def random_lax_instance(rng, field: FieldTag, max_n: int = 2, max_m: int = 2,
                         max_k: int = 2, max_dim: int = 2) -> LaxInstance:
     while True:
-        n = rng.randint(0, max_n)
-        m = tuple(rng.randint(0, max_m) for _ in range(n))
-        k = tuple(tuple(rng.randint(0, max_k) for _ in range(m[i]))
-                  for i in range(n))
+        m, k = random_double_seq(rng, max_n, max_m, max_k)
         if max_dim ** sum(sum(r) for r in k) <= _DIM_CAP:
             break
-    objects = tuple(
-        tuple([random_object(rng, field, max_dim, four=False)
-               for _ in range(k[i][j])] for j in range(m[i]))
-        for i in range(n))
+    objects = tuple(tuple([random_object(rng, field, max_dim, four=False) for _ in range(v)]
+                          for v in row) for row in k)
     return LaxInstance(m, k, objects, field)
 
 

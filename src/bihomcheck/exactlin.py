@@ -111,7 +111,9 @@ class FieldTag:
             if self.modulus is not None:
                 raise ParseError("rationals carry no modulus")
         elif self.kind == PRIME_FIELD:
-            if self.modulus is None or not _is_prime(self.modulus):
+            if type(self.modulus) is not int:  # bool, float and numpy ints included
+                raise ParseError(f"modulus {self.modulus!r} is not an int")
+            if not _is_prime(self.modulus):
                 raise ParseError(f"modulus {self.modulus!r} is not prime")
         else:
             raise ParseError(f"unknown field kind {self.kind!r}")
@@ -220,14 +222,12 @@ def _operands(maps: Sequence["DenseMap"], inner: int = 1) -> list:
 
 def _canonical(field: FieldTag, dst_dim: int, src_dim: int,
                num: np.ndarray, den: int = 1) -> "DenseMap":
-    """The map num/den, brought to canonical form: residues mod p, or lowest
-    terms over Q with a positive denominator; stored as int64 when every
-    |numerator| < 2^62.  Over F_p num is reduced in place, so it must be a
-    fresh array."""
+    """The map num/den, brought to canonical form: residues mod p (den is
+    always 1 over F_p), or lowest terms over Q with a positive denominator;
+    stored as int64 when every |numerator| < 2^62.  Over F_p num is reduced
+    in place, so it must be a fresh array."""
     if field.kind == PRIME_FIELD:
-        if den != 1:  # only elimination divides over F_p, on Python ints
-            num, den = num * pow(den, -1, field.modulus), 1
-        elif field.modulus > _INT64_ENTRY_LIMIT:
+        if field.modulus > _INT64_ENTRY_LIMIT:
             num = num.astype(object, copy=False)
         np.remainder(num, field.modulus, out=num)
     elif den != 1:
@@ -672,9 +672,7 @@ def _rref_over_q(a: np.ndarray):
         # most about twice the last one
         if (pivots == best and count & (count - 1) == 0
                 and (x := _reconstruct(residues, modulus)) is not None):
-            basis = DenseMap(QQ, rows, rank, a[:, pivots])
-            product = np.dot(*_operands((basis, x), rank))
-            if _canonical(QQ, rows, free.size, product, x._den) == \
+            if compose(DenseMap(QQ, rows, rank, a[:, pivots]), x) == \
                     DenseMap(QQ, rows, free.size, a[:, free]):
                 break
         p = next(q for q in range(p - 2, 2, -2) if _is_prime(q))

@@ -69,7 +69,9 @@ def inversion_antipode(field: FieldTag, order: int = 3) -> DenseMap:
 
 def dual_cyclic_bundle(field: FieldTag, order: int = 3,
                        endo_power: int = 1) -> StructureBundle:
-    """Functions on the cyclic group: the dual of the group bialgebra.
+    """Functions on the cyclic group: the dual of the group bialgebra, read as
+    its transpose on the same object, mu = delta^T, eta = epsilon^T,
+    delta = mu^T and epsilon = eta^T.
 
     Pointwise multiplication is diagonal, the comultiplication of a delta
     function spreads over all factorizations, the unit is the constant
@@ -77,16 +79,9 @@ def dual_cyclic_bundle(field: FieldTag, order: int = 3,
     group algebra this comultiplication is not grouplike, which makes the
     fixture a good independent probe of the deformed laws.
     """
-    n = order
-    mu = _basis_map(field, n, n * n, {i * n + i: [(i, 1)] for i in range(n)})
-    eta = _basis_map(field, n, 1, {0: [(i, 1) for i in range(n)]})
-    delta = _basis_map(field, n * n, n,
-                       {i: [(j * n + (i - j) % n, 1) for j in range(n)]
-                        for i in range(n)})
-    epsilon = _basis_map(field, 1, n, {0: [(0, 1)]})
-    phi = group_power_endo(field, n, endo_power)
-    obj = BiHomObject(n, field, phi, phi, phi, phi)
-    return StructureBundle(obj, mu=mu, eta=eta, delta=delta, epsilon=epsilon)
+    g = cyclic_group_bundle(field, order, endo_power)
+    return StructureBundle(g.obj, mu=g.delta.transpose(), eta=g.epsilon.transpose(),
+                           delta=g.mu.transpose(), epsilon=g.eta.transpose())
 
 
 def example_instance(field: FieldTag = GF(7)):

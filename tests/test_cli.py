@@ -29,8 +29,8 @@ from bihomcheck.fixtures import (
     idempotent_monoid_bialgebra,
 )
 from bihomcheck import structures
-from bihomcheck.structures import ALTERNATIVE, ITERATIVE, delta_n, mu_n
-from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
+from bihomcheck.structures import ALTERNATIVE, ITERATIVE, StructureBundle, delta_n, mu_n
+from bihomcheck.twist import BIMONOID, COMONOID, MONOID, PlainStructure, yau_twist
 
 F7 = GF(7)
 
@@ -400,7 +400,57 @@ class TestCoherenceCommand:
         assert exc.value.code == 2
 
 
+def _drop(*path):
+    """An edit that removes the key at the key path of the instance document."""
+    return lambda doc: reduce(getitem, path[:-1], doc).pop(path[-1])
+
+
+class TestModuleAndObjectErrors:
+    """Missing or dangling module and object entries exit 2 with one line."""
+
+    @pytest.mark.parametrize("edit, kind, name, message", [
+        (lambda doc: None, "module", "nope", "no module named 'nope'"),
+        (_drop("modules", "regular", "action"), "module", "regular",
+         "module regular has no action"),
+        (_drop("modules", "regular", "coaction"), "comodule", "regular",
+         "module regular has no coaction"),
+        (_drop("modules", "regular", "coaction"), "hopf-module", "regular",
+         "module regular needs action and coaction"),
+        (_set(("modules", "regular", "carrier"), "zz"), "module", "regular",
+         "module regular: unknown object 'zz'"),
+        (_set(("modules", "regular"), {"carrier": "c3_sq", "over": "twisted"}), "module",
+         "regular", "module regular: needs an action or a coaction"),
+        (_set(("objects", "c3", "dim"), "x"), "bimonoid", "twisted", "object c3: bad dim 'x'"),
+        (_drop("objects", "c3", "beta"), "bimonoid", "twisted",
+         "object c3: alpha and beta are required"),
+    ], ids=["unknown-module", "no-action", "no-coaction", "hopf-without-coaction",
+            "unknown-carrier", "no-maps", "bad-dim", "no-beta"])
+    def test_one_error_line(self, c3_file, capsys, edit, kind, name, message):
+        with open(c3_file) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(c3_file, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["check", c3_file, "--structure", kind, "--name", name]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestTwistCommand:
+    @pytest.mark.parametrize("maps, direction", [(("delta", "epsilon"), COMONOID),
+                                                 (("mu", "eta"), MONOID)],
+                             ids=["comonoid", "monoid"])
+    def test_half_structure_twists_its_own_side(self, tmp_path, capsys, maps, direction):
+        data = example_instance()
+        plain = data.structures["plain"]
+        half = StructureBundle(plain.obj, **{key: getattr(plain, key) for key in maps})
+        data.structures["half"], data.structure_objects["half"] = half, "c3_sq"
+        path, out = str(tmp_path / "half.json"), str(tmp_path / "out.json")
+        save_instance(path, data)
+        assert main(["twist", path, "--name", "half", "-o", out]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert load_instance(out).structures["half"] == yau_twist(PlainStructure(half), direction)
+        assert set(json.load(open(out))["structures"]["half"]) == {"object", *maps}
+
     def test_round_trip_is_byte_identical(self, c3_file, tmp_path, capsys):
         twisted = str(tmp_path / "twisted.json")
         back = str(tmp_path / "back.json")

@@ -457,6 +457,19 @@ class TestFigures:
             rep = check_lax_figure(inst)
             assert rep.passed, (inst.m, inst.k, rep.failures())
 
+    @pytest.mark.parametrize("bounds", [(2, 2, 2, 2), (3, 2, 1, 2), (4, 3, 4, 1), (4, 3, 4, 3)])
+    def test_lax_instance_draws_its_double_sequence(self, bounds):
+        max_n, max_m, max_k, max_dim = bounds
+        fitted = 0
+        for s in range(200):
+            m, k = random_double_seq(random.Random(s), max_n, max_m, max_k)
+            if max_dim ** sum(map(sum, k)) > coherence._DIM_CAP:
+                continue  # random_lax_instance draws again
+            fitted += 1
+            inst = random_lax_instance(random.Random(s), F7, *bounds)
+            assert (inst.m, inst.k) == (m, k)
+        assert fitted >= 100
+
     def test_random_duoidal_instances(self):
         rng = random.Random(22)
         for _ in range(15):

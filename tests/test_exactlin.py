@@ -100,6 +100,20 @@ class TestFieldTag:
         with pytest.raises(ParseError):
             FieldTag("rationals", 5)
 
+    @pytest.mark.parametrize("make", [lambda: GF(7.0), lambda: GF(True), lambda: GF(np.int64(7)),
+                                      lambda: GF("7"), lambda: FieldTag("prime_field", 7.0)],
+                             ids=["GF-float", "GF-bool", "GF-numpy-int", "GF-string", "tag-float"])
+    def test_non_int_modulus_refused(self, make):
+        with pytest.raises(ParseError, match="is not an int"):
+            make()
+
+    def test_float_modulus_refused_after_the_int_is_cached(self):
+        # GF's cache is typed, so 7.0 is not served the tag cached for 7
+        assert GF(7).modulus == 7
+        with pytest.raises(ParseError):
+            GF(7.0)
+        assert FieldTag("prime_field", 7) == GF(7)
+
     def test_one_tag_per_modulus(self):
         assert GF(7) is GF(7) and GF(7) is not GF(11)
         by_value = FieldTag("prime_field", 7)

@@ -66,10 +66,16 @@ class TestDualCyclicFixture:
     def test_twisted_is_a_bimonoid(self, field):
         assert check_bimonoid(twisted_dual(field)).passed
 
-    def test_comultiplication_is_not_grouplike(self):
-        d = dual_cyclic_bundle(F7, 3, 1).delta
-        # a delta function factors three ways, so columns have three entries
-        assert sum(1 for row in d.rows() if row[0] != 0) == 3
+    @pytest.mark.parametrize("field", [F7, QQ], ids=str)
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_comultiplication_is_not_grouplike(self, field, n):
+        # the delta function at i factors n ways, as j (x) (i - j): column i
+        # holds a one at each j*n + (i - j) mod n and zeros elsewhere
+        rows = dual_cyclic_bundle(field, n, 1).delta.rows()
+        for i in range(n):
+            assert {r for r in range(n * n) if rows[r][i] != 0} == \
+                {j * n + (i - j) % n for j in range(n)}
+            assert {rows[j * n + (i - j) % n][i] for j in range(n)} == {1}
 
     @pytest.mark.parametrize("field", [F7, QQ], ids=str)
     def test_antipode_agrees_both_ways(self, field):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihomcheck.coherence import _duoidal_maps, random_duoidal_instance
+from bihomcheck.coherence import _duoidal_maps, nprod, random_duoidal_instance, xi_map
 from bihomcheck.combinat import Permutation
 from bihomcheck.errors import DimensionMismatch, ParseError
 from bihomcheck.exactlin import (
@@ -141,13 +141,32 @@ def test_equality_hash_and_first_difference(data):
     assert p != bumped
 
 
+def reversed_interchanges(inst):
+    """Each xi:*T built directly by xi_map on its reversed grid."""
+    n, p, k, objs, field = inst.n, inst.p, inst.k, inst.objects, inst.field
+    flat_rows = [[o for g in objs[s] for o in g] for s in range(n)]
+    blocks = [[nprod(objs[s][i], field) for i in range(p)] for s in range(n)]
+    return {
+        "xi:flatT": xi_map(sum(k), n, [[row[t] for row in flat_rows] for t in range(sum(k))],
+                           field),
+        "xi:blocksT": xi_map(p, n, [[blocks[s][i] for s in range(n)] for i in range(p)], field),
+        "xi:groupsT": kron_all(field, [
+            xi_map(k[i], n, [[objs[s][i][j] for s in range(n)] for j in range(k[i])], field)
+            for i in range(p)]),
+    }
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_duoidal_interchanges_keep_index_arrays(seed):
     inst = random_duoidal_instance(random.Random(seed), GF(7), 2, 2, 2, 2)
     maps = _duoidal_maps(inst)[0]
-    for name in ("xi:groups", "xi:groupsT"):
+    for name in ("xi:groups", "xi:groupsT", "xi:flatT", "xi:blocksT"):
         assert_index_map(maps[name])
         assert maps[name] == twin(maps[name])
+    for name, direct in reversed_interchanges(inst).items():
+        assert_index_map(direct)
+        assert maps[name] == direct, name
+        assert maps[name].first_difference(direct) is None
 
 
 def test_permutation_constructor_rejects_non_bijections():
