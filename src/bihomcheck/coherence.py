@@ -60,7 +60,10 @@ class BiHomObject:
 
     alpha and beta govern the lax coherence morphisms; kappa and nu, when
     present, govern the oplax ones.  All present endomorphisms must be square
-    of the carrier dimension and commute with each other.
+    of the carrier dimension and commute with each other, which every object
+    built here, by dataclasses.replace or from an instance file is checked for.
+    nprod products and random_object's diagonal objects commute by
+    construction, so _trusted builds them without the pairwise check.
     """
 
     dim: int
@@ -89,6 +92,16 @@ class BiHomObject:
                     raise InvariantViolation(
                         f"endomorphisms {names[a]} and {names[b]} do not commute"
                     )
+
+    @classmethod
+    def _trusted(cls, dim, field, alpha, beta, kappa=None, nu=None) -> "BiHomObject":
+        """An object whose endomorphisms are square, over field and commute by
+        construction (Kronecker products of commuting maps, diagonal maps),
+        built without __post_init__."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(dim=dim, field=field, alpha=alpha, beta=beta, kappa=kappa, nu=nu,
+                            _factors={})
+        return obj
 
     def endos(self) -> dict:
         out = {"alpha": self.alpha, "beta": self.beta}
@@ -136,7 +149,8 @@ def unit_object(field: FieldTag) -> BiHomObject:
 
 
 def nprod(objs: Sequence[BiHomObject], field: Optional[FieldTag] = None) -> BiHomObject:
-    """n-fold monoidal product: Kronecker everything; empty product is the unit."""
+    """n-fold monoidal product: Kronecker everything; empty product is the unit.
+    The factors' endomorphisms commute pairwise, so the product's do too."""
     objs = list(objs)
     if not objs:
         if field is None:
@@ -154,7 +168,7 @@ def nprod(objs: Sequence[BiHomObject], field: Optional[FieldTag] = None) -> BiHo
     if all(o.has_oplax_pair() for o in objs):
         kappa = kron_all(f, [o.kappa for o in objs])
         nu = kron_all(f, [o.nu for o in objs])
-    return BiHomObject(dim, f, alpha, beta, kappa, nu)
+    return BiHomObject._trusted(dim, f, alpha, beta, kappa, nu)
 
 
 def phi_exponents(k: IndexSeq, which: str = BIG_PHI):
@@ -166,13 +180,18 @@ def phi_exponents(k: IndexSeq, which: str = BIG_PHI):
     bar(k_p) - 1, the small ones by z_of(k_p); the oplax variants use the same
     exponents on the kappa/nu pair.
     """
-    k = validate_index_seq(k)
+    return [list(group) for group in _exponent_table(validate_index_seq(k), which)]
+
+
+@functools.lru_cache(maxsize=256)  # the ~100 tables matrix trials read fit; one-off symbolic ones cycle out
+def _exponent_table(k: tuple, which: str) -> tuple:
+    """phi_exponents of a validated sequence as tuples, built once per (k, which)."""
     if which not in (BIG_PHI, SMALL_PHI, BIG_PSI, SMALL_PSI):
         raise ValueError(f"unknown coherence kind {which!r}")
     weight = (lambda v: bar(v) - 1) if which in _BIG_KINDS else z_of
     before = [0, *itertools.accumulate(weight(v) for v in k)]  # weights of groups < i
     total = before[-1]
-    return [[(total - before[i + 1], before[i])] * v for i, v in enumerate(k)]
+    return tuple(((total - before[i + 1], before[i]),) * v for i, v in enumerate(k))
 
 
 def coherence_map(k: IndexSeq, which: str,
@@ -191,7 +210,7 @@ def coherence_map(k: IndexSeq, which: str,
         if len(g) != k[i]:
             raise GroupShapeMismatch(f"group {i} holds {len(g)}, wants {k[i]}")
     flat = [o for g in groups for o in g]
-    exps = [e for group in phi_exponents(k, which) for e in group]
+    exps = [e for group in _exponent_table(k, which) for e in group]
     return [obj.factor(which, a, b) for obj, (a, b) in zip(flat, exps)]
 
 
@@ -212,9 +231,14 @@ def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
         if not flat:
             raise ValueError("field required for an empty grid")
         field = flat[0].field
-    if any(o.field != field for o in flat):
+    if any(o.field is not field and o.field != field for o in flat):
         raise FieldMismatch("mixed fields in grid")
-    return flip_perm(p, n, [o.dim for o in flat], field)
+    return _xi(n, p, [o.dim for o in flat], field)
+
+
+def _xi(n: int, p: int, dims: Sequence[int], field: FieldTag) -> DenseMap:
+    """xi_map of an n x p grid read from its slot dimensions (row by row) alone."""
+    return flip_perm(p, n, dims, field)
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +418,16 @@ def _duoidal_maps(inst: DuoidalInstance):
     kind table the lax figure reads: <tag>:slotwise acts slot by slot on each
     oplax factor, <tag>:cols on the products of the columns.  Only the
     interchanges xi:* are built; each reversed xi:*T is their transpose, for a
-    permutation its inverse."""
+    permutation its inverse.  xi:blocks reads only the dimensions of the
+    products objs[s][i], so block_dims[s][i] stands for them."""
     n, p, k, objs, field = inst.n, inst.p, inst.k, inst.objects, inst.field
     flat_rows = [[o for g in objs[s] for o in g] for s in range(n)]
-    c_grid = [[nprod(objs[s][i], field) for i in range(p)] for s in range(n)]
+    block_dims = [[math.prod(o.dim for o in objs[s][i]) for i in range(p)] for s in range(n)]
     cols = [[nprod([objs[s][i][j] for s in range(n)], field)
              for j in range(k[i])] for i in range(p)]
     maps = {
         "xi:flat": xi_map(n, sum(k), flat_rows, field),
-        "xi:blocks": xi_map(n, p, c_grid, field),
+        "xi:blocks": _xi(n, p, [d for row in block_dims for d in row], field),
         "xi:groups": kron_all(field, [
             xi_map(n, k[i], [[objs[s][i][j] for j in range(k[i])] for s in range(n)], field)
             for i in range(p)]),
@@ -412,23 +437,22 @@ def _duoidal_maps(inst: DuoidalInstance):
         maps[f"{tag}:slotwise"] = kron_all(
             field, [x for row in objs for x in coherence_map(k, which, row)])
         maps[f"{tag}:cols"] = kron_all(field, coherence_map(k, which, cols))
-    return maps, flat_rows, c_grid
+    return maps, block_dims
 
 
 def check_duoidal_figure(inst: DuoidalInstance) -> CheckReport:
-    """Verify the four interchange regions plus the two unit triangles."""
-    maps, flat_rows, c_grid = _duoidal_maps(inst)
+    """Verify the four interchange regions plus the two unit triangles, whose
+    interchanges read only the dimensions of the row and column products."""
+    maps, block_dims = _duoidal_maps(inst)
     field = inst.field
     entries = _region_entries(_DUOIDAL_REGIONS, maps, "interchange")
 
-    row_objs = [nprod(row, field) for row in flat_rows]
-    tri_lax = xi_map(inst.n, 1, [[o] for o in row_objs], field)
+    tri_lax = _xi(inst.n, 1, [math.prod(row) for row in block_dims], field)
     entries.append(compare_entry(
         "triangle-unary-lax", "interchange against a single lax factor is trivial",
         tri_lax, DenseMap.identity(field, tri_lax.dst_dim)))
-    col_objs = [nprod([c_grid[s][i] for s in range(inst.n)], field)
-                for i in range(inst.p)]
-    tri_oplax = xi_map(1, inst.p, [col_objs], field)
+    col_dims = [math.prod(row[i] for row in block_dims) for i in range(inst.p)]
+    tri_oplax = _xi(1, inst.p, col_dims, field)
     entries.append(compare_entry(
         "triangle-unary-oplax", "interchange against a single oplax factor is trivial",
         tri_oplax, DenseMap.identity(field, tri_oplax.dst_dim)))
@@ -463,10 +487,10 @@ def random_object(rng, field: FieldTag, max_dim: int, four: bool) -> BiHomObject
     alpha = random_diagonal_endo(rng, field, dim)
     beta = random_diagonal_endo(rng, field, dim)
     if four:
-        return BiHomObject(dim, field, alpha, beta,
-                           random_diagonal_endo(rng, field, dim),
-                           random_diagonal_endo(rng, field, dim))
-    return BiHomObject(dim, field, alpha, beta)
+        return BiHomObject._trusted(dim, field, alpha, beta,
+                                    random_diagonal_endo(rng, field, dim),
+                                    random_diagonal_endo(rng, field, dim))
+    return BiHomObject._trusted(dim, field, alpha, beta)
 
 
 def random_lax_instance(rng, field: FieldTag, max_n: int = 2, max_m: int = 2,

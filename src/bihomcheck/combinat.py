@@ -67,39 +67,21 @@ class Totals:
 
 def totals(rows: DoubleSeq) -> Totals:
     rows = validate_double_seq(rows)
-    row_sums = tuple(sum(r) for r in rows)
-    row_zeros = tuple(sum(z_of(v) for v in r) for r in rows)
-    row_lengths = tuple(len(r) for r in rows)
+    row_sums, row_lengths = tuple(map(sum, rows)), tuple(map(len, rows))
+    row_zeros = tuple(r.count(0) for r in rows)
     zeros = sum(row_zeros)
-    return Totals(
-        row_sums=row_sums,
-        row_zeros=row_zeros,
-        total=sum(row_sums),
-        zeros=zeros,
-        row_lengths=row_lengths,
-        length_sum=sum(row_lengths),
-        tilde_zeros=zeros + sum(z_of(m) for m in row_lengths),
-    )
+    return Totals(row_sums, row_zeros, sum(row_sums), zeros, row_lengths, sum(row_lengths),
+                  zeros + row_lengths.count(0))
 
 
 def tilde_of(rows: DoubleSeq) -> tuple:
     """Row i of length bar(m_i): copies of row i, or the single entry 0."""
-    rows = validate_double_seq(rows)
-    return tuple(r if len(r) > 0 else (0,) for r in rows)
+    return tuple(r if r else (0,) for r in validate_double_seq(rows))
 
 
 def hat_of(rows: DoubleSeq) -> tuple:
     """Row i of length bar(m_i): copies when K_i > 0, else (1, 0, ..., 0)."""
-    rows = validate_double_seq(rows)
-    out = []
-    for r in rows:
-        if len(r) == 0:
-            out.append((1,))
-        elif sum(r) > 0:
-            out.append(r)
-        else:
-            out.append((1,) + (0,) * (len(r) - 1))
-    return tuple(out)
+    return tuple(r if sum(r) else (1,) + r[1:] for r in validate_double_seq(rows))
 
 
 @dataclass(frozen=True)
@@ -118,10 +100,6 @@ class Permutation:
 
     def __call__(self, s: int) -> int:
         return self.images[s]
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))

@@ -434,9 +434,13 @@ class DenseMap:
 
     def first_difference(self, other: "DenseMap"):
         """First (row, col, lhs, rhs) where the two maps differ, else None; one
-        pass of !=, whose argmax is the first mismatch in row-major order."""
+        pass of !=, whose argmax is the first mismatch in row-major order.
+        Two index maps with equal index arrays are equal, as in __eq__."""
         if self.dst_dim != other.dst_dim or self.src_dim != other.src_dim:
             raise DimensionMismatch("comparing maps of different shapes")
+        if self._src_of_dst is not None and other._src_of_dst is not None and \
+                np.array_equal(self._src_of_dst, other._src_of_dst):
+            return None
         a, b, _ = _common_denominator(self, other)
         ne = a != b
         if not ne.any():

@@ -10,7 +10,7 @@ no antipode and a singular canonical morphism.
 from __future__ import annotations
 
 from .coherence import BiHomObject
-from .exactlin import GF, QQ, DenseMap, FieldTag
+from .exactlin import GF, QQ, DenseMap, FieldTag, RawScalar
 from .structures import StructureBundle
 from .twist import BIMONOID, PlainStructure, yau_twist
 
@@ -82,6 +82,30 @@ def dual_cyclic_bundle(field: FieldTag, order: int = 3,
     g = cyclic_group_bundle(field, order, endo_power)
     return StructureBundle(g.obj, mu=g.delta.transpose(), eta=g.epsilon.transpose(),
                            delta=g.mu.transpose(), epsilon=g.eta.transpose())
+
+
+def sweedler_bundle(field: FieldTag, lam: RawScalar = 1) -> StructureBundle:
+    """Sweedler's four-dimensional Hopf algebra H_4, with the bialgebra
+    automorphism x -> lam x (lam nonzero) in every endomorphism slot.
+
+    Built from its table: g^2 = 1, x^2 = 0, xg = -gx, Delta g = g (x) g,
+    Delta x = x (x) 1 + g (x) x, epsilon(g) = 1 and epsilon(x) = 0, on the
+    basis g^a x^b at index a + 2b (1, g, x, gx).  It is neither commutative
+    nor cocommutative, its maps carry -1 and its endomorphisms lam, so it
+    probes signs and entries that the 0/1 cyclic fixtures never reach.
+    """
+    basis = [(a, b) for b in (0, 1) for a in (0, 1)]
+    mu = _basis_map(field, 4, 16, {
+        4 * (a + 2 * b) + c + 2 * d: [((a + c) % 2 + 2 * (b + d), (-1) ** (b * c))]
+        for a, b in basis for c, d in basis if b + d < 2})  # x g^c = (-1)^c g^c x
+    delta = _basis_map(field, 16, 4, {  # Delta(g^a x) = g^a x (x) g^a + g^(a+1) (x) g^a x
+        a + 2 * b: [(5 * a + 8, 1), (4 * (1 - a) + a + 2, 1)] if b else [(5 * a, 1)]
+        for a, b in basis})
+    eta = _basis_map(field, 4, 1, {0: [(0, 1)]})
+    epsilon = _basis_map(field, 1, 4, {0: [(0, 1)], 1: [(0, 1)]})
+    phi = _basis_map(field, 4, 4, {i: [(i, lam if i >= 2 else 1)] for i in range(4)})
+    obj = BiHomObject(4, field, phi, phi, phi, phi)
+    return StructureBundle(obj, mu=mu, eta=eta, delta=delta, epsilon=epsilon)
 
 
 def example_instance(field: FieldTag = GF(7)):

@@ -34,7 +34,7 @@ from .coherence import (
     nprod,
     xi_map,
 )
-from .combinat import validate_index_seq, z_of
+from .combinat import bar, validate_index_seq
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -278,7 +278,7 @@ def _bisemigroup_extra_entries(b: StructureBundle):
 
 def _bimonoid_extra_entries(b: StructureBundle):
     b.require("mu", "eta", "delta", "epsilon")
-    entries = [
+    return [
         compare_entry(
             "bimonoid/counit-multiplicative",
             "counit compatibility square of the bimonoid laws",
@@ -292,7 +292,6 @@ def _bimonoid_extra_entries(b: StructureBundle):
             "counit of the unit is the identity scalar",
             compose(b.epsilon, b.eta), DenseMap.identity(b.obj.field, 1)),
     ]
-    return entries
 
 
 def check_cosemigroup(b: StructureBundle) -> CheckReport:
@@ -424,18 +423,11 @@ def sweep_generalized_coassoc(b: StructureBundle, ks: Sequence[Sequence[int]]) -
 
 def coassoc_sequences(max_weight: int):
     """All arity sequences whose padded length K+Z stays within max_weight."""
-    out = [()]
-    frontier = [()]
+    out, frontier = [()], [()]
     while frontier:
-        new = []
-        for seq in frontier:
-            used = sum(v + z_of(v) for v in seq)
-            for v in range(0, max_weight - used + 1):
-                if used + v + z_of(v) <= max_weight:
-                    ext = seq + (v,)
-                    new.append(ext)
-        out.extend(new)
-        frontier = new
+        frontier = [seq + (v,) for seq in frontier for v in range(max_weight + 1)
+                    if sum(map(bar, seq + (v,))) <= max_weight]
+        out.extend(frontier)
     return out
 
 

@@ -97,6 +97,16 @@ _case("coherence", "--trials", "0")
 # the matrix bounds of the benchmark's coherence requests
 _case("coherence", "--level", "matrix", "--trials", "10", "--seed", "64", "--modulus", "7",
       "--max-n", "3", "--max-m", "2", "--max-k", "1", "--max-dim", "2")
+# both coherence levels over F_7 and F_2: the benchmark's matrix bounds, the same
+# with two objects per slot, and the symbolic identities
+for _modulus in ("7", "2"):
+    for _seed in ("5", "17", "29"):
+        for _max_k in ("1", "2"):
+            _case("coherence", "--level", "matrix", "--trials", "10", "--seed", _seed,
+                  "--modulus", _modulus, "--max-n", "3", "--max-m", "2", "--max-k", _max_k,
+                  "--max-dim", "2")
+        _case("coherence", "--level", "symbolic", "--trials", "240", "--seed", _seed,
+              "--modulus", _modulus)
 
 
 def _bumped(bundle, key, i, j):

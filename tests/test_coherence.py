@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -489,3 +490,131 @@ class TestFigures:
         names = {e.name for e in rep.entries}
         assert {"region-upper-left", "region-upper-right", "region-lower-left",
                 "region-lower-right", "unit-singleton", "unit-unary"} <= names
+
+
+# Random instances over F_7 and Q at max_k = 1 and 2; each check below runs on
+# every one of them.
+BOUNDS = [(2, 2, 1, 2), (2, 2, 2, 2), (3, 2, 2, 2)]
+
+
+def _random_instances(make):
+    for field in (F7, QQ):
+        for bounds in BOUNDS:
+            for s in range(20):
+                yield make(random.Random(s), field, *bounds)
+
+
+def _commute_pairwise(o):
+    endos = list(o.endos().values())
+    return all(compose(x, y) == compose(y, x) for x, y in itertools.combinations(endos, 2))
+
+
+class TestTrustedProducts:
+    """nprod and random_object skip the pairwise commutation check; every
+    object they build is the checked object of the same endomorphisms."""
+
+    @pytest.fixture
+    def trusted(self, monkeypatch):
+        built, build = [], BiHomObject._trusted
+
+        def recording(cls, *args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(BiHomObject, "_trusted", classmethod(recording))
+        return built
+
+    @pytest.mark.parametrize("make, check", [(random_lax_instance, check_lax_figure),
+                                             (random_duoidal_instance, check_duoidal_figure)],
+                             ids=["lax", "duoidal"])
+    def test_equal_to_the_checked_object(self, trusted, make, check):
+        for inst in _random_instances(make):
+            assert check(inst).passed
+        assert len(trusted) > 50
+        for o in trusted:
+            assert BiHomObject(o.dim, o.field, o.alpha, o.beta, o.kappa, o.nu) == o
+            assert _commute_pairwise(o)
+
+    def test_products_are_trusted_and_equal_the_checked_product(self, trusted):
+        rng = random.Random(5)
+        objs = [random_object(rng, QQ, 3, four=True) for _ in range(3)]
+        trusted.clear()
+        p = nprod(objs)
+        assert trusted == [p]
+        endos = {name: kron_all(QQ, [o.endos()[name] for o in objs]) for name in p.endos()}
+        assert p == BiHomObject(math.prod(o.dim for o in objs), QQ, **endos)
+
+    def test_refused_through_the_constructor(self):
+        with pytest.raises(InvariantViolation):
+            obj_with(QQ, diag(QQ, 1, 2), DenseMap.from_rows(QQ, [[0, 1], [0, 0]]))
+
+    def test_refused_through_replace_of_a_product(self):
+        o = obj_with(QQ, diag(QQ, 1, 2), diag(QQ, 3, 5))
+        p = nprod([o, o])
+        nilpotent = DenseMap.from_flat(QQ, 4, 4, [int(i == 1) for i in range(16)])
+        with pytest.raises(InvariantViolation, match="alpha and beta do not commute"):
+            dataclasses.replace(p, beta=nilpotent)
+
+    def test_refused_through_an_instance_file(self, tmp_path, capsys):
+        doc = {"format_version": "1", "field": {"kind": "rationals"},
+               "objects": {"x": {"dim": 2, "alpha": ["1", "0", "0", "2"],
+                                 "beta": ["0", "1", "0", "0"]}},
+               "structures": {}}
+        path = tmp_path / "noncommuting.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvariantViolation):
+            cli.load_instance(str(path))
+        # refused as a failed check, as every InvariantViolation the CLI meets
+        code = cli.main(["check", str(path), "--structure", "bimonoid", "--name", "x"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "check failed: endomorphisms alpha and beta do not commute\n"
+
+
+class TestInterchangesFromDimensions:
+    """xi:blocks and the unit triangles of the duoidal figure read only slot
+    dimensions; they equal xi_map on the full nprod grids."""
+
+    def test_equal_xi_map_on_nprod_grids(self, monkeypatch):
+        built, build = [], coherence._xi
+        monkeypatch.setattr(coherence, "_xi", lambda *args: built.append(build(*args)) or built[-1])
+        seen = 0
+        for inst in _random_instances(random_duoidal_instance):
+            n, p, objs, field = inst.n, inst.p, inst.objects, inst.field
+            built.clear()
+            assert check_duoidal_figure(inst).passed
+            # xi:flat, xi:blocks, one xi_map per group for xi:groups, then the triangles
+            assert len(built) == p + 4
+            c_grid = [[nprod(objs[s][i], field) for i in range(p)] for s in range(n)]
+            rows = [nprod([o for g in objs[s] for o in g], field) for s in range(n)]
+            cols = [nprod([c_grid[s][i] for s in range(n)], field) for i in range(p)]
+            assert built[1] == xi_map(n, p, c_grid, field)
+            assert built[-2] == xi_map(n, 1, [[o] for o in rows], field)
+            assert built[-1] == xi_map(1, p, [cols], field)
+            seen += n * p > 1
+        assert seen > 20
+
+    def test_xi_map_compares_fields_by_identity_first(self, monkeypatch):
+        o = random_object(random.Random(1), F7, 2, four=False)
+        monkeypatch.setattr(type(F7), "__eq__", lambda *_: pytest.fail("compared by value"))
+        assert xi_map(1, 1, [[o]], F7).is_identity()
+
+
+class TestExponentTable:
+    def test_mutating_a_result_leaves_the_next_coherence_map(self):
+        rng = random.Random(3)
+        groups = [[random_object(rng, QQ, 2, four=True) for _ in range(v)] for v in (2, 0, 1)]
+        for which in KINDS:
+            before = coherence_map((2, 0, 1), which, groups)
+            table = phi_exponents((2, 0, 1), which)
+            table[0][0] = (7, 7)
+            table[2].append((1, 1))
+            table.append([(3, 3)])
+            assert coherence_map((2, 0, 1), which, groups) == before
+            assert phi_exponents((2, 0, 1), which) != table
+
+    def test_cached_table_is_immutable_and_shared(self):
+        first = coherence._exponent_table((1, 2), BIG_PHI)
+        assert coherence._exponent_table((1, 2), BIG_PHI) is first
+        assert isinstance(first, tuple) and all(isinstance(g, tuple) for g in first)
+        assert [list(g) for g in first] == phi_exponents([1, 2], BIG_PHI)

@@ -8,6 +8,7 @@ endomorphisms are not diagonal.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,11 +20,12 @@ from bihomcheck.coherence import (
     check_lax_figure,
 )
 from bihomcheck.errors import NotInvertible
-from bihomcheck.exactlin import GF, QQ, DenseMap, compose
+from bihomcheck.exactlin import GF, QQ, DenseMap, Scalar, compose
 from bihomcheck.fixtures import (
     cyclic_group_bundle,
     dual_cyclic_bundle,
     group_power_endo,
+    sweedler_bundle,
 )
 from bihomcheck.structures import (
     ALTERNATIVE,
@@ -104,6 +106,44 @@ class TestDualCyclicFixture:
     def test_regular_hopf_module(self):
         t = twisted_dual(F7)
         assert check_hopf_module(regular_module(t), regular_comodule(t)).passed
+
+
+SWEEDLER_CASES = [(QQ, Fraction(2, 5)), (QQ, 3), (F7, 3)]
+
+
+@pytest.mark.parametrize("field, lam", SWEEDLER_CASES, ids=["Q-2/5", "Q-3", "F7-3"])
+class TestSweedlerFixture:
+    """H_4 twisted along x -> lam x: not commutative, not cocommutative, and
+    the first fixture with entries other than 0 and 1."""
+
+    def test_table(self, field, lam):
+        b = sweedler_bundle(field, lam)
+        # basis 1, g, x, gx: gx . g = g x g = -x, and Delta x = x (x) 1 + g (x) x
+        assert b.mu.entry(2, 4 * 3 + 1) == Scalar.of(field, -1)
+        assert [r for r in range(16) if b.delta.rows()[r][2] != 0] == [4 * 1 + 2, 4 * 2 + 0]
+        assert [b.obj.alpha.entry(i, i).value for i in range(4)] == [1, 1, lam, lam]
+
+    def test_classical_and_twisted_are_bimonoids(self, field, lam):
+        assert check_bimonoid(sweedler_bundle(field, 1)).passed
+        assert check_bimonoid(yau_twist(PlainStructure(sweedler_bundle(field, lam)))).passed
+
+    def test_regular_hopf_module(self, field, lam):
+        t = yau_twist(PlainStructure(sweedler_bundle(field, lam)))
+        assert check_hopf_module(regular_module(t), regular_comodule(t)).passed
+
+    def test_antipode_agrees_both_ways(self, field, lam):
+        t = yau_twist(PlainStructure(sweedler_bundle(field, lam)))
+        direct = antipode_solve(t, DIRECT)
+        via = antipode_solve(t, VIA_UNTWIST)
+        assert direct.status == via.status == FOUND
+        # S(g) = g, S(x) = -gx and S(gx) = x: the classical antipode, which
+        # commutes with x -> lam x
+        assert direct.chi == via.chi == DenseMap.from_rows(
+            field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+
+    def test_round_trip(self, field, lam):
+        plain = PlainStructure(sweedler_bundle(field, lam))
+        assert untwist(yau_twist(plain)).bundle == plain.bundle
 
 
 class TestCompositeOrderOverRationals:

@@ -2,7 +2,8 @@
 code that derived them.
 
 - first_difference finds the first mismatch in one pass; the np.argwhere
-  version it replaced is kept here as the reference.
+  version it replaced is kept here as the reference.  Two index maps with
+  equal index arrays are equal at once, with no dense array built.
 - A permutation gather of a canonical map (compose with an index map on
   either side, a permutation leg of kron_compose) is kept as it stands; it
   must hold what exactlin._canonical makes of the same product on dense
@@ -121,6 +122,20 @@ def test_first_difference_edge_shapes():
     half = DenseMap.from_flat(QQ, 1, 2, [Fraction(1, 2), 1])
     third = DenseMap.from_flat(QQ, 1, 2, [Fraction(1, 2), Fraction(1, 3)])
     assert half.first_difference(third) == (0, 1, "1", "1/3")
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=str)
+def test_first_difference_of_equal_index_maps_builds_nothing(field):
+    rng = random.Random(4)
+    for n in range(6):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        f, g = DenseMap.permutation(field, perm), DenseMap.permutation(field, np.array(perm))
+        assert f.first_difference(g) is None
+        assert f._dense is None and g._dense is None
+        if n > 1:  # unequal index arrays still go through the dense pass
+            h = DenseMap.permutation(field, perm[1:] + perm[:1])
+            assert f.first_difference(h) == reference_first_difference(f, h)
 
 
 # -- permutation gathers stay canonical ------------------------------------
