@@ -33,7 +33,7 @@ from .coherence import (
     random_duoidal_instance,
     random_lax_instance,
 )
-from .errors import BihomError, ParseError, TooLarge, UnknownName
+from .errors import BihomError, InvariantViolation, ParseError, TooLarge, UnknownName
 from .exactlin import GF, QQ, DenseMap, FieldTag, RATIONALS
 from .report import CheckReport
 from .structures import (
@@ -154,7 +154,10 @@ def _object_from_json(field: FieldTag, name: str, doc) -> BiHomObject:
     maps = _maps_from_json(field, doc, shapes, f"object {name}")
     if "alpha" not in maps or "beta" not in maps:
         raise ParseError(f"object {name}: alpha and beta are required")
-    return BiHomObject(dim, field, **maps)
+    try:
+        return BiHomObject(dim, field, **maps)
+    except InvariantViolation as exc:  # an input error: no check has run
+        raise ParseError(f"object {name}: {exc}") from exc
 
 
 def instance_to_json(data: InstanceData) -> dict:

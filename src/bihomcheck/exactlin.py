@@ -21,11 +21,13 @@ other entry goes through the per-entry parser, which words every parse error.
 No operation builds a dense array of more than ENTRY_BUDGET entries; it raises
 TooLarge, which the CLI reports with exit code 2.  Every exact linear system
 goes through one solver, _solve, which classifies C X = B for any number of
-right-hand columns; invert is _solve of [num(f) | I].  Over F_p _solve reads
-the reduced row echelon form mod p.  Over Q the same elimination runs mod
-primes from 2^31 - 1 down, on int64 residues, and the reduced row echelon form
-is rebuilt from them by rational reconstruction and kept only after an exact
-integer check, which proves it is the one over Q.
+right-hand columns; invert is _solve of [num(f) | I].  _solve first fixes
+each unknown that some row holds as its only open coefficient, by exact
+division, so a monomial system needs no elimination; the rest goes to one
+elimination.  Over F_p it reads the reduced row echelon form mod p.  Over Q
+it runs mod primes from 2^31 - 1 down, on int64 residues, and the reduced
+row echelon form is rebuilt from them by rational reconstruction and kept
+only after an exact integer check, which proves it is the one over Q.
 
 Maps carry explicit source/target dimensions; a map f: V_src -> V_dst has
 shape dst_dim x src_dim and composes on the left (compose(f, g) = f.g applies
@@ -604,8 +606,9 @@ def _reduce_mod(a: np.ndarray, p: int):
     """Gauss-Jordan elimination of the integer array a mod a prime p; the
     pivot is the first nonzero row at or below the current one.  The pivot
     row is scaled to 1 and subtracted only from the rows with a nonzero entry
-    in its column.  The residues are int64 for p < 2^31, where each product
-    of two of them is below 2^62 and nothing overflows, and Python ints
+    in its column; a swap, scaling or elimination that would change nothing
+    is skipped.  The residues are int64 for p < 2^31, where each product of
+    two of them is below 2^62 and nothing overflows, and Python ints
     otherwise.  Returns the reduced row echelon form of a mod p, as a fresh
     array, and its pivot columns."""
     num = (np.remainder(a, p).astype(np.int64, copy=False) if p <= _MODULAR_PRIME
@@ -616,12 +619,15 @@ def _reduce_mod(a: np.ndarray, p: int):
         nonzero = num[r:, col].nonzero()[0]
         if not nonzero.size:
             continue
-        num[[r, r + nonzero[0]]] = num[[r + nonzero[0], r]]
+        if nonzero[0]:
+            num[[r, r + nonzero[0]]] = num[[r + nonzero[0], r]]
         # rows r and below are zero left of col, so only columns col on change
-        num[r, col:] = num[r, col:] * pow(int(num[r, col]), -1, p) % p
+        if num[r, col] != 1:
+            num[r, col:] = num[r, col:] * pow(int(num[r, col]), -1, p) % p
         rows = num[:, col].nonzero()[0]
         rows = rows[rows != r]
-        num[rows, col:] = (num[rows, col:] - num[rows, col:col + 1] * num[r, col:]) % p
+        if rows.size:
+            num[rows, col:] = (num[rows, col:] - num[rows, col:col + 1] * num[r, col:]) % p
         pivots.append(col)
     return num, pivots
 
@@ -735,23 +741,72 @@ def solve_linear(system: Sequence[tuple], unknowns: int,
     return SolveResult(status, _canonical(field, unknowns, 1, solution, d).entries)
 
 
-def _solve(augmented: DenseMap, unknowns: int):
-    """Reduce the augmented map [C | B] and classify C X = B, for every
-    column of B at once: no solution when a pivot falls in B, else a unique
-    one when every unknown has a pivot.  Returns the status, then the
-    numerators of a solution X as a fresh array (every free unknown set to
-    zero in each column) and their denominator; both are None when some
-    column has no solution.  Over F_p _reduce_mod gives the reduced row
-    echelon form, and over Q _rref_over_q its certified lift.  The reduced
-    row echelon form does not depend on the order of the rows, so neither do
-    the status and the solution's values."""
-    p = augmented.field.modulus
+def _eliminate(a: np.ndarray, unknowns: int, p: Optional[int]):
+    """_solve of the whole augmented array a, from its reduced row echelon
+    form: by _reduce_mod over F_p, certified by _rref_over_q over Q."""
     if p is None:
-        num, pivots, d = _rref_over_q(augmented._num)
+        num, pivots, d = _rref_over_q(a)
     else:
-        (num, pivots), d = _reduce_mod(augmented._num, p), 1
+        (num, pivots), d = _reduce_mod(a, p), 1
     if pivots and pivots[-1] >= unknowns:
         return NO_SOLUTION, None, None
-    solution = np.zeros((unknowns, augmented.src_dim - unknowns), dtype=num.dtype)
+    solution = np.zeros((unknowns, a.shape[1] - unknowns), dtype=num.dtype)
     solution[pivots] = num[:len(pivots), unknowns:]
     return (UNIQUE if len(pivots) == unknowns else UNDERDETERMINED), solution, d
+
+
+def _substitute(b: np.ndarray, scale: int, c: np.ndarray, x: np.ndarray, p: Optional[int]):
+    """b * scale - c x, mod p over F_p; in int64 when the bounds of _operands
+    (p - 1 over F_p) rule out overflow, else in Python ints."""
+    top = [p - 1 if p else max(int(np.abs(m).max(initial=0)), 1) for m in (b, c, x)]
+    dtype = np.int64 if top[0] * scale + top[1] * top[2] * c.shape[1] < 1 << 63 else object
+    out = b.astype(dtype) * scale - c.astype(dtype) @ x.astype(dtype)
+    return out if p is None else out % p
+
+
+def _solve(augmented: DenseMap, unknowns: int):
+    """Classify and solve C X = B from the augmented map [C | B], for every
+    column of B at once.  Returns the status, then the numerators of a
+    solution X as a fresh array (every free unknown zero in each column) and
+    their denominator; both are None when some column has no solution.
+
+    A presolve fixes, round after round, each unknown j that some row r (the
+    first) holds as its only open coefficient: x_j = b_r / c_rj exactly, mod
+    p over F_p, and over Q as numerators over one running denominator that
+    also scales the right-hand sides; C[:, J] x_J leaves them, and row r and
+    column j close.  Nothing is reconstructed, so nothing needs a
+    certificate.  A fixed unknown has one value in every solution, so its
+    column is a pivot column of the reduced row echelon form, and closing it
+    with its row leaves the rest of that form as it was: a row with no open
+    coefficient left must have a zero right-hand side, and _eliminate of the
+    open rows and columns gives the whole system's status and witness (of
+    all of it when no row has a single coefficient).  Neither status nor
+    solution depends on the order of the rows."""
+    p, a = augmented.field.modulus, augmented._num
+    c, b = a[:, :unknowns], a[:, unknowns:]
+    count = np.count_nonzero(c, axis=1)  # the open coefficients of each row
+    fixed = np.zeros(unknowns, dtype=bool)
+    x, den = np.zeros((unknowns, b.shape[1]), dtype=object), 1
+    while (single := np.flatnonzero(count == 1)).size:
+        cols, first = np.unique(((c[single] != 0) & ~fixed).argmax(axis=1), return_index=True)
+        rows, pivots = single[first], c[single[first], cols].tolist()
+        scale = math.lcm(*pivots) if p is None else 1
+        factors = [scale // v if p is None else pow(v, -1, p) for v in pivots]
+        x, den = x * scale, den * scale
+        values = b[rows].astype(object) * np.array(factors, dtype=object)[:, None]
+        x[cols] = values if p is None else values % p
+        b = _substitute(b, scale, c[:, cols], x[cols], p)
+        count -= np.count_nonzero(c[:, cols], axis=1)
+        fixed[cols] = True
+    if not fixed.any():
+        return _eliminate(a, unknowns, p)
+    if b[count == 0].any():
+        return NO_SOLUTION, None, None
+    if fixed.all():
+        return UNIQUE, x, den
+    status, y, d = _eliminate(np.hstack((c[count > 0][:, ~fixed], b[count > 0])), (~fixed).sum(), p)
+    if status == NO_SOLUTION:
+        return status, None, None
+    x = x * d
+    x[~fixed] = y
+    return status, x, den * d

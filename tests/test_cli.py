@@ -99,8 +99,8 @@ class TestSerialization:
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        from bihomcheck.errors import InvariantViolation
-        with pytest.raises(InvariantViolation):
+        # an input error, which names the object
+        with pytest.raises(ParseError, match="^object x: endomorphisms alpha and beta do not"):
             load_instance(str(path))
 
 

@@ -3,9 +3,14 @@
 Each case runs one `bihom` command line in process, in a directory holding
 instance files built from the fixtures, and compares its exit code, stdout,
 stderr and every file it writes with the recorded goldens in
-data/cli_golden.json.  After a deliberate output change, re-record with
+data/cli_golden.json.  Record new cases with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which runs only the cases missing from data/cli_golden.json, appends their
+goldens, and leaves every recorded golden byte for byte as it is.  To
+re-record a case after a deliberate output change, delete its entry from
+data/cli_golden.json first.
 """
 
 import contextlib
@@ -15,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +31,7 @@ from bihomcheck.fixtures import (
     cyclic_group_bundle,
     dual_cyclic_bundle,
     idempotent_monoid_bialgebra,
+    sweedler_bundle,
 )
 from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
 
@@ -72,6 +79,11 @@ for _stem in ("f7_c6", "q_c6"):
 # the cost of its elimination to show
 for _method in ("direct", "untwist"):
     _case("antipode", "q_c12.json", "--name", "twisted", "--method", _method)
+# Sweedler's H_4 twisted along x -> lam x, whose signs and entries other than
+# 0 and 1 reach the antipode systems
+for _stem in ("q_h4", "f7_h4"):
+    for _method in ("direct", "untwist"):
+        _case("antipode", f"{_stem}.json", "--name", "twisted", "--method", _method)
 _case("twist", "f7_c3.json", "--name", "plain", "-o", "out.json", writes=["out.json"])
 _case("twist", "q_c4.json", "--name", "twisted", "--direction", "untwist",
       "-o", "out.json", writes=["out.json"])
@@ -135,6 +147,11 @@ def _cyclic_instance(field, order, power) -> InstanceData:
 def _write_instances(directory: Path):
     for stem, (field, order, power) in INSTANCES.items():
         save_instance(str(directory / f"{stem}.json"), _cyclic_instance(field, order, power))
+    for stem, field, lam in (("q_h4", QQ, Fraction(2, 5)), ("f7_h4", GF(7), 3)):
+        twisted = yau_twist(PlainStructure(sweedler_bundle(field, lam)), BIMONOID)
+        save_instance(str(directory / f"{stem}.json"),
+                      InstanceData(field, {"h4": twisted.obj}, {"twisted": twisted},
+                                   {"twisted": "h4"}, {}))
     nh = idempotent_monoid_bialgebra(QQ)
     save_instance(str(directory / "q_nohopf.json"),
                   InstanceData(QQ, {"m2": nh.obj}, {"nohopf": nh}, {"nohopf": "m2"}, {}))
@@ -186,11 +203,16 @@ def test_goldens_cover_every_case(goldens):
 
 
 def _record():
-    with tempfile.TemporaryDirectory() as tmp, _instance_dir(Path(tmp)) as directory:
-        records = [_run(directory, argv, writes) for argv, writes in CASES]
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(records)} cases in {GOLDEN}", file=sys.stderr)
+    """Append the goldens of the cases that have none."""
+    records = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+    recorded = {tuple(g["argv"]) for g in records}
+    missing = [(argv, writes) for argv, writes in CASES if tuple(argv) not in recorded]
+    if missing:
+        with tempfile.TemporaryDirectory() as tmp, _instance_dir(Path(tmp)) as directory:
+            records += [_run(directory, argv, writes) for argv, writes in missing]
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(missing)} new cases in {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

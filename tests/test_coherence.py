@@ -37,6 +37,7 @@ from bihomcheck.errors import (
     GroupShapeMismatch,
     InvariantViolation,
     MissingEndomorphism,
+    ParseError,
     ShapeMismatch,
     SlotOutOfRange,
 )
@@ -562,13 +563,13 @@ class TestTrustedProducts:
                "structures": {}}
         path = tmp_path / "noncommuting.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ParseError):
             cli.load_instance(str(path))
-        # refused as a failed check, as every InvariantViolation the CLI meets
+        # refused as an input error (exit 2), before any check has run
         code = cli.main(["check", str(path), "--structure", "bimonoid", "--name", "x"])
         out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
-        assert err == "check failed: endomorphisms alpha and beta do not commute\n"
+        assert (code, out) == (2, "")
+        assert err == "error: object x: endomorphisms alpha and beta do not commute\n"
 
 
 class TestInterchangesFromDimensions:

@@ -40,8 +40,22 @@ from bihomcheck.exactlin import (
     _is_prime,
     solve_linear,
 )
-from bihomcheck.fixtures import cyclic_group_bundle
-from bihomcheck.twist import PlainStructure, yau_twist
+from bihomcheck import twist
+from bihomcheck.fixtures import (
+    cyclic_group_bundle,
+    dual_cyclic_bundle,
+    inversion_antipode,
+    sweedler_bundle,
+)
+from bihomcheck.twist import (
+    DIRECT,
+    FOUND,
+    NON_UNIQUE,
+    VIA_UNTWIST,
+    PlainStructure,
+    antipode_solve,
+    yau_twist,
+)
 
 from conftest import (
     as_rational_map,
@@ -754,14 +768,32 @@ def reference_solve(system, unknowns, field):
 ELIMINATION_FIELDS = (QQ, GF(2), F7, GF(2 ** 31 - 1), GF(2147483659), GF(2 ** 61 - 1))
 
 
+def chain_row(draw, entries, nonzero, order, t, unknowns):
+    """Coefficients with a nonzero one for the unknown order[t] and otherwise
+    only for unknowns earlier in order: the row holds one open coefficient
+    once those are fixed, so the presolve fixes a chain of them in rounds."""
+    coeffs = [0] * unknowns
+    for i in order[:t]:
+        coeffs[i] = draw(st.just(0) | entries)
+    coeffs[order[t]] = draw(nonzero)
+    return coeffs
+
+
 @st.composite
-def linear_system(draw, square=False, sparse=False, fields=ELIMINATION_FIELDS):
+def linear_system(draw, square=False, sparse=False, singletons=False,
+                  fields=ELIMINATION_FIELDS):
     """A system whose rows are random, or combinations of a few base rows
     (rank-deficient), with one right-hand side optionally knocked off.  A
     sparse system has up to 12 unknowns and 0/+-1 coefficients, as the
-    antipode systems have, and the right-hand sides of a drawn solution."""
+    antipode systems have, and the right-hand sides of a drawn solution.  A
+    singleton-heavy system (up to 8 unknowns) has a chain_row for each
+    unknown of a drawn order, with a few left out, and the right-hand sides
+    of a drawn solution; unless square, it also has single-coefficient
+    duplicates of some unknowns, each with an agreeing or a conflicting
+    right-hand side, zero rows with a nonzero one, and a few random rows with
+    the drawn solution's right-hand sides."""
     field = draw(st.sampled_from(fields))
-    unknowns = draw(st.integers(0, 12 if sparse else 4))
+    unknowns = draw(st.integers(0, 12 if sparse else 8 if singletons else 4))
     n_rows = unknowns if square else draw(st.integers(unknowns, 2 * unknowns + 1) if sparse
                                           else st.integers(0, 5))
     if sparse:
@@ -774,7 +806,31 @@ def linear_system(draw, square=False, sparse=False, fields=ELIMINATION_FIELDS):
     def row():
         return draw(st.lists(entries, min_size=width, max_size=width))
 
-    if sparse:  # consistent, with the right-hand sides of a drawn solution
+    if singletons:
+        nonzero = entries.filter(lambda v: exactlin._coerce(field, v) != 0)
+        x = draw(st.lists(entries, min_size=unknowns, max_size=unknowns))
+
+        def equation(coeffs, knock=False):
+            return coeffs + [sum(c * v for c, v in zip(coeffs, x)) + knock]
+
+        order = draw(st.permutations(range(unknowns)))
+        rows = [equation(chain_row(draw, entries, nonzero, order, t, unknowns))
+                for t in range(unknowns)]
+        left_out = draw(st.sets(st.integers(0, unknowns - 1), max_size=2)) if unknowns else ()
+        if square:  # a left-out unknown's row is random, or another's single coefficient
+            for t in left_out:
+                rows[t] = row() if draw(st.booleans()) else equation(
+                    chain_row(draw, entries, nonzero, order, 0, unknowns))
+        else:
+            rows = [r for t, r in enumerate(rows) if t not in left_out]
+            for j in draw(st.lists(st.integers(0, unknowns - 1), max_size=3)) if unknowns else ():
+                rows.append(equation(chain_row(draw, entries, nonzero, [j], 0, unknowns),
+                                     draw(st.sampled_from([False, False, True]))))
+            zero_rows = draw(st.sampled_from([0, 0, 1]))
+            rows += [[0] * unknowns + [draw(nonzero)] for _ in range(zero_rows)]
+            rows += [equation(row()[:unknowns]) for _ in range(draw(st.integers(0, 2)))]
+        rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    elif sparse:  # consistent, with the right-hand sides of a drawn solution
         x = draw(st.lists(small_fracs if field == QQ else st.integers(-3, 3),
                           min_size=unknowns, max_size=unknowns))
         rows = [r[:unknowns] + [sum(c * v for c, v in zip(r, x))] for r in
@@ -832,12 +888,30 @@ def test_sparse_invert_against_fraction_reference(case):
     assert invert(f) == reference_invert(f)
 
 
+@settings(deadline=None, max_examples=300)
+@given(linear_system(singletons=True))
+def test_singleton_solve_against_fraction_reference(case):
+    field, unknowns, system = case
+    assert _typed(solve_linear(system, unknowns, field)) == \
+        _typed(reference_solve(system, unknowns, field))
+
+
+@settings(deadline=None, max_examples=150)
+@given(linear_system(square=True, singletons=True))
+def test_singleton_invert_against_fraction_reference(case):
+    field, n, system = case
+    f = DenseMap.from_flat(field, n, n, [v for coeffs, _ in system for v in coeffs])
+    assert invert(f) == reference_invert(f)
+
+
 @st.composite
 def permuted_augmented_system(draw, fields=(F7, GF(2 ** 61 - 1), QQ)):
     """[C | B] over F_7, F_(2^61-1) or Q with one to three right-hand columns,
-    and the same map with its rows permuted.  C has random rows or
-    combinations of a few base rows (rank-deficient); B is C X for a drawn X,
-    with one entry optionally knocked off, or random."""
+    and the same map with its rows permuted.  C has random rows, chain_rows
+    that the presolve fixes in rounds (row t for the unknown t mod the
+    number of unknowns, in a drawn order), or combinations of a few base
+    rows (rank-deficient); B is C X for a drawn X, with one entry optionally
+    knocked off, or random."""
     field = draw(st.sampled_from(fields))
     unknowns, columns, n_rows = draw(st.integers(0, 4)), draw(st.integers(1, 3)), \
         draw(st.integers(0, 6))
@@ -847,8 +921,14 @@ def permuted_augmented_system(draw, fields=(F7, GF(2 ** 61 - 1), QQ)):
         return DenseMap.from_flat(field, dst, src, draw(
             st.lists(entries, min_size=dst * src, max_size=dst * src)))
 
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["random", "chains", "combinations"]))
+    if kind == "random" or (kind == "chains" and not unknowns):
         c = matrix(n_rows, unknowns)
+    elif kind == "chains":
+        nonzero = entries.filter(lambda v: exactlin._coerce(field, v) != 0)
+        order = draw(st.permutations(range(unknowns)))
+        c = DenseMap.from_rows(field, [chain_row(draw, entries, nonzero, order, t % unknowns,
+                                                 unknowns) for t in range(n_rows)], unknowns)
     else:
         base = draw(st.integers(1, 3))
         mix = DenseMap.from_flat(field, n_rows, base, draw(st.lists(
@@ -1016,11 +1096,25 @@ def elimination_calls(monkeypatch):
 PRIMES = [P] + [q for q in range(P - 2, P - 100, -2) if trial_division_is_prime(q)]
 
 
+def eliminated(augmented: DenseMap, unknowns: int):
+    """_solve's answer by the elimination route alone, with no presolve."""
+    return exactlin._eliminate(augmented._num, unknowns, augmented.field.modulus)
+
+
+def inverse_system(f: DenseMap) -> DenseMap:
+    """[num(f) | I], the augmented map invert hands to _solve."""
+    n = f.dst_dim
+    return DenseMap(f.field, n, 2 * n, np.hstack((f._num, np.identity(n, dtype=np.int64))))
+
+
 class TestModularElimination:
-    """Inputs on which P is unlucky or too small: the route goes on to the
-    primes below it, and the results equal the references.  Reconstruction
-    runs at 1, 2, 4, ... primes since the last better pivot list.  The test
-    names are those of the Bareiss fallback these inputs once reached."""
+    """Inputs on which P is unlucky or too small: the elimination route goes
+    on to the primes below it, and the results equal the references.
+    Reconstruction runs at 1, 2, 4, ... primes since the last better pivot
+    list.  Most of these systems have a row with one nonzero coefficient,
+    which the presolve of _solve solves with no elimination, so the route
+    is run directly.  The test names are those of the Bareiss fallback these
+    inputs once reached."""
 
     @pytest.mark.parametrize("system, unknowns, primes, reconstructed", [
         # det P: rank 1 mod P, then the full rank mod the next prime starts afresh
@@ -1036,13 +1130,15 @@ class TestModularElimination:
             "inconsistent-over-q"])
     def test_unlucky_prime_falls_back_to_bareiss(self, elimination_calls, system, unknowns,
                                                  primes, reconstructed):
-        got = solve_linear(system, unknowns, QQ)
+        augmented = _as_augmented((QQ, unknowns, system))[0]
+        got = eliminated(augmented, unknowns)
         assert elimination_calls["primes"] == PRIMES[:primes]
         assert elimination_calls["reconstructed"] == reconstructed
-        assert _typed(got) == _typed(reference_solve(system, unknowns, QQ))
-        augmented = _as_augmented((QQ, unknowns, system))[0]
-        assert solved_map(exactlin._solve(augmented, unknowns), unknowns, 1) == \
-            solved_map(bareiss_solve(augmented, unknowns), unknowns, 1)
+        assert solved_map(got, unknowns, 1) == \
+            solved_map(bareiss_solve(augmented, unknowns), unknowns, 1) == \
+            solved_map(exactlin._solve(augmented, unknowns), unknowns, 1)
+        assert _typed(solve_linear(system, unknowns, QQ)) == \
+            _typed(reference_solve(system, unknowns, QQ))
 
     @pytest.mark.parametrize("rows, primes, reconstructed", [
         ([[P, 0], [0, 1]], 5, [True, True, False, True]),
@@ -1052,33 +1148,91 @@ class TestModularElimination:
     def test_unlucky_inverse_falls_back_to_bareiss(self, elimination_calls, rows, primes,
                                                    reconstructed):
         f = DenseMap.from_rows(QQ, rows)
-        got = invert(f)
+        n = f.dst_dim
+        got = eliminated(inverse_system(f), n)
         assert elimination_calls["primes"] == PRIMES[:primes]
         assert elimination_calls["reconstructed"] == reconstructed
-        assert got == reference_invert(f)
+        assert solved_map(got, n, n) == solved_map(bareiss_solve(inverse_system(f), n), n, n)
+        assert invert(f) == reference_invert(f)
 
     def test_certified_solution_skips_bareiss(self, elimination_calls):
         # one prime and one reconstruction: a unique solution with small entries
         system = [([2, 1], 1), ([1, -1], Fraction(1, 3)), ([3, 0], Fraction(4, 3))]
-        got = solve_linear(system, 2, QQ)
+        augmented = _as_augmented((QQ, 2, system))[0]
+        got = eliminated(augmented, 2)
         assert elimination_calls == {"primes": [P], "reconstructed": [True]}
-        assert _typed(got) == _typed(reference_solve(system, 2, QQ))
-        for rows in ([[2, 1], [Fraction(1, 2), -1]], [[Fraction(1, P + 1)]]):
-            f = DenseMap.from_rows(QQ, rows)  # the inverse of num(f) is scaled by den(f)
-            assert invert(f) == reference_invert(f)
+        assert solved_map(got, 2, 1) == solved_map(bareiss_solve(augmented, 2), 2, 1)
+        maps = [DenseMap.from_rows(QQ, rows)  # the inverse of num(f) is scaled by den(f)
+                for rows in ([[2, 1], [Fraction(1, 2), -1]], [[Fraction(1, P + 1)]])]
+        for f in maps:
+            n = f.dst_dim
+            got = eliminated(inverse_system(f), n)
+            assert solved_map(got, n, n) == solved_map(bareiss_solve(inverse_system(f), n), n, n)
         assert elimination_calls["primes"] == [P] * 3
+        assert _typed(solve_linear(system, 2, QQ)) == _typed(reference_solve(system, 2, QQ))
+        for f in maps:
+            assert invert(f) == reference_invert(f)
 
     @pytest.mark.parametrize("field", [GF(2), GF(2 ** 31 - 1), GF(2147483659), GF(2 ** 61 - 1),
                                        GF(2 ** 64 + 13)], ids=str)
     def test_prime_fields_skip_bareiss(self, elimination_calls, field):
-        # over F_p one _reduce_mod per solve, modulo p itself, and no reconstruction
-        system = [([1, 2], 3), ([0, 1], 1), ([1, 1], 1)]
+        # over F_p one _reduce_mod per solve, modulo p itself, and no
+        # reconstruction; no row has a single nonzero coefficient mod any p
+        system = [([1, 1], 3), ([1, -1], 1), ([1, 3], 5)]
         got = solve_linear(system, 2, field)
-        f = DenseMap.from_rows(field, [[2, 1], [1, 1]])
+        f = DenseMap.from_rows(field, [[3, 1], [1, 1]])  # singular mod 2
         inv = invert(f)
         assert elimination_calls == {"primes": [field.modulus] * 2, "reconstructed": []}
         assert _typed(got) == _typed(reference_solve(system, 2, field))
         assert inv == reference_invert(f)
+
+
+class TestPresolve:
+    """Systems with one nonzero coefficient per row, once the unknowns fixed
+    in earlier rounds are substituted, are solved by the presolve of _solve
+    with no elimination: no _reduce_mod, which _rref_over_q starts with."""
+
+    @pytest.mark.parametrize("field", [QQ, F7], ids=str)
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("family", [cyclic_group_bundle, dual_cyclic_bundle])
+    @pytest.mark.parametrize("method", [DIRECT, VIA_UNTWIST])
+    def test_cyclic_antipodes(self, elimination_calls, field, n, family, method):
+        # every twisting power: the antipode is the inversion i -> -i
+        for e in (e for e in range(2, n) if math.gcd(e, n) == 1):
+            res = antipode_solve(yau_twist(PlainStructure(family(field, n, e))), method)
+            assert res.status == FOUND and res.chi == inversion_antipode(field, n)
+        assert elimination_calls["primes"] == []
+
+    @pytest.mark.parametrize("field, lam", [(QQ, Fraction(2, 5)), (QQ, 3), (F7, 3)], ids=str)
+    @pytest.mark.parametrize("method", [DIRECT, VIA_UNTWIST])
+    def test_sweedler_antipodes(self, elimination_calls, field, lam, method):
+        # two rounds: S(g) = g, S(x) = -gx and S(gx) = x
+        res = antipode_solve(yau_twist(PlainStructure(sweedler_bundle(field, lam))), method)
+        assert res.status == FOUND and res.chi == DenseMap.from_rows(
+            field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        assert elimination_calls["primes"] == []
+
+    def test_monomial_inverse(self, elimination_calls):
+        # 60-digit rationals on a diagonal, then in permuted places
+        rng = random.Random(5)
+        values = [Fraction(rng.randrange(10 ** 59, 10 ** 60) * rng.choice([1, -1]),
+                           rng.randrange(10 ** 59, 10 ** 60)) for _ in range(16)]
+        for images in (range(16), rng.sample(range(16), 16)):
+            f = DenseMap.from_rows(QQ, [[values[i] if images[i] == j else 0 for j in range(16)]
+                                        for i in range(16)])
+            assert invert(f) == reference_invert(f)
+        assert elimination_calls["primes"] == []
+
+    def test_non_unique_antipode_is_eliminated(self, elimination_calls, monkeypatch):
+        # twisted Q[C_12] with e = 2: no row has a single coefficient, and the
+        # witness is that of the elimination route on the whole system
+        systems = []
+        monkeypatch.setattr(twist, "_solve", lambda m, u: systems.append(m) or exactlin._solve(m, u))
+        res = antipode_solve(yau_twist(PlainStructure(cyclic_group_bundle(QQ, 12, 2))), DIRECT)
+        assert res.status == NON_UNIQUE and elimination_calls["primes"][0] == P
+        status, num, d = eliminated(systems[0], 144)
+        assert status == UNDERDETERMINED
+        assert res.chi == exactlin._canonical(QQ, 12, 12, num.reshape(12, 12), d)
 
 
 @settings(deadline=None, max_examples=60)
