@@ -6,7 +6,8 @@ to an object plus optional mu/eta/delta/epsilon), and named (co)module
 instances.  Matrices are row-major arrays of scalar strings: "p/q" over the
 rationals, decimal residues over a prime field, never floats.  Serialization
 is canonical (sorted keys, lowest-terms scalars, two-space indent) so
-round-trip tests can compare bytes.
+round-trip tests can compare bytes.  Within one read, equal matrices (lists of
+ints and strings at one shape) become one map, parsed at their first occurrence.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage, parse
 or I/O failure, or a dense map past exactlin.ENTRY_BUDGET.  Randomized
@@ -115,22 +116,30 @@ def _field_from_json(doc) -> FieldTag:
     raise ParseError(f"unknown field kind {doc['kind']!r}")
 
 
-def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str) -> DenseMap:
+def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str,
+                      read: dict) -> DenseMap:
     if not isinstance(data, list) or len(data) != dst * src:
         raise ParseError(f"{what}: expected {dst * src} entries")
+    # the type screen of from_flat: True, 1.0 and "01" never share a key with 1
+    key = (dst, src, tuple(data)) if set(map(type, data)) <= {int, str} else None
+    if key in read:
+        return read[key]
     try:  # from_flat screens the entry types, then reads each distinct entry once
-        return DenseMap.from_flat(field, dst, src, data)
+        m = DenseMap.from_flat(field, dst, src, data)
     except ParseError:
         for v in data:  # an entry of the wrong type is named before a bad string
             if isinstance(v, bool) or not isinstance(v, (int, str)):
                 raise ParseError(
                     f"{what}: entry {json.dumps(v)} is not an integer or a string") from None
         raise
+    if key is not None:
+        read[key] = m
+    return m
 
 
-def _maps_from_json(field: FieldTag, doc: dict, shapes: dict, what: str) -> dict:
+def _maps_from_json(field: FieldTag, doc: dict, shapes: dict, what: str, read: dict) -> dict:
     """The named maps doc holds, each read at its (dst, src) shape."""
-    return {key: _matrix_from_json(field, *shape, doc[key], f"{what}.{key}")
+    return {key: _matrix_from_json(field, *shape, doc[key], f"{what}.{key}", read)
             for key, shape in shapes.items() if key in doc}
 
 
@@ -140,7 +149,7 @@ def _maps_to_json(doc: dict, maps: dict) -> dict:
     return doc
 
 
-def _object_from_json(field: FieldTag, name: str, doc) -> BiHomObject:
+def _object_from_json(field: FieldTag, name: str, doc, read: dict) -> BiHomObject:
     dim = doc.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, (int, str)):
         raise ParseError(f"object {name}: dim must be an integer")
@@ -151,7 +160,7 @@ def _object_from_json(field: FieldTag, name: str, doc) -> BiHomObject:
     if dim < 0:
         raise ParseError(f"object {name}: negative dim {dim}")
     shapes = dict.fromkeys(("alpha", "beta", "kappa", "nu"), (dim, dim))
-    maps = _maps_from_json(field, doc, shapes, f"object {name}")
+    maps = _maps_from_json(field, doc, shapes, f"object {name}", read)
     if "alpha" not in maps or "beta" not in maps:
         raise ParseError(f"object {name}: alpha and beta are required")
     try:
@@ -200,7 +209,8 @@ def instance_from_json(doc) -> InstanceData:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     field = _field_from_json(doc.get("field"))
-    objects = {name: _object_from_json(field, name, od)
+    read = {}  # (dst, src, entries) -> the map read from them
+    objects = {name: _object_from_json(field, name, od, read)
                for name, od in _section(doc, "objects").items()}
     structures, structure_objects = {}, {}
     for name, sd in _section(doc, "structures").items():
@@ -210,7 +220,7 @@ def instance_from_json(doc) -> InstanceData:
         obj = objects[oname]
         shapes = {key: shape(obj.dim) for key, shape in MAP_SHAPES.items()}
         structures[name] = StructureBundle(
-            obj, **_maps_from_json(field, sd, shapes, f"structure {name}"))
+            obj, **_maps_from_json(field, sd, shapes, f"structure {name}", read))
         structure_objects[name] = oname
     modules = {}
     for name, md in _section(doc, "modules").items():
@@ -221,7 +231,7 @@ def instance_from_json(doc) -> InstanceData:
             raise UnknownName(f"module {name}: unknown structure {sname!r}")
         x, a = objects[cname], structures[sname].obj
         shapes = {key: shape(x.dim, a.dim) for key, shape in ACTION_SHAPES.items()}
-        maps = _maps_from_json(field, md, shapes, f"module {name}")
+        maps = _maps_from_json(field, md, shapes, f"module {name}", read)
         if not maps:
             raise ParseError(f"module {name}: needs an action or a coaction")
         modules[name] = ModuleEntry(cname, sname, **maps)

@@ -61,7 +61,8 @@ class BiHomObject:
     alpha and beta govern the lax coherence morphisms; kappa and nu, when
     present, govern the oplax ones.  All present endomorphisms must be square
     of the carrier dimension and commute with each other, which every object
-    built here, by dataclasses.replace or from an instance file is checked for.
+    built here, by dataclasses.replace or from an instance file is checked for
+    (a map held in two slots commutes with itself, with no product).
     nprod products and random_object's diagonal objects commute by
     construction, so _trusted builds them without the pairwise check.
     """
@@ -88,7 +89,7 @@ class BiHomObject:
         for a in range(len(names)):
             for b in range(a + 1, len(names)):
                 x, y = endos[names[a]], endos[names[b]]
-                if compose(x, y) != compose(y, x):
+                if x is not y and compose(x, y) != compose(y, x):
                     raise InvariantViolation(
                         f"endomorphisms {names[a]} and {names[b]} do not commute"
                     )

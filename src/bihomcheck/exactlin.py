@@ -10,14 +10,17 @@ holds only the index array of its ones, is applied to another map by
 gathering that map's rows or columns, and turns dense only when its entries
 are read.  Such a gather of a canonical map is canonical as it stands, so it
 is kept with no second reduction; two index maps compare on their index
-arrays, and each knows, once asked, whether it is the identity.
-first_difference finds the first mismatch in one pass.  Index arrays are
-read-only and are checked to be bijections once, where they enter:
-DenseMap.permutation checks the array, and from_flat keeps a square 0/1 matrix
-with one 1 in every row and every column as one.  from_flat reads integer
-entries (Python ints and integer strings below 2^63 in absolute value) once
-per distinct entry, and keeps them as read when they are canonical; every
-other entry goes through the per-entry parser, which words every parse error.
+arrays, and each knows, once asked, whether it is the identity and keeps its
+inverse once built.  A map over Q keeps its bound once scanned.  An identity
+costs nothing: composing with one, a Kronecker product of two or with a 1x1
+one, and comparing two build nothing.  first_difference finds the first
+mismatch in one pass.  Index arrays are read-only and are checked to be
+bijections once, where they enter: DenseMap.permutation checks the array, and
+from_flat keeps a square 0/1 matrix with one 1 in every row and every column
+as one.  from_flat reads integer entries (Python ints and integer strings
+below 2^63 in absolute value) once per distinct entry, and keeps them as read
+when they are canonical; every other entry goes through the per-entry parser,
+which words every parse error.
 No operation builds a dense array of more than ENTRY_BUDGET entries; it raises
 TooLarge, which the CLI reports with exit code 2.  Every exact linear system
 goes through one solver, _solve, which classifies C X = B for any number of
@@ -235,11 +238,12 @@ def _canonical(field: FieldTag, dst_dim: int, src_dim: int,
     elif den != 1:
         g = math.gcd(den, int(np.gcd.reduce(num, axis=None))) * (1 if den > 0 else -1)
         num, den = (num // g, den // g) if num.any() else (num, 1)
+    top = None  # the largest |numerator|, kept as the bound of a map over Q
     if field.kind == RATIONALS or num.dtype == object:  # residues mod p <= 2^62 fit
-        small = int(np.abs(num).max(initial=0)) < _INT64_ENTRY_LIMIT
-        num = num.astype(np.int64 if small else object, copy=False)
+        top = int(np.abs(num).max(initial=0))
+        num = num.astype(np.int64 if top < _INT64_ENTRY_LIMIT else object, copy=False)
     num.flags.writeable = False
-    return DenseMap(field, dst_dim, src_dim, num, den=den)
+    return DenseMap(field, dst_dim, src_dim, num, den=den, top=top)
 
 
 def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
@@ -250,9 +254,9 @@ def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
 
 def _gathered(m: "DenseMap", num: np.ndarray) -> "DenseMap":
     """The map of num, a fresh permutation gather of m's numerators: m's entries
-    in new places, so canonical as m is, over m's denominator, with no reduction."""
+    in new places, so canonical as m is, with m's denominator and bound, unreduced."""
     num.flags.writeable = False
-    return DenseMap(m.field, *num.shape, num, den=m._den)
+    return DenseMap(m.field, *num.shape, num, den=m._den, top=m._top)
 
 
 class DenseMap:
@@ -269,11 +273,12 @@ class DenseMap:
     built on first read.
     """
 
-    __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_den", "_src_of_dst", "_identity")
+    __slots__ = ("field", "dst_dim", "src_dim", "_dense", "_den", "_src_of_dst", "_identity",
+                 "_inverse", "_top")
 
     def __init__(self, field: FieldTag, dst_dim: int, src_dim: int,
                  array: Optional[np.ndarray], src_of_dst: Optional[np.ndarray] = None,
-                 den: int = 1):
+                 den: int = 1, top: Optional[int] = None):
         if array is not None and array.shape != (dst_dim, src_dim):
             raise DimensionMismatch(
                 f"array shape {array.shape} != ({dst_dim}, {src_dim})"
@@ -285,6 +290,8 @@ class DenseMap:
         self._den = den
         self._src_of_dst = src_of_dst
         self._identity = None  # whether an index map is the identity, once known
+        self._inverse = None  # an index map's inverse, once built; it points back
+        self._top = top  # over Q, the largest |numerator|, once known
 
     @property
     def _num(self) -> np.ndarray:
@@ -308,10 +315,14 @@ class DenseMap:
         return np.frompyfunc(Fraction, 2, 1)(self._num.astype(object), self._den)
 
     def _bound(self) -> int:
-        """An upper bound on every |numerator|; over F_p it needs no scan."""
+        """An upper bound on every |numerator|: p - 1 over F_p, and over Q the
+        largest |numerator|, 1 for an index map and scanned at most once."""
         if self.field.kind == PRIME_FIELD:
             return self.field.modulus - 1
-        return int(np.abs(self._num).max(initial=0))
+        if self._top is None:
+            self._top = (min(self.dst_dim, 1) if self._src_of_dst is not None
+                         else int(np.abs(self._num).max(initial=0)))
+        return self._top
 
     def _value(self, i: int, j: int) -> Union[Fraction, int]:
         v = int(self._num[i, j])
@@ -440,6 +451,8 @@ class DenseMap:
         Two index maps with equal index arrays are equal, as in __eq__."""
         if self.dst_dim != other.dst_dim or self.src_dim != other.src_dim:
             raise DimensionMismatch("comparing maps of different shapes")
+        if self is other or self._identity and other._identity:
+            return None
         if self._src_of_dst is not None and other._src_of_dst is not None and \
                 np.array_equal(self._src_of_dst, other._src_of_dst):
             return None
@@ -484,10 +497,17 @@ class DenseMap:
         return _canonical(self.field, self.dst_dim, self.src_dim, num, self._den * v.denominator)
 
     def transpose(self) -> "DenseMap":
-        if self._src_of_dst is not None:
-            return _index_map(self.field, np.argsort(self._src_of_dst))
-        # a read-only view: the numerators of a canonical map stay canonical
-        return DenseMap(self.field, self.src_dim, self.dst_dim, self._num.T, den=self._den)
+        """For an index map its inverse, built once (an identity is its own);
+        otherwise a read-only view, canonical as the map is, with its bound."""
+        if self._src_of_dst is None:
+            return DenseMap(self.field, self.src_dim, self.dst_dim, self._num.T, den=self._den,
+                            top=self._top)
+        if self._identity:
+            return self
+        if self._inverse is None:
+            self._inverse = _index_map(self.field, np.argsort(self._src_of_dst))
+            self._inverse._inverse = self
+        return self._inverse
 
     def power(self, k: int) -> "DenseMap":
         """k-th composition power (k >= 0, square map), squaring from the top
@@ -515,20 +535,23 @@ def _common_denominator(f: DenseMap, g: DenseMap):
 
 
 def compose(f: DenseMap, g: DenseMap) -> DenseMap:
-    """Matrix product f.g (g applied first).  With an index map on either
-    side it is a gather of the other's rows or columns, kept as it stands."""
+    """Matrix product f.g (g applied first): the other map itself when one is
+    a flagged identity; with an index map on either side a gather of the
+    other's rows or columns (by the inverse of g), kept as it stands."""
     f._check_field(g)
     if f.src_dim != g.dst_dim:
         raise DimensionMismatch(
             f"compose: f is {f.dst_dim}x{f.src_dim}, g is {g.dst_dim}x{g.src_dim}"
         )
+    if f._identity or g._identity:
+        return g if f._identity else f
     fp, gp = f._src_of_dst, g._src_of_dst
     if fp is not None and gp is not None:
         return _index_map(f.field, gp[fp])
     if fp is not None:
         return _gathered(g, g._num[fp])
     if gp is not None:
-        return _gathered(f, f._num[:, np.argsort(gp)])
+        return _gathered(f, f._num[:, g.transpose()._src_of_dst])
     _check_budget(f.dst_dim, g.src_dim)
     num = np.dot(*_operands((f, g), f.src_dim))
     return _canonical(f.field, f.dst_dim, g.src_dim, num, f._den * g._den)
@@ -548,8 +571,13 @@ def compose_all(maps: Sequence[DenseMap]) -> DenseMap:
 
 
 def kron(f: DenseMap, g: DenseMap) -> DenseMap:
-    """Kronecker product under the global big-endian index flattening."""
+    """Kronecker product under the global big-endian index flattening; a
+    1x1 identity factor gives the other factor, two identities an identity."""
     f._check_field(g)
+    if f._identity and f.dst_dim == 1:
+        return g
+    if g._identity and (g.dst_dim == 1 or f._identity):
+        return f if g.dst_dim == 1 else DenseMap.identity(f.field, f.dst_dim * g.dst_dim)
     if f._src_of_dst is not None and g._src_of_dst is not None:
         return _index_map(
             f.field, (f._src_of_dst[:, None] * g.src_dim + g._src_of_dst).reshape(-1))

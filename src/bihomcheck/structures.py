@@ -13,6 +13,8 @@ leg by leg (see _Side), and the interchange square of bimonoids and Hopf
 modules is one tensor contraction of its four maps.  A dense Kronecker product
 is built only where it is compared (the (co)unit, (co)unitality and bimonoid
 unit squares) or as the map that leg-wise factors act on (induced_module_action).
+A diagram of each distinct endomorphism is built and compared once per check;
+the names of every slot holding that map share its outcome.
 """
 
 from __future__ import annotations
@@ -185,15 +187,24 @@ def morphism_sides(b: StructureBundle, name: str, e: DenseMap):
     return side.chain(e, f), side.kron_chain(f, [e, e])
 
 
+def _entries_once(cases, sides) -> list:
+    """compare_entry(name, law, *sides(*maps)) for each (name, law, maps) of
+    cases, built and compared once per distinct maps (by identity): a later
+    name on the same maps shares that outcome."""
+    done, entries = {}, []
+    for name, law, maps in cases:
+        first = done.get(key := tuple(map(id, maps)))
+        entries.append(dataclasses.replace(first, name=name, law=law) if first else
+                       done.setdefault(key, compare_entry(name, law, *sides(*maps))))
+    return entries
+
+
 def _map_morphism_entries(prefix: str, b: StructureBundle, name: str):
     """The structure map must commute with every present endomorphism."""
-    entries = []
-    for ename, e in b.obj.endos().items():
-        lhs, rhs = morphism_sides(b, name, e)
-        entries.append(compare_entry(
-            f"{prefix}/{name}-commutes-{ename}",
-            f"{name} intertwines the endomorphism {ename}", lhs, rhs))
-    return entries
+    return _entries_once([(f"{prefix}/{name}-commutes-{ename}",
+                           f"{name} intertwines the endomorphism {ename}", (e,))
+                          for ename, e in b.obj.endos().items()],
+                         lambda e: morphism_sides(b, name, e))
 
 
 def _semigroup_entries(b: StructureBundle, side: _Side):
@@ -445,13 +456,11 @@ def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
     a = b.obj
     b.require(side.mult)
     co = side.text("", "co")
-    entries = []
-    for name in _shared_endo_names(x, a):
-        ex, ea = x.endos()[name], a.endos()[name]
-        entries.append(compare_entry(
-            f"{co}module/{co}action-commutes-{name}",
-            f"{co}action intertwines the endomorphism {name}",
-            side.chain(ex, rho), side.kron_chain(rho, [ex, ea])))
+    entries = _entries_once([(f"{co}module/{co}action-commutes-{name}",
+                              f"{co}action intertwines the endomorphism {name}",
+                              (x.endos()[name], a.endos()[name]))
+                             for name in _shared_endo_names(x, a)],
+                            lambda ex, ea: (side.chain(ex, rho), side.kron_chain(rho, [ex, ea])))
     big12 = coherence_map((1, 2), side.big, [[x], [a, a]])
     big21 = coherence_map((2, 1), side.big, [[x, a], [a]])
     entries.append(compare_entry(

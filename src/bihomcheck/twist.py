@@ -78,14 +78,15 @@ def validate_plain(p: PlainStructure, direction: str):
     b.require(*(side.mult for side in sides))
     maps = [m for m in MAP_SHAPES if any(m in (side.mult, side.unit) for side in sides)
             and getattr(b, m) is not None]
-    failures = []
+    failures, broken = [], {}  # broken: id of each distinct endomorphism -> its failing maps
     for ename in (name for side in sides for name in side.endos):
         e = b.obj.endos().get(ename)
         if e is None:
             failures.append(f"{ename} missing")
             continue
-        failures += [f"{ename} is not a morphism for {m}" for m in maps
-                     if operator.ne(*morphism_sides(b, m, e))]
+        if id(e) not in broken:
+            broken[id(e)] = [m for m in maps if operator.ne(*morphism_sides(b, m, e))]
+        failures += [f"{ename} is not a morphism for {m}" for m in broken[id(e)]]
     if failures:
         raise InvariantViolation("; ".join(failures))
 

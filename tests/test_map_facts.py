@@ -14,6 +14,12 @@ code that derived them.
 - flip_perm and random_diagonal_endo build their maps directly; the
   Permutation.matrix and nested-rows builders they replaced are the
   references.
+- An index map keeps its inverse, which points back; gathers by it must
+  equal the dense product.  An identity is free: composing with one gives
+  the other map itself, and the Kronecker product of two is a flagged
+  identity.  A map over Q keeps its bound, which must equal a fresh scan of
+  its numerators after gathers and transposes, so that _operands picks the
+  same dtype.
 """
 
 import math
@@ -34,7 +40,9 @@ from bihomcheck.exactlin import (
     QQ,
     DenseMap,
     _canonical,
+    _operands,
     compose,
+    invert,
     kron,
     kron_all,
     kron_compose,
@@ -296,3 +304,91 @@ def test_random_diagonal_endo_against_nested_rows(field):
             assert got._num.dtype == want._num.dtype and not got._num.flags.writeable
         identities += got._src_of_dst is not None
     assert identities > 0 or field.modulus == 2 ** 64 + 13
+
+
+# -- facts a map keeps: inverse, identity, bound -----------------------------
+
+FACT_FIELDS = [F7, MERSENNE_61, QQ]
+
+
+@st.composite
+def dense_and_permutation(draw):
+    """A dense map g (rows x n) over F_7, F_(2^61-1) or Q, with numerators past
+    2^62 over Q, and a permutation p of range(n)."""
+    field = draw(st.sampled_from(FACT_FIELDS))
+    n, rows = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    entries = draw(st.lists(field_values(field), min_size=rows * n, max_size=rows * n))
+    g = twin(DenseMap.from_flat(field, rows, n, entries))  # dense even as a 0/1 permutation
+    return g, DenseMap.permutation(field, draw(st.permutations(range(n))))
+
+
+def fresh_bound(m):
+    return int(np.abs(m._num).max(initial=0))
+
+
+@settings(deadline=None, max_examples=150)
+@given(dense_and_permutation())
+def test_index_map_keeps_its_inverse(case):
+    g, p = case
+    t = p.transpose()
+    assert t.transpose() is p and p.transpose() is t and invert(p) is t
+    assert t == twin(p).transpose() and compose(p, t).is_identity()
+    one = DenseMap.identity(g.field, p.dst_dim)
+    assert one.transpose() is one and invert(one) is one
+
+
+@settings(deadline=None, max_examples=150)
+@given(dense_and_permutation(), st.booleans())
+def test_column_gathers_equal_the_dense_product(case, inverse_first):
+    g, p = case
+    if inverse_first:  # the gather reads the inverse kept from an earlier transpose
+        p.transpose()
+    got = compose(g, p)
+    assert_same_canonical_map(got, compose(g, twin(p)))
+    assert_same_canonical_map(compose(p.transpose(), g.transpose()), twin(got.transpose()))
+
+
+@settings(deadline=None, max_examples=150)
+@given(dense_and_permutation())
+def test_identities_are_free(case):
+    g, p = case
+    field, rows, n = g.field, g.dst_dim, g.src_dim
+    left, right, one = DenseMap.identity(field, rows), DenseMap.identity(field, n), \
+        DenseMap.identity(field, 1)
+    assert compose(left, g) is g and compose(g, right) is g
+    assert compose(right, p) is p and compose(p, right) is p
+    both = kron(left, right)
+    assert both._identity is True and both == kron(twin(left), twin(right))
+    assert kron(one, g) is g and kron(g, one) is g and kron(one, p) is p
+    assert kron(one, right) is right  # and kron(I_1, I_1) is its second factor:
+    assert kron(right, one) is (right if n > 1 else one)
+    fresh = DenseMap.identity(field, n)
+    assert fresh.first_difference(DenseMap.identity(field, n)) is None
+    assert fresh._dense is None  # no dense array was built to compare them
+    assert g.first_difference(g) is None and p.first_difference(p) is None
+    # a from_flat identity is an index map whose identity is not known yet
+    read = DenseMap.from_flat(field, n, n, [int(i == j) for i in range(n) for j in range(n)])
+    assert compose(read, g.transpose()) == g.transpose() and read._identity is None
+
+
+@settings(deadline=None, max_examples=150)
+@given(dense_and_permutation(), st.data())
+def test_kept_bound_equals_a_fresh_scan(case, data):
+    g, p = case
+    field, n = g.field, g.src_dim
+    q = DenseMap.permutation(field, data.draw(st.permutations(range(g.dst_dim))))
+    made = {"g": g, "g.p": compose(g, p), "q.g": compose(q, g), "g^T": g.transpose(),
+            "(q.g.p)^T": compose(compose(q, g), p).transpose(), "p": p, "p^T": p.transpose(),
+            "legs": kron_compose(field, [q], g),
+            "twice": compose(g, p).transpose().transpose()}
+    other = twin(DenseMap.from_flat(field, n, 2, data.draw(
+        st.lists(field_values(field), min_size=2 * n, max_size=2 * n))))
+    def scanned(m):  # the bound as _bound computed it before it was kept
+        return fresh_bound(m) if field == QQ else field.modulus - 1
+
+    for how, m in made.items():
+        kept = m._bound()
+        assert kept == scanned(m) and m._bound() == kept, how
+        # _operands keeps the stored numerators exactly when the scanned bounds allow
+        stored = all(a is b._num for a, b in zip(_operands((m, other), n), (m, other)))
+        assert stored == (scanned(m) * scanned(other) * n < 1 << 63), how
