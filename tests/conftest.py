@@ -1,22 +1,14 @@
 """Shared helpers: independent brute-force oracles and value strategies."""
 
 import functools
-import os
 import sys
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import settings
 from hypothesis import strategies as st
 
 from bihomcheck import exactlin
 from bihomcheck.exactlin import GF, QQ, DenseMap
-
-# HYPOTHESIS_PROFILE=ci (the CI tier-1 step) prints the @reproduce_failure blob
-# of every failing example, so a failure seen on one run only can be replayed
-# from the log.  Settings a test gives itself still apply on top.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def naive_matmul(a_rows, b_rows):
