@@ -10,10 +10,10 @@ round-trip tests can compare bytes.  Within one read, equal matrices (lists of
 ints and strings at one shape) become one map, parsed at their first occurrence.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage, parse
-or I/O failure, or a dense map past exactlin.ENTRY_BUDGET.  Randomized
-commands are reproducible from the seed alone: trial i draws from its own
-generator seeded by (seed, i), so no trial's outcome depends on the others or
-on the order they run in.
+or I/O failure, a missing map or endomorphism, or a dense map past
+exactlin.ENTRY_BUDGET.  Randomized commands are reproducible from the seed
+alone: trial i draws from its own generator seeded by (seed, i), so no trial's
+outcome depends on the others or on the order they run in.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .coherence import (
     random_duoidal_instance,
     random_lax_instance,
 )
-from .errors import BihomError, InvariantViolation, ParseError, TooLarge, UnknownName
+from .errors import BihomError, InvariantViolation, MissingEndomorphism, MissingMap, ParseError
+from .errors import TooLarge, UnknownName
 from .exactlin import GF, QQ, DenseMap, FieldTag, RATIONALS
 from .report import CheckReport
 from .structures import (
@@ -120,21 +121,13 @@ def _matrix_from_json(field: FieldTag, dst: int, src: int, data, what: str,
                       read: dict) -> DenseMap:
     if not isinstance(data, list) or len(data) != dst * src:
         raise ParseError(f"{what}: expected {dst * src} entries")
-    # the type screen of from_flat: True, 1.0 and "01" never share a key with 1
-    key = (dst, src, tuple(data)) if set(map(type, data)) <= {int, str} else None
-    if key in read:
-        return read[key]
-    try:  # from_flat screens the entry types, then reads each distinct entry once
-        m = DenseMap.from_flat(field, dst, src, data)
-    except ParseError:
-        for v in data:  # an entry of the wrong type is named before a bad string
-            if isinstance(v, bool) or not isinstance(v, (int, str)):
-                raise ParseError(
-                    f"{what}: entry {json.dumps(v)} is not an integer or a string") from None
-        raise
-    if key is not None:
-        read[key] = m
-    return m
+    if not set(map(type, data)) <= {int, str}:  # exact types: True and 1.0 never take 1's key
+        bad = next(v for v in data if type(v) not in (int, str))
+        raise ParseError(f"{what}: entry {json.dumps(bad)} is not an integer or a string")
+    key = (dst, src, tuple(data))
+    if key not in read:  # from_flat reads each distinct entry once
+        read[key] = DenseMap.from_flat(field, dst, src, data)
+    return read[key]
 
 
 def _maps_from_json(field: FieldTag, doc: dict, shapes: dict, what: str, read: dict) -> dict:
@@ -294,17 +287,19 @@ _STRUCTURE_CHECKS = {
 _MODULE_KINDS = ("module", "comodule", "hopf-module")
 
 
+def _named(table: dict, name: str, kind: str):
+    if name not in table:
+        raise UnknownName(f"no {kind} named {name!r}")
+    return table[name]
+
+
 def cmd_check(args) -> int:
     data = load_instance(args.file)
     kind = args.structure
     if kind in _STRUCTURE_CHECKS:
-        if args.name not in data.structures:
-            raise UnknownName(f"no structure named {args.name!r}")
-        report = _STRUCTURE_CHECKS[kind](data.structures[args.name])
+        report = _STRUCTURE_CHECKS[kind](_named(data.structures, args.name, "structure"))
     elif kind in _MODULE_KINDS:
-        if args.name not in data.modules:
-            raise UnknownName(f"no module named {args.name!r}")
-        entry = data.modules[args.name]
+        entry = _named(data.modules, args.name, "module")
         carrier = data.objects[entry.carrier]
         over = data.structures[entry.over]
         if kind == "module":
@@ -372,9 +367,7 @@ def _twist_direction(bundle: StructureBundle) -> str:
 
 def cmd_twist(args) -> int:
     data = load_instance(args.file)
-    if args.name not in data.structures:
-        raise UnknownName(f"no structure named {args.name!r}")
-    bundle = data.structures[args.name]
+    bundle = _named(data.structures, args.name, "structure")
     if args.direction == "twist":
         out = yau_twist(PlainStructure(bundle), _twist_direction(bundle))
     else:
@@ -393,10 +386,8 @@ def _print_matrix(f: DenseMap):
 
 def cmd_antipode(args) -> int:
     data = load_instance(args.file)
-    if args.name not in data.structures:
-        raise UnknownName(f"no structure named {args.name!r}")
     method = DIRECT if args.method == "direct" else VIA_UNTWIST
-    result = antipode_solve(data.structures[args.name], method)
+    result = antipode_solve(_named(data.structures, args.name, "structure"), method)
     if result.status == NO_ANTIPODE:
         print("NoAntipode: the defining system is inconsistent")
         return 1
@@ -410,10 +401,7 @@ def cmd_antipode(args) -> int:
 def cmd_delta(args) -> int:
     if args.n < 0 or args.max_K < 0:
         raise ParseError("-n and --max-K must be non-negative")
-    data = load_instance(args.file)
-    if args.name not in data.structures:
-        raise UnknownName(f"no structure named {args.name!r}")
-    bundle = data.structures[args.name]
+    bundle = _named(load_instance(args.file).structures, args.name, "structure")
     d = delta_n(bundle, args.n)
     print(f"delta_{args.n}: {d.dst_dim}x{d.src_dim}")
     _print_matrix(d)
@@ -485,7 +473,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UnknownName, TooLarge, OSError) as exc:
+    except (ParseError, UnknownName, TooLarge, MissingMap, MissingEndomorphism, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BihomError as exc:

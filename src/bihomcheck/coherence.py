@@ -115,16 +115,13 @@ class BiHomObject:
     def has_oplax_pair(self) -> bool:
         return self.kappa is not None and self.nu is not None
 
-    def lax_pair(self):
-        return self.alpha, self.beta
-
     def oplax_pair(self):
         if not self.has_oplax_pair():
             raise MissingEndomorphism("object has no kappa/nu endomorphisms")
         return self.kappa, self.nu
 
     def pair_for(self, which: str):
-        return self.lax_pair() if which in _LAX_KINDS else self.oplax_pair()
+        return (self.alpha, self.beta) if which in _LAX_KINDS else self.oplax_pair()
 
     def factor(self, which: str, a: int, b: int) -> DenseMap:
         """x^a . y^b of the pair (x, y) that `which` governs, built once per
@@ -234,12 +231,7 @@ def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
         field = flat[0].field
     if any(o.field is not field and o.field != field for o in flat):
         raise FieldMismatch("mixed fields in grid")
-    return _xi(n, p, [o.dim for o in flat], field)
-
-
-def _xi(n: int, p: int, dims: Sequence[int], field: FieldTag) -> DenseMap:
-    """xi_map of an n x p grid read from its slot dimensions (row by row) alone."""
-    return flip_perm(p, n, dims, field)
+    return flip_perm(p, n, [o.dim for o in flat], field)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +420,7 @@ def _duoidal_maps(inst: DuoidalInstance):
              for j in range(k[i])] for i in range(p)]
     maps = {
         "xi:flat": xi_map(n, sum(k), flat_rows, field),
-        "xi:blocks": _xi(n, p, [d for row in block_dims for d in row], field),
+        "xi:blocks": flip_perm(p, n, [d for row in block_dims for d in row], field),
         "xi:groups": kron_all(field, [
             xi_map(n, k[i], [[objs[s][i][j] for j in range(k[i])] for s in range(n)], field)
             for i in range(p)]),
@@ -448,12 +440,12 @@ def check_duoidal_figure(inst: DuoidalInstance) -> CheckReport:
     field = inst.field
     entries = _region_entries(_DUOIDAL_REGIONS, maps, "interchange")
 
-    tri_lax = _xi(inst.n, 1, [math.prod(row) for row in block_dims], field)
+    tri_lax = flip_perm(1, inst.n, [math.prod(row) for row in block_dims], field)
     entries.append(compare_entry(
         "triangle-unary-lax", "interchange against a single lax factor is trivial",
         tri_lax, DenseMap.identity(field, tri_lax.dst_dim)))
     col_dims = [math.prod(row[i] for row in block_dims) for i in range(inst.p)]
-    tri_oplax = _xi(1, inst.p, col_dims, field)
+    tri_oplax = flip_perm(inst.p, 1, col_dims, field)
     entries.append(compare_entry(
         "triangle-unary-oplax", "interchange against a single oplax factor is trivial",
         tri_oplax, DenseMap.identity(field, tri_oplax.dst_dim)))

@@ -446,10 +446,6 @@ def coassoc_sequences(max_weight: int):
 # Modules, comodules, Hopf modules
 # ---------------------------------------------------------------------------
 
-def _shared_endo_names(x: BiHomObject, a: BiHomObject):
-    return [name for name in x.endos() if name in a.endos()]
-
-
 def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
                    side: _Side) -> CheckReport:
     """Deformed associativity and unitality of an action rho: x (x) a -> x."""
@@ -459,7 +455,7 @@ def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
     entries = _entries_once([(f"{co}module/{co}action-commutes-{name}",
                               f"{co}action intertwines the endomorphism {name}",
                               (x.endos()[name], a.endos()[name]))
-                             for name in _shared_endo_names(x, a)],
+                             for name in x.endos() if name in a.endos()],
                             lambda ex, ea: (side.chain(ex, rho), side.kron_chain(rho, [ex, ea])))
     big12 = coherence_map((1, 2), side.big, [[x], [a, a]])
     big21 = coherence_map((2, 1), side.big, [[x, a], [a]])

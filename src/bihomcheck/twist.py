@@ -7,12 +7,9 @@ a structure that passes the deformed axiom checkers.  When the endomorphisms
 are invertible the construction is reversible, and the antipode of the
 underlying classical bimonoid solves the deformed antipode equation
 mu . (beta nu (x) alpha kappa) . (1 (x) chi) . delta = eta . epsilon (and its
-mirror).  Both the direct linear solve of that equation and the route through
-untwisting are provided, together with the canonical Galois-style morphism
-whose invertibility detects Hopf-ness in the invertible case.  The mirror
-equation, with chi (x) 1, is the first one for the pair (pre . swap,
-swap . delta), as chi (x) 1 = swap . (1 (x) chi) . swap, so one tensor
-contraction gives the coefficients of both.
+mirror, with chi (x) 1).  Both the direct linear solve of that equation and the
+route through untwisting are provided, together with the canonical Galois-style
+morphism whose invertibility detects Hopf-ness in the invertible case.
 """
 
 from __future__ import annotations
@@ -150,30 +147,20 @@ class AntipodeResult:
         return self.chi if self.status == NON_UNIQUE else None
 
 
-def _equation_pairs(pre: DenseMap, delta: DenseMap):
-    """The pairs (pre, delta) and (pre.swap, swap.delta): as chi (x) 1 =
-    swap.(1 (x) chi).swap, pre.(chi (x) 1).delta is pre.(1 (x) chi).delta on
-    the second pair."""
-    swap = Permutation((1, 0)).matrix([delta.src_dim] * 2, delta.field)
-    return (pre, delta), (compose(pre, swap), compose(swap, delta))
-
-
-def _antipode_system(pairs, rhs: DenseMap) -> DenseMap:
+def _antipode_system(pre: DenseMap, delta: DenseMap, rhs: DenseMap) -> DenseMap:
     """Linear system for chi in  pre.(1 (x) chi).delta = rhs  and
-    pre.(chi (x) 1).delta = rhs, from their _equation_pairs, as one
-    augmented map [coefficients | rhs]: the d^2 rows of the first equation
-    above those of the second.
+    pre.(chi (x) 1).delta = rhs, as one augmented map [coefficients | rhs]:
+    the d^2 rows of the first equation above those of the second.
 
-    With P and D of a pair read as d x d x d arrays, the coefficient of
-    chi[j, k] in entry (r, c) of P.(1 (x) chi).D is sum_a P[r, a, j]
-    D[a, k, c]: one tensordot over the numerators P and D share."""
-    (pre, delta), _ = pairs
+    With pre and delta read as d x d x d arrays P and D, the coefficient of
+    chi[j, k] in entry (r, c) is sum_a P[r, a, j] D[a, k, c] in the first
+    equation and sum_a P[r, j, a] D[k, a, c] in the second: one tensordot
+    each over the numerators."""
     field, d = delta.field, delta.src_dim
-    blocks = []
-    for p, q in pairs:
-        P, D = (a.reshape(d, d, d) for a in _operands((p, q), d))
-        blocks.append(np.tensordot(P, D, ([1], [0])).transpose(0, 3, 1, 2).reshape(d * d, d * d))
-    coeffs, b = np.vstack(blocks), np.tile(rhs._num.reshape(-1, 1), (2, 1))
+    P, D = (a.reshape(d, d, d) for a in _operands((pre, delta), d))
+    coeffs = np.vstack([np.tensordot(P, D, axes).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+                        for axes in (([1], [0]), ([2], [1]))])
+    b = np.tile(rhs._num.reshape(-1, 1), (2, 1))
     block_den = pre._den * delta._den
     den = math.lcm(block_den, rhs._den)
     if den != 1:  # both sides over one denominator, on Python ints
@@ -182,9 +169,10 @@ def _antipode_system(pairs, rhs: DenseMap) -> DenseMap:
     return _canonical(field, 2 * d * d, d * d + 1, np.hstack((coeffs, b)), den)
 
 
-def _verify_antipode(pairs, rhs, chi) -> bool:
+def _verify_antipode(pre: DenseMap, delta: DenseMap, rhs: DenseMap, chi: DenseMap) -> bool:
     one = DenseMap.identity(chi.field, chi.dst_dim)
-    return all(compose(p, kron_compose(chi.field, [one, chi], q)) == rhs for p, q in pairs)
+    return all(compose(pre, kron_compose(chi.field, legs, delta)) == rhs
+               for legs in ([one, chi], [chi, one]))
 
 
 def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
@@ -211,12 +199,11 @@ def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    pairs = _equation_pairs(pre, delta)
-    status, solution, den = _solve(_antipode_system(pairs, rhs), obj.dim ** 2)
+    status, solution, den = _solve(_antipode_system(pre, delta, rhs), obj.dim ** 2)
     if status == NO_SOLUTION:
         return AntipodeResult(None, method, False, NO_ANTIPODE)
     chi = _canonical(obj.field, obj.dim, obj.dim, solution.reshape(obj.dim, obj.dim), den)
-    if not _verify_antipode(pairs, rhs, chi):
+    if not _verify_antipode(pre, delta, rhs, chi):
         raise InvariantViolation("solved antipode failed re-verification")
     status = FOUND if status == UNIQUE else NON_UNIQUE
     return AntipodeResult(chi, method, True, status)

@@ -435,6 +435,36 @@ class TestModuleAndObjectErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _drop_oplax_pair(doc):
+    for key in ("kappa", "nu"):
+        doc["objects"]["c3_sq"].pop(key)
+
+
+class TestMissingMapsAndEndomorphisms:
+    """A structure or object without a map that a command needs is an input
+    error: exit 2 with one line, before any diagram runs."""
+
+    @pytest.mark.parametrize("edit, argv, message", [
+        (_drop("structures", "twisted", "mu"), ["check", "--structure", "bimonoid"],
+         "structure has no mu"),
+        (_drop("structures", "twisted", "mu"), ["antipode"], "structure has no mu"),
+        (_drop("structures", "twisted", "delta"), ["delta", "-n", "3"],
+         "structure has no delta"),
+        (_drop_oplax_pair, ["check", "--structure", "bimonoid"],
+         "object has no kappa/nu endomorphisms"),
+        (_drop_oplax_pair, ["antipode"], "object has no kappa/nu endomorphisms"),
+    ], ids=["check-without-mu", "antipode-without-mu", "delta-without-delta",
+            "check-without-kappa-nu", "antipode-without-kappa-nu"])
+    def test_one_error_line(self, c3_file, capsys, edit, argv, message):
+        with open(c3_file) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(c3_file, "w") as fh:
+            json.dump(doc, fh)
+        assert main([argv[0], c3_file, "--name", "twisted", *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestTwistCommand:
     @pytest.mark.parametrize("maps, direction", [(("delta", "epsilon"), COMONOID),
                                                  (("mu", "eta"), MONOID)],
@@ -573,7 +603,7 @@ class TestDeltaCommand:
         assert code == 0
         assert out[0] == "delta_9: 19683x3" and len(out) == 1 + 19683
 
-    def test_sweep_without_counit_prints_then_exits_one(self, tmp_path, capsys):
+    def test_sweep_without_counit_prints_then_exits_two(self, tmp_path, capsys):
         # the matrix is printed before the sweep asks for the counit
         t = example_instance().structures["twisted"].replace(epsilon=None)
         path = tmp_path / "noeps.json"
@@ -583,8 +613,8 @@ class TestDeltaCommand:
         argv = ["delta", str(path), "--name", "t", "-n", "2"]
         assert main(argv) == 0
         assert capsys.readouterr() == (matrix, "")
-        assert main(argv + ["--check-all-sequences"]) == 1
-        assert capsys.readouterr() == (matrix, "check failed: structure has no epsilon\n")
+        assert main(argv + ["--check-all-sequences"]) == 2
+        assert capsys.readouterr() == (matrix, "error: structure has no epsilon\n")
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_budget_boundary_is_the_result(self, c3_file, capsys, monkeypatch, n):

@@ -577,8 +577,9 @@ class TestInterchangesFromDimensions:
     dimensions; they equal xi_map on the full nprod grids."""
 
     def test_equal_xi_map_on_nprod_grids(self, monkeypatch):
-        built, build = [], coherence._xi
-        monkeypatch.setattr(coherence, "_xi", lambda *args: built.append(build(*args)) or built[-1])
+        built, build = [], coherence.flip_perm
+        monkeypatch.setattr(coherence, "flip_perm",
+                            lambda *args: built.append(build(*args)) or built[-1])
         seen = 0
         for inst in _random_instances(random_duoidal_instance):
             n, p, objs, field = inst.n, inst.p, inst.objects, inst.field

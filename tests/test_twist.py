@@ -45,7 +45,6 @@ from bihomcheck.twist import (
     AntipodeResult,
     PlainStructure,
     _antipode_system,
-    _equation_pairs,
     antipode_solve,
     canonical_morphism,
     untwist,
@@ -54,6 +53,22 @@ from bihomcheck.twist import (
 )
 
 F7 = GF(7)
+
+
+def _flat_matrix(field, entries):
+    """Matrices over field whose entries the strategy entries draws."""
+    return lambda dst, src: st.lists(entries, min_size=dst * src, max_size=dst * src).map(
+        lambda values: DenseMap.from_flat(field, dst, src, values))
+
+
+# (field, matrices, whether the contraction runs on Python ints): numerators past
+# the int64 guard, |entry| >= 2^32 over Q and every entry over F_(2^61-1), do
+_SYSTEM_CASES = [
+    (F7, mod7_matrix, False),
+    (QQ, rational_matrix, False),
+    (QQ, _flat_matrix(QQ, st.integers(2**32, 2**40) | st.integers(-2**40, -2**32)), True),
+    (GF(2**61 - 1), _flat_matrix(GF(2**61 - 1), st.integers(0, 2**61 - 2)), True),
+]
 
 
 class TestYauTwist:
@@ -271,57 +286,25 @@ class TestAntipode:
         zero_mu = DenseMap.zero(F7, 2, 4)
         zero_delta = DenseMap.zero(F7, 4, 2)
         zero_rhs = DenseMap.zero(F7, 2, 2)
-        pairs = _equation_pairs(zero_mu, zero_delta)
-        system = [(row[:-1], row[-1]) for row in _antipode_system(pairs, zero_rhs).rows()]
+        system = [(row[:-1], row[-1])
+                  for row in _antipode_system(zero_mu, zero_delta, zero_rhs).rows()]
         res = solve_linear(system, 4, F7)
         assert res.status == UNDERDETERMINED
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=90, deadline=None)
     @given(data=st.data())
     def test_system_rows_apply_both_composites(self, data):
         # the rows of the system times vec(chi) are the two composites, row-major,
         # one block of d^2 rows each
-        field = data.draw(st.sampled_from([F7, QQ]))
-        matrix = mod7_matrix if field == F7 else rational_matrix
+        field, matrix, python_ints = data.draw(st.sampled_from(_SYSTEM_CASES))
         d = data.draw(st.integers(1, 3))
         mu, delta = data.draw(matrix(d, d * d)), data.draw(matrix(d * d, d))
         chi, rhs = data.draw(matrix(d, d)), data.draw(matrix(d, d))
         sandwich = data.draw(st.none() | matrix(d * d, d * d))
         pre = mu if sandwich is None else compose(mu, sandwich)
-        system = _antipode_system(_equation_pairs(pre, delta), rhs).rows()
-        system = [(row[:-1], row[-1]) for row in system]
-        one = DenseMap.identity(field, d)
-        vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
-        for block, composite in enumerate([kron(one, chi), kron(chi, one)]):
-            rows = system[block * d * d:(block + 1) * d * d]
-            coeffs = DenseMap.from_rows(field, [row for row, _ in rows])
-            assert compose(coeffs, vec_chi).flat_strings() == \
-                compose_all([pre, composite, delta]).flat_strings()
-            assert DenseMap.from_flat(field, d, d, [v for _, v in rows]) == rhs
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_system_rows_on_python_int_numerators(self, data):
-        # numerators past the int64 guard (|entry| >= 2^32 over Q, every entry
-        # over F_(2^61-1)) send the contraction through Python-int arrays
-        field = data.draw(st.sampled_from([QQ, GF(2**61 - 1)]))
-        if field == QQ:
-            entries = st.integers(2**32, 2**40) | st.integers(-2**40, -2**32)
-        else:
-            entries = st.integers(0, field.modulus - 1)
-
-        def matrix(dst, src):
-            return st.lists(entries, min_size=dst * src, max_size=dst * src).map(
-                lambda values: DenseMap.from_flat(field, dst, src, values))
-
-        d = data.draw(st.integers(1, 3))
-        mu, delta = data.draw(matrix(d, d * d)), data.draw(matrix(d * d, d))
-        chi, rhs = data.draw(matrix(d, d)), data.draw(matrix(d, d))
-        sandwich = data.draw(st.none() | matrix(d * d, d * d))
-        pre = mu if sandwich is None else compose(mu, sandwich)
-        assert all(a.dtype == object for a in _operands((pre, delta), d))
-        system = _antipode_system(_equation_pairs(pre, delta), rhs).rows()
-        system = [(row[:-1], row[-1]) for row in system]
+        if python_ints:
+            assert all(a.dtype == object for a in _operands((pre, delta), d))
+        system = [(row[:-1], row[-1]) for row in _antipode_system(pre, delta, rhs).rows()]
         one = DenseMap.identity(field, d)
         vec_chi = DenseMap.from_flat(field, d * d, 1, chi.flat_strings())
         for block, composite in enumerate([kron(one, chi), kron(chi, one)]):
