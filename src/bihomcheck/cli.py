@@ -58,15 +58,13 @@ from .structures import (
     sweep_generalized_coassoc,
 )
 from .twist import (
-    BIMONOID,
-    COMONOID,
     DIRECT,
     FOUND,
-    MONOID,
     NO_ANTIPODE,
     VIA_UNTWIST,
     PlainStructure,
     antipode_solve,
+    held_sides,
     untwist,
     yau_twist,
 )
@@ -298,7 +296,7 @@ def cmd_check(args) -> int:
     kind = args.structure
     if kind in _STRUCTURE_CHECKS:
         report = _STRUCTURE_CHECKS[kind](_named(data.structures, args.name, "structure"))
-    elif kind in _MODULE_KINDS:
+    else:  # one of _MODULE_KINDS: argparse's choices admit no other kind
         entry = _named(data.modules, args.name, "module")
         carrier = data.objects[entry.carrier]
         over = data.structures[entry.over]
@@ -315,8 +313,6 @@ def cmd_check(args) -> int:
                 raise ParseError(f"module {args.name} needs action and coaction")
             report = check_hopf_module(ModuleInst(carrier, entry.action, over),
                                        ComoduleInst(carrier, entry.coaction, over))
-    else:
-        raise ParseError(f"unknown structure kind {kind!r}")
     return _print_report(report)
 
 
@@ -357,19 +353,11 @@ def cmd_coherence(args) -> int:
     return 0 if not failures else 1
 
 
-def _twist_direction(bundle: StructureBundle) -> str:
-    if bundle.mu is not None and bundle.delta is not None:
-        return BIMONOID
-    if bundle.delta is not None:
-        return COMONOID
-    return MONOID
-
-
 def cmd_twist(args) -> int:
     data = load_instance(args.file)
     bundle = _named(data.structures, args.name, "structure")
     if args.direction == "twist":
-        out = yau_twist(PlainStructure(bundle), _twist_direction(bundle))
+        out = yau_twist(PlainStructure(bundle), held_sides(bundle))
     else:
         out = untwist(bundle).bundle
     data.structures[args.name] = out
@@ -386,8 +374,7 @@ def _print_matrix(f: DenseMap):
 
 def cmd_antipode(args) -> int:
     data = load_instance(args.file)
-    method = DIRECT if args.method == "direct" else VIA_UNTWIST
-    result = antipode_solve(_named(data.structures, args.name, "structure"), method)
+    result = antipode_solve(_named(data.structures, args.name, "structure"), args.method)
     if result.status == NO_ANTIPODE:
         print("NoAntipode: the defining system is inconsistent")
         return 1
@@ -452,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("antipode", help="solve the antipode equation")
     p.add_argument("file")
     p.add_argument("--name", required=True)
-    p.add_argument("--method", choices=("direct", "untwist"), default="direct")
+    p.add_argument("--method", choices=(DIRECT, VIA_UNTWIST), default=DIRECT)
     p.set_defaults(fn=cmd_antipode)
 
     p = sub.add_parser("delta", help="iterated coproducts and coassociativity sweep")

@@ -469,9 +469,6 @@ class DenseMap:
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def __matmul__(self, other: "DenseMap") -> "DenseMap":
-        return compose(self, other)
-
     def _entrywise(self, other: "DenseMap", op, verb: str) -> "DenseMap":
         self._check_field(other)
         if (self.dst_dim, self.src_dim) != (other.dst_dim, other.src_dim):

@@ -22,11 +22,11 @@ from typing import Optional
 import numpy as np
 
 from .coherence import BiHomObject
-from .combinat import Permutation
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
     InvariantViolation,
+    MissingEndomorphism,
     MissingMap,
     NotInvertible,
 )
@@ -34,10 +34,6 @@ from .exactlin import DenseMap, _canonical, _operands, _solve, compose, invert, 
 from .exactlin import NO_SOLUTION, UNIQUE
 from .structures import COMONOID_SIDE, MAP_SHAPES, MONOID_SIDE, ModuleInst, StructureBundle
 from .structures import check_bimonoid, morphism_sides
-
-COMONOID = "comonoid"
-MONOID = "monoid"
-BIMONOID = "bimonoid"
 
 DIRECT = "direct"
 VIA_UNTWIST = "untwist"
@@ -60,53 +56,57 @@ class PlainStructure:
     bundle: StructureBundle
 
 
-# The sides each direction twists; the comonoid side comes first, which fixes
-# the order of the checks and of the errors they raise.
-_TWISTED_SIDES = {COMONOID: (COMONOID_SIDE,), MONOID: (MONOID_SIDE,),
-                  BIMONOID: (COMONOID_SIDE, MONOID_SIDE)}
+# Each twist direction is the sides it twists.  The comonoid side comes first,
+# which fixes the order of the checks and of the errors they raise.
+COMONOID = (COMONOID_SIDE,)
+MONOID = (MONOID_SIDE,)
+BIMONOID = (COMONOID_SIDE, MONOID_SIDE)
 
 
-def validate_plain(p: PlainStructure, direction: str):
-    """Raise InvariantViolation unless the designated endomorphisms are
-    morphisms of the classical structure being twisted."""
-    if direction not in _TWISTED_SIDES:
-        raise ValueError(f"unknown twist direction {direction!r}")
-    sides, b = _TWISTED_SIDES[direction], p.bundle
-    b.require(*(side.mult for side in sides))
-    maps = [m for m in MAP_SHAPES if any(m in (side.mult, side.unit) for side in sides)
-            and getattr(b, m) is not None]
-    failures, broken = [], {}  # broken: id of each distinct endomorphism -> its failing maps
-    for ename in (name for side in sides for name in side.endos):
-        e = b.obj.endos().get(ename)
-        if e is None:
-            failures.append(f"{ename} missing")
-            continue
-        if id(e) not in broken:
-            broken[id(e)] = [m for m in maps if operator.ne(*morphism_sides(b, m, e))]
-        failures += [f"{ename} is not a morphism for {m}" for m in broken[id(e)]]
-    if failures:
-        raise InvariantViolation("; ".join(failures))
+def held_sides(b: StructureBundle, none: tuple = MONOID) -> tuple:
+    """The sides of BIMONOID whose multiplication b holds; `none` if it holds
+    neither, which by default makes yau_twist refuse b for having no mu."""
+    return tuple(side for side in BIMONOID if getattr(b, side.mult) is not None) or none
 
 
-def yau_twist(p: PlainStructure, direction: str = BIMONOID) -> StructureBundle:
-    """Twist a classical structure along its endomorphisms.
+def _twisted(b: StructureBundle, sides: tuple, pair) -> dict:
+    """Each side's multiplication with the Kronecker factors pair(side) applied."""
+    return {side.mult: side.kron_chain(getattr(b, side.mult), pair(side)) for side in sides}
+
+
+def yau_twist(p: PlainStructure, direction: tuple = BIMONOID) -> StructureBundle:
+    """Twist a classical structure along its endomorphisms, on the sides of
+    direction.  Each endomorphism must be a morphism of the classical maps of
+    those sides; each distinct one is checked once.
 
     Comultiplication side: delta' = (alpha (x) beta) . delta, epsilon' = epsilon.
     Multiplication side:   mu' = mu . (kappa (x) nu), eta' = eta.
     """
-    validate_plain(p, direction)
-    b = p.bundle
-    maps = {}
-    for side in _TWISTED_SIDES[direction]:
-        maps[side.mult] = side.kron_chain(getattr(b, side.mult), b.obj.pair_for(side.big))
-        maps[side.unit] = getattr(b, side.unit)
-    return StructureBundle(b.obj, **maps)
+    b, endos = p.bundle, p.bundle.obj.endos()
+    b.require(*(side.mult for side in direction))
+    names = [name for side in direction for name in side.endos]
+    missing = [f"{name} missing" for name in names if name not in endos]
+    if missing:
+        raise MissingEndomorphism("; ".join(missing))
+    maps = [m for m in MAP_SHAPES if any(m in (side.mult, side.unit) for side in direction)
+            and getattr(b, m) is not None]
+    failures, broken = [], {}  # broken: id of each distinct endomorphism -> its failing maps
+    for name in names:
+        e = endos[name]
+        if id(e) not in broken:
+            broken[id(e)] = [m for m in maps if operator.ne(*morphism_sides(b, m, e))]
+        failures += [f"{name} is not a morphism for {m}" for m in broken[id(e)]]
+    if failures:
+        raise InvariantViolation("; ".join(failures))
+    units = {side.unit: getattr(b, side.unit) for side in direction}
+    return StructureBundle(b.obj, **units,
+                           **_twisted(b, direction, lambda side: b.obj.pair_for(side.big)))
 
 
 def _inverse_or_raise(obj: BiHomObject, name: str) -> DenseMap:
     e = obj.endos().get(name)
     if e is None:
-        raise NotInvertible(f"{name} is absent")
+        raise MissingEndomorphism(f"{name} is absent")
     inv = invert(e)
     if inv is None:
         raise NotInvertible(f"{name} is singular")
@@ -116,15 +116,11 @@ def _inverse_or_raise(obj: BiHomObject, name: str) -> DenseMap:
 def untwist(b: StructureBundle) -> PlainStructure:
     """Invert the twist: delta~ = (alpha^-1 (x) beta^-1) . delta and
     mu~ = mu . (kappa^-1 (x) nu^-1); units and counits are untouched."""
-    maps = {}
-    for side in _TWISTED_SIDES[BIMONOID]:
-        m = getattr(b, side.mult)
-        if m is not None:
-            inverses = [_inverse_or_raise(b.obj, name) for name in side.endos]
-            maps[side.mult] = side.kron_chain(m, inverses)
-    if not maps:
+    sides = held_sides(b, none=())
+    if not sides:
         raise MissingMap("nothing to untwist")
-    return PlainStructure(b.replace(**maps))
+    return PlainStructure(b.replace(**_twisted(
+        b, sides, lambda side: [_inverse_or_raise(b.obj, name) for name in side.endos])))
 
 
 @dataclass(frozen=True)
@@ -133,13 +129,11 @@ class AntipodeResult:
 
     status is 'found', 'no_antipode' or 'non_unique'.  chi carries the solved
     map when found, and one explicit witness in the non-unique case (never a
-    silently chosen canonical representative).  both_sided records that the
-    returned map re-verified against both composites of the defining diagram.
+    silently chosen canonical representative).  A returned map has re-verified
+    against both composites of the defining diagram.
     """
 
     chi: Optional[DenseMap]
-    method: str
-    both_sided: bool
     status: str
 
     @property
@@ -201,12 +195,12 @@ def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
 
     status, solution, den = _solve(_antipode_system(pre, delta, rhs), obj.dim ** 2)
     if status == NO_SOLUTION:
-        return AntipodeResult(None, method, False, NO_ANTIPODE)
+        return AntipodeResult(None, NO_ANTIPODE)
     chi = _canonical(obj.field, obj.dim, obj.dim, solution.reshape(obj.dim, obj.dim), den)
     if not _verify_antipode(pre, delta, rhs, chi):
         raise InvariantViolation("solved antipode failed re-verification")
     status = FOUND if status == UNIQUE else NON_UNIQUE
-    return AntipodeResult(chi, method, True, status)
+    return AntipodeResult(chi, status)
 
 
 def canonical_morphism(x: ModuleInst, y: BiHomObject,
@@ -226,7 +220,7 @@ def canonical_morphism(x: ModuleInst, y: BiHomObject,
     idx = DenseMap.identity(field, x.carrier.dim)
     idy = DenseMap.identity(field, y.dim)
     ida = DenseMap.identity(field, a.dim)
-    swap = Permutation((1, 0)).matrix([y.dim, a.dim], field)
+    swap = DenseMap.permutation(field, np.arange(y.dim * a.dim).reshape(y.dim, a.dim).T)
     m = kron(kron(idx, idy), b.delta)
     for factors in ([idx, swap, ida], [x.action, idy, ida]):
         m = kron_compose(field, factors, m)

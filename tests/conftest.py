@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bihomcheck import exactlin
 from bihomcheck.exactlin import GF, QQ, DenseMap
+from bihomcheck.twist import BIMONOID, COMONOID, MONOID
 
 
 def naive_matmul(a_rows, b_rows):
@@ -30,6 +31,15 @@ def naive_kron(a_rows, b_rows, a_shape, b_shape):
                 for c in range(bsrc):
                     out[i * bd + r][j * bsrc + c] = a_rows[i][j] * b_rows[r][c]
     return out
+
+
+_DIRECTION_NAMES = {COMONOID: "comonoid", MONOID: "monoid", BIMONOID: "bimonoid"}
+
+
+def direction_id(value):
+    """A twist direction's name as a parametrize id (pytest's own id for a
+    string)."""
+    return None if isinstance(value, str) else _DIRECTION_NAMES[value]
 
 
 def chain(side, *maps):

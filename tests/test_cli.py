@@ -8,7 +8,7 @@ from functools import reduce
 from operator import getitem
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bihomcheck.cli import (
@@ -205,30 +205,55 @@ _REPLACEMENTS = st.one_of(
     st.integers(max_value=-1), st.floats(max_value=-0.5, allow_infinity=False))
 
 
-class TestFuzzedInstance:
-    """Any one node of a valid instance replaced by a junk value: exit 0, 1 or 2
-    with at most one line on stderr, never a traceback."""
+_DELETE = object()  # the mutation that removes the node instead of replacing it
+_FUZZED_COMMANDS = [
+    ["check", "--structure", "bimonoid", "--name", "twisted"],
+    ["check", "--structure", "comonoid", "--name", "plain"],
+    ["check", "--structure", "hopf-module", "--name", "regular"],
+    ["antipode", "--name", "twisted", "--method", "direct"],
+    ["antipode", "--name", "twisted", "--method", "untwist"],
+    ["delta", "--name", "twisted", "-n", "3"],
+    ["delta", "--name", "twisted", "--check-all-sequences", "--max-K", "2"],
+    ["twist", "--name", "plain", "-o", "twisted.json"],
+    ["twist", "--name", "twisted", "--direction", "untwist", "-o", "twisted.json"],
+]
 
-    @settings(max_examples=200, deadline=None)
+
+class TestFuzzedInstance:
+    """Any one node of a valid instance replaced by a junk value or deleted,
+    through every command: exit 0, 1 or 2 with at most one line on stderr,
+    never a traceback.  A failed check (exit 1) never stands for an absent map
+    or endomorphism, and a twist that fails writes no file."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(path=("objects", "c3_sq", "kappa"), value=_DELETE, argv=_FUZZED_COMMANDS[-2])
     @given(path=st.sampled_from(list(_mutation_paths(_EXAMPLE_DOC))),
-           value=_REPLACEMENTS,
-           check=st.sampled_from([("bimonoid", "twisted"), ("comonoid", "plain"),
-                                  ("hopf-module", "regular")]))
-    def test_single_node_mutation(self, tmp_path_factory, path, value, check):
+           value=_REPLACEMENTS | st.just(_DELETE),
+           argv=st.sampled_from(_FUZZED_COMMANDS))
+    def test_single_node_mutation(self, tmp_path_factory, path, value, argv):
         doc = copy.deepcopy(_EXAMPLE_DOC)
-        if path:
-            _set(path, value)(doc)
+        if not path:
+            doc = None if value is _DELETE else value
+        elif value is _DELETE:
+            _drop(*path)(doc)
         else:
-            doc = value
-        file = tmp_path_factory.getbasetemp() / "fuzzed.json"
+            _set(path, value)(doc)
+        base = tmp_path_factory.getbasetemp()
+        file, written = base / "fuzzed.json", base / "twisted.json"
         file.write_text(json.dumps(doc))
+        written.unlink(missing_ok=True)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["check", str(file), "--structure", check[0], "--name", check[1]])
+            rc = main([argv[0], str(file), *(str(base / a) if a == written.name else a
+                                             for a in argv[1:])])
         assert rc in (0, 1, 2)
         assert err.getvalue().count("\n") <= 1
         if rc == 2:
             assert err.getvalue().startswith("error: ")
+        if rc == 1:
+            assert not any(word in err.getvalue() for word in ("missing", "absent", "has no"))
+        if argv[0] == "twist" and rc != 0:
+            assert not written.exists()
 
 
 class TestCheckCommand:
@@ -453,16 +478,23 @@ class TestMissingMapsAndEndomorphisms:
         (_drop_oplax_pair, ["check", "--structure", "bimonoid"],
          "object has no kappa/nu endomorphisms"),
         (_drop_oplax_pair, ["antipode"], "object has no kappa/nu endomorphisms"),
+        (_drop_oplax_pair, ["twist", "-o", "out.json"], "kappa missing; nu missing"),
+        (_drop_oplax_pair, ["twist", "--direction", "untwist", "-o", "out.json"],
+         "kappa is absent"),
     ], ids=["check-without-mu", "antipode-without-mu", "delta-without-delta",
-            "check-without-kappa-nu", "antipode-without-kappa-nu"])
-    def test_one_error_line(self, c3_file, capsys, edit, argv, message):
+            "check-without-kappa-nu", "antipode-without-kappa-nu",
+            "twist-without-kappa-nu", "untwist-without-kappa-nu"])
+    def test_one_error_line(self, c3_file, tmp_path, monkeypatch, capsys, edit, argv,
+                            message):
         with open(c3_file) as fh:
             doc = json.load(fh)
         edit(doc)
         with open(c3_file, "w") as fh:
             json.dump(doc, fh)
+        monkeypatch.chdir(tmp_path)
         assert main([argv[0], c3_file, "--name", "twisted", *argv[1:]]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestTwistCommand:

@@ -1,6 +1,6 @@
 """Distinct work once per request, against references that do all of it.
 
-- check_bimonoid, check_hopf_module and validate_plain build and compare the
+- check_bimonoid, check_hopf_module and yau_twist build and compare the
   diagram of each distinct endomorphism once, and give every name of a slot
   holding that map the same outcome.  Every fixture elsewhere puts one map in
   all four slots, so these objects carry distinct endomorphisms, four equal
@@ -35,7 +35,7 @@ from bihomcheck.cli import (
     save_instance,
 )
 from bihomcheck.coherence import BiHomObject
-from bihomcheck.errors import InvariantViolation, ParseError
+from bihomcheck.errors import InvariantViolation, MissingEndomorphism, ParseError
 from bihomcheck.exactlin import GF, QQ, DenseMap, _canonical, compose, kron
 from bihomcheck.fixtures import (
     cyclic_group_bundle,
@@ -63,9 +63,10 @@ from bihomcheck.twist import (
     COMONOID,
     MONOID,
     PlainStructure,
-    validate_plain,
     yau_twist,
 )
+
+from conftest import direction_id
 
 F7 = GF(7)
 FIELDS = [F7, QQ]
@@ -240,25 +241,27 @@ TWISTED_MAPS = {COMONOID: ("delta", "epsilon"), MONOID: ("mu", "eta"),
                 BIMONOID: tuple(MAP_SHAPES)}
 
 
-def reference_validate_plain(p, direction):
-    """validate_plain's message, every (slot, map) diagram compared alone; None
-    when it passes."""
+def reference_twist_refusal(p, direction):
+    """yau_twist's refusal as (error type, message), every (slot, map) diagram
+    compared alone; None when it twists.  Absent endomorphisms are refused
+    before any diagram."""
     b = p.bundle
+    missing = [f"{ename} missing" for ename in TWISTED_NAMES[direction]
+               if ename not in b.obj.endos()]
+    if missing:
+        return MissingEndomorphism, "; ".join(missing)
     failures = []
     for ename in TWISTED_NAMES[direction]:
-        e = b.obj.endos().get(ename)
-        if e is None:
-            failures.append(f"{ename} missing")
-            continue
+        e = b.obj.endos()[ename]
         failures += [f"{ename} is not a morphism for {m}" for m in MAP_SHAPES
                      if m in TWISTED_MAPS[direction] and getattr(b, m) is not None
                      and not compare_entry(m, "", *morphism_sides(b, m, e)).passed]
-    return "; ".join(failures) or None
+    return (InvariantViolation, "; ".join(failures)) if failures else None
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("direction", [COMONOID, MONOID, BIMONOID])
-def test_validate_plain_against_per_name_diagrams(field, direction):
+@pytest.mark.parametrize("direction", [COMONOID, MONOID, BIMONOID], ids=direction_id)
+def test_twist_validation_against_per_name_diagrams(field, direction):
     plains = []
     for name, plain in plain_cases(field).items():
         plains.append((name, plain))
@@ -269,15 +272,17 @@ def test_validate_plain_against_per_name_diagrams(field, direction):
         obj=dataclasses.replace(plains[0][1].obj, kappa=None, nu=None))))
     seen = set()
     for name, plain in plains:
-        want = reference_validate_plain(PlainStructure(plain), direction)
-        seen.add(want is None)
+        want = reference_twist_refusal(PlainStructure(plain), direction)
+        seen.add(want and want[0])
         if want is None:
-            validate_plain(PlainStructure(plain), direction)
+            yau_twist(PlainStructure(plain), direction)
         else:
-            with pytest.raises(InvariantViolation) as info:
-                validate_plain(PlainStructure(plain), direction)
-            assert str(info.value) == want, name
-    assert seen == {True, False}  # both outcomes occur
+            with pytest.raises(want[0]) as info:
+                yau_twist(PlainStructure(plain), direction)
+            assert type(info.value) is want[0] and str(info.value) == want[1], name
+    # every outcome occurs; only the comonoid side twists without kappa and nu
+    assert seen == {None, InvariantViolation} | (
+        set() if direction == COMONOID else {MissingEndomorphism})
 
 
 # -- ingest: equal matrices read once ---------------------------------------

@@ -6,6 +6,7 @@ from bihomcheck.coherence import BiHomObject, unit_object
 from bihomcheck.errors import (
     DimensionMismatch,
     InvariantViolation,
+    MissingEndomorphism,
     MissingMap,
     NotInvertible,
 )
@@ -32,7 +33,7 @@ from bihomcheck.fixtures import (
 )
 from bihomcheck.structures import StructureBundle, check_bimonoid, regular_module
 
-from conftest import mod7_matrix, rational_matrix
+from conftest import direction_id, mod7_matrix, rational_matrix
 from bihomcheck.twist import (
     BIMONOID,
     COMONOID,
@@ -48,7 +49,6 @@ from bihomcheck.twist import (
     antipode_solve,
     canonical_morphism,
     untwist,
-    validate_plain,
     yau_twist,
 )
 
@@ -107,8 +107,8 @@ class TestYauTwist:
         with pytest.raises(InvariantViolation):
             yau_twist(PlainStructure(bad), COMONOID)
 
-    def test_validate_plain_passes_on_fixture(self):
-        validate_plain(plain_twisting_c3(), BIMONOID)
+    def test_fixture_endomorphisms_are_morphisms(self):
+        yau_twist(plain_twisting_c3(), BIMONOID)
 
 
 class TestUntwist:
@@ -174,21 +174,21 @@ class TestPinnedTexts:
                    "kappa is not a morphism for eta; kappa is not a morphism for delta; "
                    "kappa is not a morphism for epsilon; nu is not a morphism for mu; "
                    "nu is not a morphism for eta; nu is not a morphism for epsilon"),
-    ])
-    def test_validate_plain_failure_text(self, direction, text):
+    ], ids=direction_id)
+    def test_twist_failure_text(self, direction, text):
         bad = _c3_maps_on(self.SCALE, self.ZERO, self.TWICE, _diagonal(0, 1, 1))
         with pytest.raises(InvariantViolation) as exc:
-            validate_plain(PlainStructure(bad), direction)
+            yau_twist(PlainStructure(bad), direction)
         assert str(exc.value) == text
 
-    def test_missing_endomorphisms_listed_in_place(self):
+    def test_missing_endomorphisms_listed_before_any_diagram(self, monkeypatch):
+        # alpha and beta are no morphisms either, but an absent endomorphism is
+        # an input error: it is refused alone, before any diagram is built
         bad = _c3_maps_on(self.SCALE, self.ZERO)
-        with pytest.raises(InvariantViolation) as exc:
-            validate_plain(PlainStructure(bad), BIMONOID)
-        assert str(exc.value) == (
-            "alpha is not a morphism for mu; alpha is not a morphism for delta; "
-            "alpha is not a morphism for epsilon; beta is not a morphism for eta; "
-            "beta is not a morphism for epsilon; kappa missing; nu missing")
+        monkeypatch.setattr("bihomcheck.twist.morphism_sides", None)
+        with pytest.raises(MissingEndomorphism) as exc:
+            yau_twist(PlainStructure(bad), BIMONOID)
+        assert str(exc.value) == "kappa missing; nu missing"
 
     @pytest.mark.parametrize("endos, name", [
         ((ZERO, ZERO, ONE, ONE), "alpha"),
@@ -200,7 +200,7 @@ class TestPinnedTexts:
             untwist(_c3_maps_on(*endos))
 
     @pytest.mark.parametrize("direction, name", [
-        (COMONOID, "delta"), (MONOID, "mu"), (BIMONOID, "delta")])
+        (COMONOID, "delta"), (MONOID, "mu"), (BIMONOID, "delta")], ids=direction_id)
     def test_missing_map_named(self, direction, name):
         b = classical_c3()
         units_only = StructureBundle(b.obj, eta=b.eta, epsilon=b.epsilon)
@@ -211,7 +211,7 @@ class TestPinnedTexts:
 class TestAntipode:
     def test_classical_antipode_is_inversion(self):
         res = antipode_solve(classical_c3(), DIRECT)
-        assert res.status == FOUND and res.both_sided
+        assert res.status == FOUND
         assert res.chi == inversion_antipode(F7, 3)
 
     def test_classical_antipode_by_convolution_oracle(self):
@@ -316,9 +316,9 @@ class TestAntipode:
 
     def test_non_unique_result_carries_witness(self):
         chi = DenseMap.identity(F7, 2)
-        res = AntipodeResult(chi, DIRECT, True, NON_UNIQUE)
+        res = AntipodeResult(chi, NON_UNIQUE)
         assert res.witness == chi
-        assert AntipodeResult(chi, DIRECT, True, FOUND).witness is None
+        assert AntipodeResult(chi, FOUND).witness is None
 
 
 class TestCanonicalMorphism:
