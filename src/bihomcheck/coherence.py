@@ -23,7 +23,7 @@ import numpy as np
 
 from .combinat import (
     IndexSeq,
-    bar,
+    concat,
     flip_perm,
     group_by,
     hat_of,
@@ -32,7 +32,6 @@ from .combinat import (
     totals,
     validate_double_seq,
     validate_index_seq,
-    z_of,
 )
 from .errors import (
     FieldMismatch,
@@ -181,13 +180,15 @@ def phi_exponents(k: IndexSeq, which: str = BIG_PHI):
     return [list(group) for group in _exponent_table(validate_index_seq(k), which)]
 
 
-@functools.lru_cache(maxsize=256)  # the ~100 tables matrix trials read fit; one-off symbolic ones cycle out
+# 256 slots keep the ~100 tables matrix trials read.  A symbolic request's ~1,200
+# one-off tables cycle through them, as do a --max-K 5 sweep's 288, which all miss.
+@functools.lru_cache(maxsize=256)
 def _exponent_table(k: tuple, which: str) -> tuple:
     """phi_exponents of a validated sequence as tuples, built once per (k, which)."""
     if which not in (BIG_PHI, SMALL_PHI, BIG_PSI, SMALL_PSI):
         raise ValueError(f"unknown coherence kind {which!r}")
-    weight = (lambda v: bar(v) - 1) if which in _BIG_KINDS else z_of
-    before = [0, *itertools.accumulate(weight(v) for v in k)]  # weights of groups < i
+    weights = [v - 1 if v else 0 for v in k] if which in _BIG_KINDS else [0 if v else 1 for v in k]
+    before = [0, *itertools.accumulate(weights)]  # bar - 1 or z_of weights of groups < i
     total = before[-1]
     return tuple(((total - before[i + 1], before[i]),) * v for i, v in enumerate(k))
 
@@ -262,9 +263,13 @@ _IDENTITY_REGIONS = ("upper-left", "lower-left", "upper-right", "lower-right")
 # Step tags -> coherence kinds, for both figures; the lax figure reads Phi and phi.
 _STEP_KINDS = {"Phi": BIG_PHI, "phi": SMALL_PHI, "Psi": BIG_PSI, "psi": SMALL_PSI}
 
+# Each step named in _LAX_REGIONS -> (kind, shape of _lax_shapes).
+_LAX_STEPS = {step: (_STEP_KINDS[tag], shape) for _, left, right in _LAX_REGIONS
+              for step in left + right for tag, shape in [step.split(":")]}
 
-def _lax_factors(m, k, objs, prods, unit) -> dict:
-    """Each map named in _LAX_REGIONS as its Kronecker factors (kind, sequence, groups).
+
+def _lax_shapes(m, k, objs, prods, unit) -> dict:
+    """Each shape in _LAX_STEPS as the (sequence, groups) of its Kronecker factors.
 
     objs[i][j] lists the k_ij items of slot (i, j), prods[i][j] stands for their
     product, unit for the unit; items are objects or, for the exponents, slot labels.
@@ -272,39 +277,35 @@ def _lax_factors(m, k, objs, prods, unit) -> dict:
     def cat(parts):
         return [x for part in parts for x in part]
 
+    k = validate_double_seq(k)
     tot, tl, ht = totals(k), tilde_of(k), hat_of(k)
     rows = [cat(row) for row in objs]
-    shapes = {
+    return {
         "m": [(m, prods)],
         "rows": list(zip(k, objs)),
-        "tilde": [(cat(tl), cat(group_by(r, t) for r, t in zip(rows, tl)))],
-        "KZ": [([s + z for s, z in zip(tot.row_sums, tot.row_zeros)],
+        "tilde": [(concat(tl), cat(group_by(r, t) for r, t in zip(rows, tl)))],
+        "KZ": [(tuple(s + z for s, z in zip(tot.row_sums, tot.row_zeros)),
                 [pad(row, ks, unit) for row, ks in zip(objs, k)])],
         "K": [(tot.row_sums, rows)],
-        "flat": [(cat(k), cat(objs))],
-        "hat": [(cat(ht), cat(group_by(pad([r], (s,), unit), h)
-                              for r, s, h in zip(rows, tot.row_sums, ht)))],
+        "flat": [(concat(k), cat(objs))],
+        "hat": [(concat(ht), cat(group_by(r or [unit], h) for r, h in zip(rows, ht)))],
     }
-    return {step: [(_STEP_KINDS[kind], seq, groups) for seq, groups in shapes[shape]]
-            for _, left, right in _LAX_REGIONS for step in left + right
-            for kind, shape in [step.split(":")]}
 
 
 def _lax_path_exponents(k) -> dict:
     """Slot (i, j) with k_ij > 0, 1-based -> region -> (first path, second path),
-    each path's per-slot (a, b) exponents from phi_exponents summed over its steps."""
+    each path's per-slot (a, b) exponents, one table pair per group, summed over its two steps."""
     k = validate_double_seq(k)
     prods = [[(i, j) for j in range(1, len(row) + 1)] for i, row in enumerate(k, 1)]
     labels = [[[slot] * v for slot, v in zip(p, row)] for p, row in zip(prods, k)]
-    exps = {}
-    for step, factors in _lax_factors(tuple(map(len, k)), k, labels, prods, None).items():
-        at = exps[step] = {}
-        for kind, seq, groups in factors:
-            for group, pairs in zip(groups, phi_exponents(seq, kind)):
-                at.update(zip(group, pairs))
+    shapes = _lax_shapes(tuple(map(len, k)), k, labels, prods, None)
+    exps = {step: {x: pairs[0] for seq, groups in shapes[shape]
+                   for group, pairs in zip(groups, _exponent_table(seq, kind)) for x in group}
+            for step, (kind, shape) in _LAX_STEPS.items()}
 
     def path(steps, slot):
-        return tuple(map(sum, zip(*(exps[s][slot] for s in steps))))
+        (a, b), (c, d) = exps[steps[0]][slot], exps[steps[1]][slot]
+        return a + c, b + d
 
     return {slot: {name: (path(left, slot), path(right, slot))
                    for name, left, right in _LAX_REGIONS}
@@ -333,7 +334,7 @@ def check_exponent_identities(n: int, m: IndexSeq, k, i: int, j: int):
     m = validate_index_seq(m)
     if n != len(m):
         raise ShapeMismatch(f"n={n} but {len(m)} row lengths")
-    k = tuple(validate_index_seq(r) for r in k)
+    k = validate_double_seq(k)
     if len(k) != n or any(len(k[t]) != m[t] for t in range(n)):
         raise ShapeMismatch("double sequence does not match row lengths")
     if not (1 <= i <= n) or not (1 <= j <= m[i - 1]):
@@ -381,10 +382,10 @@ def _region_entries(regions, maps, figure: str) -> list:
 def _lax_maps(inst: LaxInstance):
     field = inst.field
     b = [[nprod(g, field) for g in row] for row in inst.objects]
-    factors = _lax_factors(inst.m, inst.k, inst.objects, b, unit_object(field))
-    return {step: kron_all(field, [x for kind, seq, groups in f
+    shapes = _lax_shapes(inst.m, inst.k, inst.objects, b, unit_object(field))
+    return {step: kron_all(field, [x for seq, groups in shapes[shape]
                                    for x in coherence_map(seq, kind, groups)])
-            for step, f in factors.items()}, b
+            for step, (kind, shape) in _LAX_STEPS.items()}, b
 
 
 def check_lax_figure(inst: LaxInstance) -> CheckReport:

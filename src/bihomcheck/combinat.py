@@ -5,6 +5,9 @@ row sums and zero counts, the derived tilde/hat double sequences, the tensor
 flip permutations tau_{n,p}, and unit-padding of grouped object lists.
 Positions are 0-based internally; row/slot numbering in docstrings is 1-based
 to match the usual mathematical convention.
+
+A sequence is checked once, where it enters (validate_index_seq): the result,
+and what is derived from it here by lengths, sums or concatenation, pass unread.
 """
 
 from __future__ import annotations
@@ -36,15 +39,26 @@ def bar(m: int) -> int:
     return m + z_of(m)
 
 
+class _Seq(tuple):
+    """A checked sequence; it prints, compares and hashes as the plain tuple."""
+
+
 def validate_index_seq(k: IndexSeq) -> tuple:
-    items = tuple(int(v) for v in k)
+    if type(k) is _Seq:
+        return k
+    items = _Seq(int(v) for v in k)
     if any(v < 0 for v in items):
         raise ValueError(f"negative entry in {items}")
     return items
 
 
 def validate_double_seq(rows: DoubleSeq) -> tuple:
-    return tuple(validate_index_seq(r) for r in rows)
+    return tuple(map(validate_index_seq, rows))
+
+
+def concat(seqs: DoubleSeq) -> tuple:
+    """The sequences one after another, each checked at most once."""
+    return _Seq(v for s in seqs for v in validate_index_seq(s))
 
 
 @dataclass(frozen=True)
@@ -67,8 +81,8 @@ class Totals:
 
 def totals(rows: DoubleSeq) -> Totals:
     rows = validate_double_seq(rows)
-    row_sums, row_lengths = tuple(map(sum, rows)), tuple(map(len, rows))
-    row_zeros = tuple(r.count(0) for r in rows)
+    row_sums, row_lengths = _Seq(map(sum, rows)), _Seq(map(len, rows))
+    row_zeros = _Seq(r.count(0) for r in rows)
     zeros = sum(row_zeros)
     return Totals(row_sums, row_zeros, sum(row_sums), zeros, row_lengths, sum(row_lengths),
                   zeros + row_lengths.count(0))

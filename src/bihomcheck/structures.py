@@ -54,7 +54,7 @@ from .exactlin import (
     kron_all,
     kron_compose,
 )
-from .report import CheckReport, compare_entry, make_report
+from .report import CheckEntry, CheckReport, compare_entry, make_report
 
 ITERATIVE = "iterative"
 ALTERNATIVE = "alternative"
@@ -194,7 +194,7 @@ def _entries_once(cases, sides) -> list:
     done, entries = {}, []
     for name, law, maps in cases:
         first = done.get(key := tuple(map(id, maps)))
-        entries.append(dataclasses.replace(first, name=name, law=law) if first else
+        entries.append(CheckEntry(name, law, first.passed, first.counterexample) if first else
                        done.setdefault(key, compare_entry(name, law, *sides(*maps))))
     return entries
 
@@ -434,11 +434,11 @@ def sweep_generalized_coassoc(b: StructureBundle, ks: Sequence[Sequence[int]]) -
 
 def coassoc_sequences(max_weight: int):
     """All arity sequences whose padded length K+Z stays within max_weight."""
-    out, frontier = [()], [()]
+    out, frontier = [()], [((), 0)]
     while frontier:
-        frontier = [seq + (v,) for seq in frontier for v in range(max_weight + 1)
-                    if sum(map(bar, seq + (v,))) <= max_weight]
-        out.extend(frontier)
+        frontier = [(seq + (v,), w + bar(v)) for seq, w in frontier if w < max_weight
+                    for v in range(max_weight - w + 1)]
+        out.extend(seq for seq, _ in frontier)
     return out
 
 

@@ -32,7 +32,18 @@ from bihomcheck.coherence import (
     xi_map,
 )
 from bihomcheck import cli, coherence
-from bihomcheck.combinat import Permutation, bar, z_of
+from bihomcheck.combinat import (
+    Permutation,
+    bar,
+    group_by,
+    hat_of,
+    pad,
+    tilde_of,
+    totals,
+    validate_double_seq,
+    validate_index_seq,
+    z_of,
+)
 from bihomcheck.errors import (
     GroupShapeMismatch,
     InvariantViolation,
@@ -383,6 +394,13 @@ class TestExponentIdentities:
         with pytest.raises(ShapeMismatch):
             check_exponent_identities(2, (1,), ((1,),), 1, 1)
 
+    @given(st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_path_exponents_match_per_copy_reading(self, k):
+        # every per-slot, per-region exponent pair, not only the verdicts: the
+        # identities are theorems, so an evaluator answering True passes them
+        assert _lax_path_exponents(k) == lax_exponents_by_copy(k)
+
     @given(st.integers(0, 4000))
     @settings(max_examples=120, deadline=None)
     def test_random_instances(self, trial):
@@ -392,6 +410,44 @@ class TestExponentIdentities:
         for i in range(1, n + 1):
             for j in range(1, m[i - 1] + 1):
                 assert all(check_exponent_identities(n, m, k, i, j)), (m, k, i, j)
+
+
+def lax_exponents_by_copy(k):
+    """Reference for _lax_path_exponents: each map of the lax figure built
+    from its definition, with its exponents read from phi_exponents and
+    written item by item, every copy of a slot label included."""
+    kinds = {"Phi": BIG_PHI, "phi": SMALL_PHI}
+    prods = [[(i, j) for j in range(1, len(row) + 1)] for i, row in enumerate(k, 1)]
+    objs = [[[slot] * v for slot, v in zip(p, row)] for p, row in zip(prods, k)]
+    cat = lambda parts: [x for part in parts for x in part]
+    rows = [cat(row) for row in objs]
+    t, tl, ht = totals(k), tilde_of(k), hat_of(k)
+    shapes = {
+        "m": [([len(row) for row in k], prods)],
+        "rows": list(zip(k, objs)),
+        "tilde": [(cat(tl), cat(group_by(r, s) for r, s in zip(rows, tl)))],
+        "KZ": [([a + z for a, z in zip(t.row_sums, t.row_zeros)],
+                [pad(row, ks, None) for row, ks in zip(objs, k)])],
+        "K": [(t.row_sums, rows)],
+        "flat": [(cat(k), cat(objs))],
+        "hat": [(cat(ht), cat(group_by(pad([r], (s,), None), h)
+                              for r, s, h in zip(rows, t.row_sums, ht)))],
+    }
+    exps = {}
+    for _, *paths in coherence._LAX_REGIONS:
+        for step in itertools.chain(*paths):
+            tag, shape = step.split(":")
+            at = exps[step] = {}
+            for seq, groups in shapes[shape]:
+                for group, pairs in zip(groups, phi_exponents(seq, kinds[tag]), strict=True):
+                    at.update(zip(group, pairs, strict=True))
+
+    def path(steps, slot):
+        return tuple(map(sum, zip(*(exps[s][slot] for s in steps))))
+
+    return {slot: {name: (path(left, slot), path(right, slot))
+                   for name, left, right in coherence._LAX_REGIONS}
+            for p, row in zip(prods, k) for slot, v in zip(p, row) if v}
 
 
 def _substituted(region, old, new):
@@ -620,3 +676,50 @@ class TestExponentTable:
         assert coherence._exponent_table((1, 2), BIG_PHI) is first
         assert isinstance(first, tuple) and all(isinstance(g, tuple) for g in first)
         assert [list(g) for g in first] == phi_exponents([1, 2], BIG_PHI)
+
+
+# The three forms of a sequence holding -1.  A validator never returns a
+# negative entry, so the third form holds what one returned beside the -1: a
+# tuple operation on a checked sequence gives a plain tuple, checked again.
+INDEX_FORMS = ([2, -1], (2, -1), validate_index_seq((2, 5))[:1] + (-1,))
+DOUBLE_FORMS = ([[1], [2, -1]], ((1,), (2, -1)),
+                validate_double_seq([[1]]) + (validate_index_seq([2]) + (-1,),))
+
+
+class TestSequencesCheckedOnce:
+    """A sequence is checked where it enters; what a validator returned passes
+    the helpers unread, and nothing else is let through unchecked."""
+
+    @pytest.mark.parametrize("call, forms", [
+        (validate_index_seq, INDEX_FORMS),
+        (validate_double_seq, DOUBLE_FORMS),
+        (lambda k: pad([["x", "y"], []], k, "unit"), INDEX_FORMS),
+        (lambda k: group_by(["x"], k), INDEX_FORMS),
+        (totals, DOUBLE_FORMS),
+        (tilde_of, DOUBLE_FORMS),
+        (hat_of, DOUBLE_FORMS),
+        (lambda k: phi_exponents(k, BIG_PHI), INDEX_FORMS),
+        (lambda k: coherence_map(k, BIG_PHI, [[], []]), INDEX_FORMS),
+        (lambda m: check_exponent_identities(2, m, [[1], []], 1, 1), INDEX_FORMS),
+        (lambda k: check_exponent_identities(2, (1, 2), k, 1, 1), DOUBLE_FORMS),
+    ], ids=["validate_index_seq", "validate_double_seq", "pad", "group_by", "totals",
+            "tilde_of", "hat_of", "phi_exponents", "coherence_map",
+            "check_exponent_identities-m", "check_exponent_identities-k"])
+    def test_negative_entry_refused_in_every_form(self, call, forms):
+        for form in forms:
+            with pytest.raises(ValueError) as info:
+                call(form)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "negative entry in (2, -1)", form
+
+    def test_validated_sequences_read_as_plain_tuples(self):
+        seq, rows = validate_index_seq([3, 0, 1]), validate_double_seq([[3, 0], [], [1]])
+        for checked, plain in [(seq, (3, 0, 1)), (rows, ((3, 0), (), (1,))),
+                               (rows[0], (3, 0)), (validate_index_seq([]), ())]:
+            assert checked == plain and plain == checked
+            assert hash(checked) == hash(plain)
+            assert repr(checked) == repr(plain) and str(checked) == str(plain)
+            assert json.dumps(checked) == json.dumps(plain)
+            assert {checked: 1} == {plain: 1}
+        assert validate_index_seq(seq) is seq
+        assert all(a is b for a, b in zip(validate_double_seq(rows), rows, strict=True))

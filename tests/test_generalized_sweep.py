@@ -9,6 +9,7 @@ same names, verdicts and counterexamples, on every sequence of
 coassoc_sequences(4).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihomcheck.coherence import BiHomObject, coherence_map
-from bihomcheck.combinat import validate_index_seq
+from bihomcheck.combinat import bar, validate_index_seq
 from bihomcheck.exactlin import GF, QQ, DenseMap, kron_all
 from bihomcheck.fixtures import cyclic_group_bundle, dual_cyclic_bundle
 from bihomcheck.report import compare_entry, make_report
@@ -175,3 +176,11 @@ def test_public_entry_points_agree_with_the_sweep():
     assert [check_generalized_assoc(b, k) for k in SEQUENCES] == [
         reference(b, k, MONOID_SIDE) for k in SEQUENCES]
     assert sweep_generalized_coassoc(b, []) == []
+
+
+@pytest.mark.parametrize("weight", range(7))
+def test_sequences_are_the_brute_force_filter_in_order(weight):
+    # every sequence of padded length K+Z <= weight has at most weight entries
+    assert coassoc_sequences(weight) == [
+        k for n in range(weight + 1) for k in itertools.product(range(weight + 1), repeat=n)
+        if sum(map(bar, k)) <= weight]
