@@ -21,21 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .combinat import (
-    IndexSeq,
-    concat,
-    flip_perm,
-    group_by,
-    hat_of,
-    pad,
-    tilde_of,
-    totals,
-    validate_double_seq,
-    validate_index_seq,
-)
+from .combinat import IndexSeq, flip_perm, validate_double_seq, validate_index_seq
 from .errors import (
     FieldMismatch,
-    GroupShapeMismatch,
     InvariantViolation,
     MissingEndomorphism,
     ShapeMismatch,
@@ -193,38 +181,31 @@ def _exponent_table(k: tuple, which: str) -> tuple:
     return tuple(((total - before[i + 1], before[i]),) * v for i, v in enumerate(k))
 
 
-def coherence_map(k: IndexSeq, which: str,
-                  groups: Sequence[Sequence[BiHomObject]]) -> list[DenseMap]:
-    """The coherence morphism for sequence k at the given grouped objects, as
-    its Kronecker factors: slot by slot, the endomorphism powers from
-    phi_exponents, which each object builds once (BiHomObject.factor).  Group
-    i must hold k_i objects; the empty collection has no factors.  Diagram
-    sides apply the factors leg by leg, and kron_all builds their product
-    where that is compared.
+def coherence_map(which: str, groups: Sequence[Sequence[BiHomObject]]) -> list[DenseMap]:
+    """The coherence morphism at the given grouped objects, as its Kronecker
+    factors.  Its sequence k is the groups' shape: group i holds k_i objects.
+    Slot by slot, the factors are the endomorphism powers from phi_exponents(k),
+    which each object builds once (BiHomObject.factor); the empty collection
+    has no factors.  Diagram sides apply the factors leg by leg, and kron_all
+    builds their product where that is compared.
     """
-    k = validate_index_seq(k)
-    if len(groups) != len(k):
-        raise GroupShapeMismatch(f"{len(groups)} groups for sequence of {len(k)}")
-    for i, g in enumerate(groups):
-        if len(g) != k[i]:
-            raise GroupShapeMismatch(f"group {i} holds {len(g)}, wants {k[i]}")
     flat = [o for g in groups for o in g]
-    exps = [e for group in _exponent_table(k, which) for e in group]
+    exps = [e for group in _exponent_table(tuple(map(len, groups)), which) for e in group]
     return [obj.factor(which, a, b) for obj, (a, b) in zip(flat, exps)]
 
 
-def xi_map(n: int, p: int, grid: Sequence[Sequence[BiHomObject]],
-           field: Optional[FieldTag] = None) -> DenseMap:
-    """Interchange morphism on an n x p grid of objects.
+def xi_map(grid: Sequence[Sequence[BiHomObject]], field: Optional[FieldTag] = None) -> DenseMap:
+    """Interchange morphism on an n x p grid of objects: n rows of p each.
 
     Sends the source order (tensor over rows i < n of tensors over columns
     j < p) to the transposed order (tensor over columns of tensors over rows);
     it is the slot flip (i, j) -> (j, i) under the global flattening, i.e.
     flip_perm(p, n), kept as a permutation map (an index array, see DenseMap).
-    Degenerate grids (n*p = 0) give the 1x1 identity.
+    Degenerate grids (n*p = 0) give the 1x1 identity; a ragged grid is refused.
     """
-    if len(grid) != n or any(len(row) != p for row in grid):
-        raise ShapeMismatch(f"grid is not {n}x{p}")
+    n, p = len(grid), len(grid[0]) if grid else 0
+    if any(len(row) != p for row in grid):
+        raise ShapeMismatch(f"ragged grid: rows of {[len(row) for row in grid]}")
     flat = [obj for row in grid for obj in row]
     if field is None:
         if not flat:
@@ -268,27 +249,26 @@ _LAX_STEPS = {step: (_STEP_KINDS[tag], shape) for _, left, right in _LAX_REGIONS
               for step in left + right for tag, shape in [step.split(":")]}
 
 
-def _lax_shapes(m, k, objs, prods, unit) -> dict:
-    """Each shape in _LAX_STEPS as the (sequence, groups) of its Kronecker factors.
+def _lax_shapes(objs, prods, unit) -> dict:
+    """Each shape in _LAX_STEPS as the groups of each of its coherence maps, whose
+    sequences are the groups' lengths.
 
     objs[i][j] lists the k_ij items of slot (i, j), prods[i][j] stands for their
     product, unit for the unit; items are objects or, for the exponents, slot labels.
+    An empty row is one empty group in tilde; a row with no items is [unit] and
+    empty groups in hat, and an empty slot is one unit in KZ.
     """
     def cat(parts):
         return [x for part in parts for x in part]
 
-    k = validate_double_seq(k)
-    tot, tl, ht = totals(k), tilde_of(k), hat_of(k)
-    rows = [cat(row) for row in objs]
     return {
-        "m": [(m, prods)],
-        "rows": list(zip(k, objs)),
-        "tilde": [(concat(tl), cat(group_by(r, t) for r, t in zip(rows, tl)))],
-        "KZ": [(tuple(s + z for s, z in zip(tot.row_sums, tot.row_zeros)),
-                [pad(row, ks, unit) for row, ks in zip(objs, k)])],
-        "K": [(tot.row_sums, rows)],
-        "flat": [(concat(k), cat(objs))],
-        "hat": [(concat(ht), cat(group_by(r or [unit], h) for r, h in zip(rows, ht)))],
+        "m": [prods],
+        "rows": objs,
+        "tilde": [cat(row or [[]] for row in objs)],
+        "KZ": [[cat(g or [unit] for g in row) for row in objs]],
+        "K": [[cat(row) for row in objs]],
+        "flat": [cat(objs)],
+        "hat": [cat(row if any(row) else [[unit], *row[1:]] for row in objs)],
     }
 
 
@@ -298,9 +278,10 @@ def _lax_path_exponents(k) -> dict:
     k = validate_double_seq(k)
     prods = [[(i, j) for j in range(1, len(row) + 1)] for i, row in enumerate(k, 1)]
     labels = [[[slot] * v for slot, v in zip(p, row)] for p, row in zip(prods, k)]
-    shapes = _lax_shapes(tuple(map(len, k)), k, labels, prods, None)
-    exps = {step: {x: pairs[0] for seq, groups in shapes[shape]
-                   for group, pairs in zip(groups, _exponent_table(seq, kind)) for x in group}
+    shapes = _lax_shapes(labels, prods, None)
+    exps = {step: {x: pairs[0] for groups in shapes[shape]
+                   for group, pairs in zip(groups, _exponent_table(tuple(map(len, groups)), kind))
+                   for x in group}
             for step, (kind, shape) in _LAX_STEPS.items()}
 
     def path(steps, slot):
@@ -350,25 +331,31 @@ def check_exponent_identities(n: int, m: IndexSeq, k, i: int, j: int):
 
 @dataclass(frozen=True)
 class LaxInstance:
-    """Data for one lax-axiom figure check: rows m_i, entries k_ij, and a
-    matching nested collection of objects (objects[i][j] holds k_ij of them)."""
+    """Data for one lax-axiom figure check: the nested objects, objects[i][j]
+    the k_ij objects of slot (i, j) of row i, so that the rows m_i and the
+    entries k_ij are read off them."""
 
-    m: tuple
-    k: tuple
     objects: tuple
     field: FieldTag
 
 
 @dataclass(frozen=True)
 class DuoidalInstance:
-    """Data for one duoidal-axiom figure check: n oplax factors, p lax groups
-    of sizes k_1..k_p, and objects[s][i][j] for s < n, i < p, j < k_i."""
+    """Data for one duoidal-axiom figure check: p lax groups of sizes
+    k_1..k_p, and objects[s][i][j] for each of the n = len(objects) oplax
+    factors s, i < p, j < k_i.  k is kept because with no oplax factors the
+    objects do not give it; each factor's groups must have k's sizes."""
 
-    n: int
-    p: int
     k: tuple
     objects: tuple
     field: FieldTag
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", validate_index_seq(self.k))
+        for s, row in enumerate(self.objects):
+            if tuple(map(len, row)) != self.k:
+                raise ShapeMismatch(f"oplax factor {s} has groups of sizes "
+                                    f"{tuple(map(len, row))}, k is {self.k}")
 
 
 def _region_entries(regions, maps, figure: str) -> list:
@@ -382,9 +369,9 @@ def _region_entries(regions, maps, figure: str) -> list:
 def _lax_maps(inst: LaxInstance):
     field = inst.field
     b = [[nprod(g, field) for g in row] for row in inst.objects]
-    shapes = _lax_shapes(inst.m, inst.k, inst.objects, b, unit_object(field))
-    return {step: kron_all(field, [x for seq, groups in shapes[shape]
-                                   for x in coherence_map(seq, kind, groups)])
+    shapes = _lax_shapes(inst.objects, b, unit_object(field))
+    return {step: kron_all(field, [x for groups in shapes[shape]
+                                   for x in coherence_map(kind, groups)])
             for step, (kind, shape) in _LAX_STEPS.items()}, b
 
 
@@ -394,9 +381,8 @@ def check_lax_figure(inst: LaxInstance) -> CheckReport:
     entries = _region_entries(_LAX_REGIONS, maps, "coherence")
 
     row_objs = [nprod(row, inst.field) for row in b]
-    n = len(row_objs)
-    singleton = kron_all(inst.field, coherence_map((n,), BIG_PHI, [row_objs]))
-    unary = kron_all(inst.field, coherence_map((1,) * n, BIG_PHI, [[o] for o in row_objs]))
+    singleton = kron_all(inst.field, coherence_map(BIG_PHI, [row_objs]))
+    unary = kron_all(inst.field, coherence_map(BIG_PHI, [[o] for o in row_objs]))
     ident = DenseMap.identity(inst.field, singleton.dst_dim)
     entries.append(compare_entry(
         "unit-singleton", "coherence of the full product sequence is trivial",
@@ -414,23 +400,23 @@ def _duoidal_maps(inst: DuoidalInstance):
     interchanges xi:* are built; each reversed xi:*T is their transpose, for a
     permutation its inverse.  xi:blocks reads only the dimensions of the
     products objs[s][i], so block_dims[s][i] stands for them."""
-    n, p, k, objs, field = inst.n, inst.p, inst.k, inst.objects, inst.field
+    k, objs, field = inst.k, inst.objects, inst.field
+    n, p = len(objs), len(k)
     flat_rows = [[o for g in objs[s] for o in g] for s in range(n)]
     block_dims = [[math.prod(o.dim for o in objs[s][i]) for i in range(p)] for s in range(n)]
     cols = [[nprod([objs[s][i][j] for s in range(n)], field)
              for j in range(k[i])] for i in range(p)]
     maps = {
-        "xi:flat": xi_map(n, sum(k), flat_rows, field),
+        "xi:flat": xi_map(flat_rows, field),
         "xi:blocks": flip_perm(p, n, [d for row in block_dims for d in row], field),
-        "xi:groups": kron_all(field, [
-            xi_map(n, k[i], [[objs[s][i][j] for j in range(k[i])] for s in range(n)], field)
-            for i in range(p)]),
+        "xi:groups": kron_all(field, [xi_map([row[i] for row in objs], field)
+                                      for i in range(p)]),
     }
     maps |= {f"{name}T": xi.transpose() for name, xi in maps.items()}
     for tag, which in _STEP_KINDS.items():
         maps[f"{tag}:slotwise"] = kron_all(
-            field, [x for row in objs for x in coherence_map(k, which, row)])
-        maps[f"{tag}:cols"] = kron_all(field, coherence_map(k, which, cols))
+            field, [x for row in objs for x in coherence_map(which, row)])
+        maps[f"{tag}:cols"] = kron_all(field, coherence_map(which, cols))
     return maps, block_dims
 
 
@@ -441,12 +427,12 @@ def check_duoidal_figure(inst: DuoidalInstance) -> CheckReport:
     field = inst.field
     entries = _region_entries(_DUOIDAL_REGIONS, maps, "interchange")
 
-    tri_lax = flip_perm(1, inst.n, [math.prod(row) for row in block_dims], field)
+    tri_lax = flip_perm(1, len(block_dims), [math.prod(row) for row in block_dims], field)
     entries.append(compare_entry(
         "triangle-unary-lax", "interchange against a single lax factor is trivial",
         tri_lax, DenseMap.identity(field, tri_lax.dst_dim)))
-    col_dims = [math.prod(row[i] for row in block_dims) for i in range(inst.p)]
-    tri_oplax = flip_perm(inst.p, 1, col_dims, field)
+    col_dims = [math.prod(row[i] for row in block_dims) for i in range(len(inst.k))]
+    tri_oplax = flip_perm(len(inst.k), 1, col_dims, field)
     entries.append(compare_entry(
         "triangle-unary-oplax", "interchange against a single oplax factor is trivial",
         tri_oplax, DenseMap.identity(field, tri_oplax.dst_dim)))
@@ -490,12 +476,12 @@ def random_object(rng, field: FieldTag, max_dim: int, four: bool) -> BiHomObject
 def random_lax_instance(rng, field: FieldTag, max_n: int = 2, max_m: int = 2,
                         max_k: int = 2, max_dim: int = 2) -> LaxInstance:
     while True:
-        m, k = random_double_seq(rng, max_n, max_m, max_k)
+        _, k = random_double_seq(rng, max_n, max_m, max_k)
         if max_dim ** sum(sum(r) for r in k) <= _DIM_CAP:
             break
     objects = tuple(tuple([random_object(rng, field, max_dim, four=False) for _ in range(v)]
                           for v in row) for row in k)
-    return LaxInstance(m, k, objects, field)
+    return LaxInstance(objects, field)
 
 
 def random_duoidal_instance(rng, field: FieldTag, max_n: int = 2, max_p: int = 2,
@@ -510,7 +496,7 @@ def random_duoidal_instance(rng, field: FieldTag, max_n: int = 2, max_p: int = 2
         tuple([random_object(rng, field, max_dim, four=True)
                for _ in range(k[i])] for i in range(p))
         for _ in range(n))
-    return DuoidalInstance(n, p, k, objects, field)
+    return DuoidalInstance(k, objects, field)
 
 
 def random_double_seq(rng, max_n: int = 4, max_m: int = 3, max_k: int = 4):

@@ -7,7 +7,7 @@ Positions are 0-based internally; row/slot numbering in docstrings is 1-based
 to match the usual mathematical convention.
 
 A sequence is checked once, where it enters (validate_index_seq): the result,
-and what is derived from it here by lengths, sums or concatenation, pass unread.
+and what is derived from it here by lengths or sums, pass unread.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ def validate_index_seq(k: IndexSeq) -> tuple:
 
 def validate_double_seq(rows: DoubleSeq) -> tuple:
     return tuple(map(validate_index_seq, rows))
-
-
-def concat(seqs: DoubleSeq) -> tuple:
-    """The sequences one after another, each checked at most once."""
-    return _Seq(v for s in seqs for v in validate_index_seq(s))
 
 
 @dataclass(frozen=True)

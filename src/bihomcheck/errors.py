@@ -29,10 +29,6 @@ class ShapeMismatch(BihomError):
     pass
 
 
-class GroupShapeMismatch(ShapeMismatch):
-    pass
-
-
 class SlotOutOfRange(BihomError):
     pass
 

@@ -213,8 +213,8 @@ def _semigroup_entries(b: StructureBundle, side: _Side):
     a.pair_for(side.big)  # demand kappa/nu up front on the monoid side
     co = side.text("", "co")
     entries = _map_morphism_entries(f"{co}semigroup", b, side.mult)
-    big21 = coherence_map((2, 1), side.big, [[a, a], [a]])
-    big12 = coherence_map((1, 2), side.big, [[a], [a, a]])
+    big21 = coherence_map(side.big, [[a, a], [a]])
+    big12 = coherence_map(side.big, [[a], [a, a]])
     lhs = side.kron_chain(side.kron_chain(m, [m, _ident(a)]), big21)
     rhs = side.kron_chain(side.kron_chain(m, [_ident(a), m]), big12)
     entries.append(compare_entry(
@@ -235,12 +235,12 @@ def _unit_entries(b: StructureBundle, side: _Side):
         f"{co}monoid/{co}unit-left",
         side.text("unit in the first leg lands on nu",
                   "counit against the first leg lands on beta"),
-        left, kron_all(a.field, coherence_map((0, 1), side.small, [[], [a]]))))
+        left, kron_all(a.field, coherence_map(side.small, [[], [a]]))))
     entries.append(compare_entry(
         f"{co}monoid/{co}unit-right",
         side.text("unit in the second leg lands on kappa",
                   "counit against the second leg lands on alpha"),
-        right, kron_all(a.field, coherence_map((1, 0), side.small, [[a], []]))))
+        right, kron_all(a.field, coherence_map(side.small, [[a], []]))))
     return entries
 
 
@@ -359,10 +359,10 @@ def _iterated(b: StructureBundle, n: int, variant: str, side: _Side) -> list:
     for i in range(2, n):
         if variant == ITERATIVE:
             out = side.kron_chain(m, [_ident(a), maps[i]])
-            big = coherence_map((1, i), side.big, [[a], [a] * i])
+            big = coherence_map(side.big, [[a], [a] * i])
         elif variant == ALTERNATIVE:
             out = side.kron_chain(maps[i], [m, _ident(a, i - 1)])
-            big = coherence_map((2,) + (1,) * (i - 1), side.big, [[a, a]] + [[a]] * (i - 1))
+            big = coherence_map(side.big, [[a, a]] + [[a]] * (i - 1))
         else:
             raise ValueError(f"unknown variant {variant!r}")
         maps.append(side.kron_chain(out, big))
@@ -399,8 +399,8 @@ def _generalized_reports(b: StructureBundle, ks: Sequence[Sequence[int]],
     for k in ks:
         groups, tag = [[a] * v for v in k], ",".join(map(str, k))
         nested = side.kron_chain(side.kron_chain(iterated[len(k)], [iterated[v] for v in k]),
-                                 coherence_map(k, side.big, groups))
-        flat = side.kron_chain(iterated[sum(k)], coherence_map(k, side.small, groups))
+                                 coherence_map(side.big, groups))
+        flat = side.kron_chain(iterated[sum(k)], coherence_map(side.small, groups))
         padded = side.kron_chain(iterated[sum(k) + k.count(0)],
                                  [_ident(a, v) if v else iterated[0] for v in k])
         reports.append(make_report(f"generalized-{co}associativity", [
@@ -457,8 +457,8 @@ def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
                               (x.endos()[name], a.endos()[name]))
                              for name in x.endos() if name in a.endos()],
                             lambda ex, ea: (side.chain(ex, rho), side.kron_chain(rho, [ex, ea])))
-    big12 = coherence_map((1, 2), side.big, [[x], [a, a]])
-    big21 = coherence_map((2, 1), side.big, [[x, a], [a]])
+    big12 = coherence_map(side.big, [[x], [a, a]])
+    big21 = coherence_map(side.big, [[x, a], [a]])
     entries.append(compare_entry(
         f"{co}module/{co}associativity",
         side.text("acting after multiplying equals acting twice",
@@ -472,7 +472,7 @@ def _action_report(x: BiHomObject, b: StructureBundle, rho: DenseMap,
             side.text("acting by the unit lands on the carrier's kappa",
                       "coacting into the counit lands on the carrier's alpha"),
             side.kron_chain(rho, [_ident(x), unit]),
-            kron_all(x.field, coherence_map((1, 0), side.small, [[x], []]))))
+            kron_all(x.field, coherence_map(side.small, [[x], []]))))
     return make_report(f"{co}module", entries)
 
 
@@ -533,7 +533,7 @@ def induced_module_action(mods: Sequence[ModuleInst],
     n = len(mods)
     carriers = [m.carrier for m in mods]
     product = nprod(carriers, field)
-    xi = xi_map(2, n, [carriers, [a] * n], field)
+    xi = xi_map([carriers, [a] * n], field)
     act = compose(kron_all(field, [m.action for m in mods]), xi)
     spread = [DenseMap.identity(field, product.dim), delta_n(over, n)]
     return ModuleInst(product, MONOID_SIDE.kron_chain(act, spread), over)

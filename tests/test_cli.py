@@ -1,10 +1,12 @@
 import collections
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import sys
 from functools import reduce
+from itertools import count
 from operator import getitem
 
 import pytest
@@ -20,7 +22,7 @@ from bihomcheck.cli import (
     main,
     save_instance,
 )
-from bihomcheck import coherence, exactlin
+from bihomcheck import cli, coherence, exactlin
 from bihomcheck.errors import ParseError, TooLarge, UnknownName
 from bihomcheck.exactlin import GF, QQ
 from bihomcheck.fixtures import (
@@ -392,6 +394,21 @@ class TestCheckCommand:
                      "--name", "plain"]) == 1
 
 
+def _failing_on(trials, check):
+    """check, with its first entry failed on the calls numbered in trials;
+    each trial calls a figure's check at most once, in trial order."""
+    calls = count()
+
+    def checked(inst):
+        report = check(inst)
+        if next(calls) not in trials:
+            return report
+        first, *rest = report.entries
+        return dataclasses.replace(report, entries=(dataclasses.replace(first, passed=False),
+                                                    *rest))
+    return checked
+
+
 class TestCoherenceCommand:
     def test_symbolic_deterministic_across_threads(self, capsys):
         outputs = []
@@ -412,6 +429,22 @@ class TestCoherenceCommand:
         assert main(["coherence", "--modulus", str(2 ** 61 - 1), "--trials", "3"]) == 0
         assert main(["coherence", "--modulus", str(2 ** 89 - 1), "--trials", "3"]) == 2
         assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("figure", ["lax", "duoidal"])
+    def test_a_failed_trial_is_named(self, monkeypatch, capsys, figure):
+        check = f"check_{figure}_figure"
+        monkeypatch.setattr(cli, check, _failing_on({3}, getattr(cli, check)))
+        assert main(["coherence", "--level", "matrix", "--trials", "6", "--seed", "7"]) == 1
+        assert capsys.readouterr().out == (f"trial 3: {figure} figure region region-lower-left\n"
+                                           "5/6 trials passed (matrix, seed 7)\n")
+
+    def test_at_most_ten_failure_lines(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "check_lax_figure",
+                            _failing_on(range(1, 13), cli.check_lax_figure))
+        assert main(["coherence", "--level", "matrix", "--trials", "14", "--seed", "7"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"trial {i}: lax figure region region-lower-left" for i in range(1, 11)),
+            "2/14 trials passed (matrix, seed 7)"]
 
     def test_zero_trials_exits_two(self):
         assert main(["coherence", "--trials", "0"]) == 2

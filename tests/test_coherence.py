@@ -45,7 +45,6 @@ from bihomcheck.combinat import (
     z_of,
 )
 from bihomcheck.errors import (
-    GroupShapeMismatch,
     InvariantViolation,
     MissingEndomorphism,
     ParseError,
@@ -149,40 +148,35 @@ class TestCoherenceMap:
     def test_all_ones_trivial(self):
         rng = random.Random(1)
         objs = [random_object(rng, F7, 2, four=False) for _ in range(3)]
-        m = kron_all(F7, coherence_map((1, 1, 1), BIG_PHI, [[o] for o in objs]))
+        m = kron_all(F7, coherence_map(BIG_PHI, [[o] for o in objs]))
         assert m.is_identity()
 
     def test_singleton_sequence_trivial(self):
         rng = random.Random(2)
         objs = [random_object(rng, F7, 2, four=False) for _ in range(3)]
-        assert kron_all(F7, coherence_map((3,), BIG_PHI, [objs])).is_identity()
+        assert kron_all(F7, coherence_map(BIG_PHI, [objs])).is_identity()
 
     def test_small_phi_no_zeros_trivial(self):
         rng = random.Random(3)
         groups = [[random_object(rng, F7, 2, four=False) for _ in range(3)],
                   [random_object(rng, F7, 2, four=False) for _ in range(2)]]
-        assert kron_all(F7, coherence_map((3, 2), SMALL_PHI, groups)).is_identity()
+        assert kron_all(F7, coherence_map(SMALL_PHI, groups)).is_identity()
 
     def test_all_zero_sequence_trivial(self):
-        assert kron_all(QQ, coherence_map((0, 0), BIG_PHI, [[], []])).is_identity()
+        assert kron_all(QQ, coherence_map(BIG_PHI, [[], []])).is_identity()
 
     def test_derived_diagonal_example(self):
         rng = random.Random(4)
         o1 = obj_with(QQ, DenseMap.identity(QQ, 2), diag(QQ, 3, 5))
         o2 = obj_with(QQ, DenseMap.identity(QQ, 2), diag(QQ, 7, 11))
         o3 = obj_with(QQ, DenseMap.identity(QQ, 2), diag(QQ, 2, 3))
-        m = kron_all(QQ, coherence_map((2, 1), BIG_PHI, [[o1, o2], [o3]]))
+        m = kron_all(QQ, coherence_map(BIG_PHI, [[o1, o2], [o3]]))
         assert m == kron(DenseMap.identity(QQ, 4), diag(QQ, 2, 3))
 
     def test_psi_needs_oplax_endos(self):
         o = obj_with(QQ, DenseMap.identity(QQ, 2), DenseMap.identity(QQ, 2))
         with pytest.raises(MissingEndomorphism):
-            coherence_map((1, 1), BIG_PSI, [[o], [o]])
-
-    def test_group_shape_mismatch(self):
-        o = unit_object(QQ)
-        with pytest.raises(GroupShapeMismatch):
-            coherence_map((2,), BIG_PHI, [[o]])
+            coherence_map(BIG_PSI, [[o], [o]])
 
     def test_matches_independent_assembly(self):
         # rebuild the map slot by slot with plain repeated composition
@@ -204,7 +198,7 @@ class TestCoherenceMap:
                         for _ in range(b):
                             factor = compose(factor, second)
                         assembled = kron(assembled, factor)
-                assert assembled == kron_all(F7, coherence_map(k, which, groups))
+                assert assembled == kron_all(F7, coherence_map(which, groups))
 
 
 def per_call_coherence_map(k, which, groups, field):
@@ -238,7 +232,7 @@ class TestSlotFactors:
                 continue
             checked += 1
             for which in KINDS:
-                assert kron_all(field, coherence_map(k, which, groups)) == \
+                assert kron_all(field, coherence_map(which, groups)) == \
                     per_call_coherence_map(k, which, groups, field), (k, which)
 
     def test_lax_and_oplax_factors_are_never_shared(self):
@@ -289,9 +283,9 @@ class TestXiMap:
     def test_degenerate_grids_are_identity(self):
         rng = random.Random(6)
         objs = [random_object(rng, F7, 3, four=True) for _ in range(3)]
-        assert xi_map(1, 3, [objs]).is_identity()
-        assert xi_map(3, 1, [[o] for o in objs]).is_identity()
-        assert xi_map(0, 0, [], F7).is_identity()
+        assert xi_map([objs]).is_identity()
+        assert xi_map([[o] for o in objs]).is_identity()
+        assert xi_map([], F7).is_identity()
 
     def test_two_by_two_against_enumeration(self):
         # distinct prime dims tag the slots; exactly the transpose flip matches
@@ -299,7 +293,7 @@ class TestXiMap:
         objs = [obj_with(QQ, DenseMap.identity(QQ, d), DenseMap.identity(QQ, d))
                 for d in dims]
         grid = [[objs[0], objs[1]], [objs[2], objs[3]]]
-        target = xi_map(2, 2, grid)
+        target = xi_map(grid)
         matches = []
         for images in itertools.permutations(range(4)):
             try:
@@ -317,15 +311,15 @@ class TestXiMap:
             grid = [[random_object(rng, F7, 2, four=True) for _ in range(p)]
                     for _ in range(n)]
             gridT = [[grid[i][j] for i in range(n)] for j in range(p)]
-            fwd = xi_map(n, p, grid, F7)
-            back = xi_map(p, n, gridT, F7)
+            fwd = xi_map(grid, F7)
+            back = xi_map(gridT, F7)
             assert compose(back, fwd).is_identity()
 
     def test_is_zero_one_permutation_matrix(self):
         rng = random.Random(8)
         grid = [[random_object(rng, F7, 2, four=True) for _ in range(2)]
                 for _ in range(2)]
-        m = xi_map(2, 2, grid)
+        m = xi_map(grid)
         rows = m.rows()
         for row in rows:
             assert sorted(row) == [0] * (m.src_dim - 1) + [1]
@@ -356,8 +350,8 @@ class TestXiMap:
             for j in range(p):
                 for i in range(n):
                     col_then_row = kron(col_then_row, f[i][j])
-            assert compose(xi_map(n, p, yg), row_then_col) \
-                == compose(col_then_row, xi_map(n, p, xg))
+            assert compose(xi_map(yg), row_then_col) \
+                == compose(col_then_row, xi_map(xg))
 
 
 class TestExponentIdentities:
@@ -500,20 +494,39 @@ class TestFigures:
                                 DenseMap.identity(F7, d),
                                 DenseMap.identity(F7, d),
                                 DenseMap.identity(F7, d))
-        inst = LaxInstance((2, 0), ((2, 0), ()),
-                           (([mk(2), mk(2)], []), ()), F7)
+        inst = LaxInstance((([mk(2), mk(2)], []), ()), F7)
         rep = check_lax_figure(inst)
         assert rep.passed
-        duo = DuoidalInstance(2, 2, (1, 0),
-                              (([mk(2)], []), ([mk(2)], [])), F7)
+        duo = DuoidalInstance((1, 0), (([mk(2)], []), ([mk(2)], [])), F7)
         assert check_duoidal_figure(duo).passed
+
+    @pytest.mark.parametrize("k, sizes, message", [
+        ((1, 1), [(2, 0)], "oplax factor 0 has groups of sizes (2, 0), k is (1, 1)"),
+        ((1,), [(1,), (2,)], "oplax factor 1 has groups of sizes (2,), k is (1,)"),
+        ((1,), [(1, 0)], "oplax factor 0 has groups of sizes (1, 0), k is (1,)"),
+        ((), [(0,)], "oplax factor 0 has groups of sizes (0,), k is ()"),
+    ])
+    def test_duoidal_groups_must_have_the_sizes_of_k(self, k, sizes, message):
+        o = random_object(random.Random(1), F7, 2, four=True)
+        objects = tuple(tuple([o] * v for v in row) for row in sizes)
+        with pytest.raises(ShapeMismatch) as info:
+            DuoidalInstance(k, objects, F7)
+        assert str(info.value) == message
+
+    def test_every_oplax_factor_is_read(self):
+        mk = lambda *d: obj_with(F7, diag(F7, *d), diag(F7, *d), diag(F7, *d), diag(F7, *d))
+        objects = (([mk(2, 3)],), ([mk(4, 5, 6)],))
+        inst = DuoidalInstance([1], objects, F7)
+        assert inst.k == (1,)
+        assert coherence._duoidal_maps(inst)[0]["xi:flat"].dst_dim == 2 * 3
+        assert check_duoidal_figure(inst).passed
 
     def test_random_lax_instances(self):
         rng = random.Random(21)
         for _ in range(20):
             inst = random_lax_instance(rng, F7)
             rep = check_lax_figure(inst)
-            assert rep.passed, (inst.m, inst.k, rep.failures())
+            assert rep.passed, (inst.objects, rep.failures())
 
     @pytest.mark.parametrize("bounds", [(2, 2, 2, 2), (3, 2, 1, 2), (4, 3, 4, 1), (4, 3, 4, 3)])
     def test_lax_instance_draws_its_double_sequence(self, bounds):
@@ -525,7 +538,8 @@ class TestFigures:
                 continue  # random_lax_instance draws again
             fitted += 1
             inst = random_lax_instance(random.Random(s), F7, *bounds)
-            assert (inst.m, inst.k) == (m, k)
+            rows = inst.objects
+            assert (tuple(map(len, rows)), tuple(tuple(map(len, r)) for r in rows)) == (m, k)
         assert fitted >= 100
 
     def test_random_duoidal_instances(self):
@@ -533,7 +547,7 @@ class TestFigures:
         for _ in range(15):
             inst = random_duoidal_instance(rng, F7)
             rep = check_duoidal_figure(inst)
-            assert rep.passed, (inst.n, inst.p, inst.k, rep.failures())
+            assert rep.passed, (inst.k, inst.objects, rep.failures())
 
     def test_rational_instances_too(self):
         rng = random.Random(23)
@@ -638,7 +652,8 @@ class TestInterchangesFromDimensions:
                             lambda *args: built.append(build(*args)) or built[-1])
         seen = 0
         for inst in _random_instances(random_duoidal_instance):
-            n, p, objs, field = inst.n, inst.p, inst.objects, inst.field
+            objs, field = inst.objects, inst.field
+            n, p = len(objs), len(inst.k)
             built.clear()
             assert check_duoidal_figure(inst).passed
             # xi:flat, xi:blocks, one xi_map per group for xi:groups, then the triangles
@@ -646,16 +661,16 @@ class TestInterchangesFromDimensions:
             c_grid = [[nprod(objs[s][i], field) for i in range(p)] for s in range(n)]
             rows = [nprod([o for g in objs[s] for o in g], field) for s in range(n)]
             cols = [nprod([c_grid[s][i] for s in range(n)], field) for i in range(p)]
-            assert built[1] == xi_map(n, p, c_grid, field)
-            assert built[-2] == xi_map(n, 1, [[o] for o in rows], field)
-            assert built[-1] == xi_map(1, p, [cols], field)
+            assert built[1] == xi_map(c_grid, field)
+            assert built[-2] == xi_map([[o] for o in rows], field)
+            assert built[-1] == xi_map([cols], field)
             seen += n * p > 1
         assert seen > 20
 
     def test_xi_map_compares_fields_by_identity_first(self, monkeypatch):
         o = random_object(random.Random(1), F7, 2, four=False)
         monkeypatch.setattr(type(F7), "__eq__", lambda *_: pytest.fail("compared by value"))
-        assert xi_map(1, 1, [[o]], F7).is_identity()
+        assert xi_map([[o]], F7).is_identity()
 
 
 class TestExponentTable:
@@ -663,12 +678,12 @@ class TestExponentTable:
         rng = random.Random(3)
         groups = [[random_object(rng, QQ, 2, four=True) for _ in range(v)] for v in (2, 0, 1)]
         for which in KINDS:
-            before = coherence_map((2, 0, 1), which, groups)
+            before = coherence_map(which, groups)
             table = phi_exponents((2, 0, 1), which)
             table[0][0] = (7, 7)
             table[2].append((1, 1))
             table.append([(3, 3)])
-            assert coherence_map((2, 0, 1), which, groups) == before
+            assert coherence_map(which, groups) == before
             assert phi_exponents((2, 0, 1), which) != table
 
     def test_cached_table_is_immutable_and_shared(self):
@@ -699,11 +714,10 @@ class TestSequencesCheckedOnce:
         (tilde_of, DOUBLE_FORMS),
         (hat_of, DOUBLE_FORMS),
         (lambda k: phi_exponents(k, BIG_PHI), INDEX_FORMS),
-        (lambda k: coherence_map(k, BIG_PHI, [[], []]), INDEX_FORMS),
         (lambda m: check_exponent_identities(2, m, [[1], []], 1, 1), INDEX_FORMS),
         (lambda k: check_exponent_identities(2, (1, 2), k, 1, 1), DOUBLE_FORMS),
     ], ids=["validate_index_seq", "validate_double_seq", "pad", "group_by", "totals",
-            "tilde_of", "hat_of", "phi_exponents", "coherence_map",
+            "tilde_of", "hat_of", "phi_exponents",
             "check_exponent_identities-m", "check_exponent_identities-k"])
     def test_negative_entry_refused_in_every_form(self, call, forms):
         for form in forms:

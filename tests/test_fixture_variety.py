@@ -242,7 +242,7 @@ class TestNonDiagonalEndomorphisms:
                                    for _ in range(k[i][j])]
                                   for j in range(m[i]))
                             for i in range(n))
-            rep = check_lax_figure(LaxInstance(m, k, objects, F7))
+            rep = check_lax_figure(LaxInstance(objects, F7))
             assert rep.passed, (m, k, rep.failures())
 
     def test_duoidal_figure(self):
@@ -255,7 +255,7 @@ class TestNonDiagonalEndomorphisms:
             objects = tuple(tuple([poly_object(rng, F7, 2, True)
                                    for _ in range(k[i])] for i in range(p))
                             for _ in range(n))
-            rep = check_duoidal_figure(DuoidalInstance(n, p, k, objects, F7))
+            rep = check_duoidal_figure(DuoidalInstance(k, objects, F7))
             assert rep.passed, (n, p, k, rep.failures())
 
     def test_rational_figures(self):
@@ -267,4 +267,4 @@ class TestNonDiagonalEndomorphisms:
                                    for _ in range(k[i][j])]
                                   for j in range(m[i]))
                             for i in range(2))
-            assert check_lax_figure(LaxInstance(m, k, objects, QQ)).passed
+            assert check_lax_figure(LaxInstance(objects, QQ)).passed

@@ -55,8 +55,8 @@ def reference(b, k, side):
     a, K, Z = b.obj, sum(k), k.count(0)
     groups = [[a] * v for v in k]
     nested = chain(side, iterated(b, len(k)), kron_all(a.field, [iterated(b, v) for v in k]),
-                   kron_all(a.field, coherence_map(k, side.big, groups)))
-    flat = side.chain(iterated(b, K), kron_all(a.field, coherence_map(k, side.small, groups)))
+                   kron_all(a.field, coherence_map(side.big, groups)))
+    flat = side.chain(iterated(b, K), kron_all(a.field, coherence_map(side.small, groups)))
     padded = side.chain(iterated(b, K + Z), kron_all(a.field, [
         DenseMap.identity(a.field, a.dim ** v) if v else getattr(b, side.unit) for v in k]))
     co, tag = side.text("", "co"), ",".join(map(str, k))

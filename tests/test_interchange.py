@@ -34,7 +34,7 @@ MERSENNE_61 = GF(2 ** 61 - 1)
 
 
 def reference(x, b, action, coaction):
-    xi = xi_map(2, 2, [[x, b.obj], [b.obj, b.obj]])
+    xi = xi_map([[x, b.obj], [b.obj, b.obj]])
     return compose_all([kron(action, b.mu), xi, kron(coaction, b.delta)])
 
 

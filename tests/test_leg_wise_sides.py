@@ -87,8 +87,8 @@ def ref_morphism_entries(prefix, b, name):
 def ref_semigroup_entries(b, side):
     a, m = b.obj, getattr(b, side.mult)
     one, co = DenseMap.identity(a.field, a.dim), side.text("", "co")
-    big21 = kron_all(a.field, coherence_map((2, 1), side.big, [[a, a], [a]]))
-    big12 = kron_all(a.field, coherence_map((1, 2), side.big, [[a], [a, a]]))
+    big21 = kron_all(a.field, coherence_map(side.big, [[a, a], [a]]))
+    big12 = kron_all(a.field, coherence_map(side.big, [[a], [a, a]]))
     return ref_morphism_entries(f"{co}semigroup", b, side.mult) + [outcome(
         f"{co}semigroup/{co}associativity",
         chain(side, m, kron(m, one), big21), chain(side, m, kron(one, m), big12))]
@@ -99,9 +99,9 @@ def ref_unit_entries(b, side):
     one, co = DenseMap.identity(a.field, a.dim), side.text("", "co")
     return ref_morphism_entries(f"{co}monoid", b, side.unit) + [
         outcome(f"{co}monoid/{co}unit-left", side.chain(m, kron(u, one)),
-                kron_all(a.field, coherence_map((0, 1), side.small, [[], [a]]))),
+                kron_all(a.field, coherence_map(side.small, [[], [a]]))),
         outcome(f"{co}monoid/{co}unit-right", side.chain(m, kron(one, u)),
-                kron_all(a.field, coherence_map((1, 0), side.small, [[a], []])))]
+                kron_all(a.field, coherence_map(side.small, [[a], []])))]
 
 
 def ref_action_entries(x, b, rho, side):
@@ -113,13 +113,13 @@ def ref_action_entries(x, b, rho, side):
     entries.append(outcome(
         f"{co}module/{co}associativity",
         chain(side, rho, kron(idx, getattr(b, side.mult)),
-              kron_all(a.field, coherence_map((1, 2), side.big, [[x], [a, a]]))),
+              kron_all(a.field, coherence_map(side.big, [[x], [a, a]]))),
         chain(side, rho, kron(rho, ida),
-              kron_all(a.field, coherence_map((2, 1), side.big, [[x, a], [a]])))))
+              kron_all(a.field, coherence_map(side.big, [[x, a], [a]])))))
     unit = getattr(b, side.unit)
     if unit is not None:
         entries.append(outcome(f"{co}module/{co}unitality", side.chain(rho, kron(idx, unit)),
-                               kron_all(a.field, coherence_map((1, 0), side.small, [[x], []]))))
+                               kron_all(a.field, coherence_map(side.small, [[x], []]))))
     return entries
 
 
@@ -128,11 +128,10 @@ def ref_iterated(b, n, variant, side):
     maps = [getattr(b, side.unit), DenseMap.identity(a.field, a.dim), m][:n + 1]
     for i in range(2, n):
         if variant == ITERATIVE:
-            big = kron_all(a.field, coherence_map((1, i), side.big, [[a], [a] * i]))
+            big = kron_all(a.field, coherence_map(side.big, [[a], [a] * i]))
             maps.append(chain(side, m, kron(DenseMap.identity(a.field, a.dim), maps[i]), big))
         else:
-            big = kron_all(a.field, coherence_map((2,) + (1,) * (i - 1), side.big,
-                                                  [[a, a]] + [[a]] * (i - 1)))
+            big = kron_all(a.field, coherence_map(side.big, [[a, a]] + [[a]] * (i - 1)))
             maps.append(chain(side, maps[i], kron(m, DenseMap.identity(a.field, a.dim ** (i - 1))),
                               big))
     return maps[-1]
@@ -143,7 +142,7 @@ def ref_induced_action(mods, over):
     carriers = [m.carrier for m in mods]
     xdim = math.prod(x.dim for x in carriers)
     spread = kron(DenseMap.identity(field, xdim), ref_iterated(over, n, ITERATIVE, COMONOID_SIDE))
-    xi = xi_map(2, n, [carriers, [a] * n], field)
+    xi = xi_map([carriers, [a] * n], field)
     return compose_all([kron_all(field, [m.action for m in mods]), xi, spread])
 
 

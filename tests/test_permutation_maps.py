@@ -143,15 +143,15 @@ def test_equality_hash_and_first_difference(data):
 
 def reversed_interchanges(inst):
     """Each xi:*T built directly by xi_map on its reversed grid."""
-    n, p, k, objs, field = inst.n, inst.p, inst.k, inst.objects, inst.field
+    k, objs, field = inst.k, inst.objects, inst.field
+    n, p = len(objs), len(k)
     flat_rows = [[o for g in objs[s] for o in g] for s in range(n)]
     blocks = [[nprod(objs[s][i], field) for i in range(p)] for s in range(n)]
     return {
-        "xi:flatT": xi_map(sum(k), n, [[row[t] for row in flat_rows] for t in range(sum(k))],
-                           field),
-        "xi:blocksT": xi_map(p, n, [[blocks[s][i] for s in range(n)] for i in range(p)], field),
+        "xi:flatT": xi_map([[row[t] for row in flat_rows] for t in range(sum(k))], field),
+        "xi:blocksT": xi_map([[blocks[s][i] for s in range(n)] for i in range(p)], field),
         "xi:groupsT": kron_all(field, [
-            xi_map(k[i], n, [[objs[s][i][j] for s in range(n)] for j in range(k[i])], field)
+            xi_map([[objs[s][i][j] for s in range(n)] for j in range(k[i])], field)
             for i in range(p)]),
     }
 

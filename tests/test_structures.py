@@ -3,12 +3,15 @@ import random
 import pytest
 
 from bihomcheck import exactlin, structures
-from bihomcheck.coherence import BiHomObject
+from bihomcheck.coherence import BiHomObject, nprod, xi_map
 from bihomcheck.errors import (
+    DimensionMismatch,
+    FieldMismatch,
     InvariantViolation,
     MissingEndomorphism,
     MissingMap,
     MixedStructures,
+    ShapeMismatch,
 )
 from bihomcheck.exactlin import GF, DenseMap, compose, compose_all, kron
 from bihomcheck.fixtures import (
@@ -42,7 +45,7 @@ from bihomcheck.structures import (
     regular_comodule,
     regular_module,
 )
-from bihomcheck.twist import BIMONOID, PlainStructure, yau_twist
+from bihomcheck.twist import BIMONOID, PlainStructure, antipode_solve, yau_twist
 
 F7 = GF(7)
 
@@ -369,3 +372,33 @@ class TestNonHopfFixture:
 
     def test_over_prime_field_too(self):
         assert check_bimonoid(idempotent_monoid_bialgebra(F7)).passed
+
+
+F5 = GF(5)
+C3, C3_F5 = twisted_c3(), cyclic_group_bundle(F5, 3, 2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: StructureBundle(C3.obj, mu=DenseMap.identity(F7, 3)),
+     DimensionMismatch, "mu is 3x3, expected 3x9"),
+    (lambda: StructureBundle(C3.obj, mu=C3_F5.mu), FieldMismatch, "mu over F_5, object over F_7"),
+    (lambda: ModuleInst(C3_F5.obj, C3.mu, C3),
+     FieldMismatch, "module carrier and structure over different fields"),
+    (lambda: ComoduleInst(C3_F5.obj, C3.delta, C3),
+     FieldMismatch, "comodule carrier and structure over different fields"),
+    (lambda: BiHomObject(2, F7, DenseMap.identity(F7, 3), DenseMap.identity(F7, 2)),
+     ShapeMismatch, "alpha is 3x3 on a dim-2 carrier"),
+    (lambda: BiHomObject(3, F7, C3.obj.alpha, C3_F5.obj.beta),
+     FieldMismatch, "beta over F_5, object over F_7"),
+    (lambda: nprod([C3.obj, C3_F5.obj]), FieldMismatch, "mixed fields in product"),
+    (lambda: xi_map([[C3.obj, C3.obj], [C3.obj]]), ShapeMismatch, "ragged grid: rows of [2, 1]"),
+    (lambda: antipode_solve(C3, "bogus"), ValueError, "unknown method 'bogus'"),
+    (lambda: delta_n(C3, -1), ValueError, "negative arity"),
+    (lambda: delta_n(C3, 3, "bogus"), ValueError, "unknown variant 'bogus'"),
+], ids=["bundle-shape", "bundle-field", "module-field", "comodule-field", "object-shape",
+        "object-field", "nprod-fields", "xi-ragged", "antipode-method", "delta-arity",
+        "delta-variant"])
+def test_refused_at_the_boundary(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihomcheck import twist
+from bihomcheck.cli import main, save_instance
 from bihomcheck.coherence import BiHomObject, unit_object
 from bihomcheck.errors import (
     DimensionMismatch,
@@ -14,6 +16,7 @@ from bihomcheck.exactlin import (
     GF,
     QQ,
     UNDERDETERMINED,
+    UNIQUE,
     DenseMap,
     _operands,
     compose,
@@ -25,6 +28,7 @@ from bihomcheck.exactlin import (
 from bihomcheck.fixtures import (
     classical_c3,
     cyclic_group_bundle,
+    example_instance,
     group_power_endo,
     idempotent_monoid_bialgebra,
     inversion_antipode,
@@ -313,6 +317,29 @@ class TestAntipode:
             assert compose(coeffs, vec_chi).flat_strings() == \
                 compose_all([pre, composite, delta]).flat_strings()
             assert DenseMap.from_flat(field, d, d, [v for _, v in rows]) == rhs
+
+    @pytest.fixture
+    def wrong_solution(self, monkeypatch):
+        solve = twist._solve
+
+        def off_by_one(system, unknowns):  # "unique", every entry of the solution wrong
+            _, solution, den = solve(system, unknowns)
+            return UNIQUE, solution + 1, den
+
+        monkeypatch.setattr(twist, "_solve", off_by_one)
+
+    def test_wrong_solution_refused_by_re_verification(self, wrong_solution):
+        with pytest.raises(InvariantViolation) as info:
+            antipode_solve(twisted_c3())
+        assert str(info.value) == "solved antipode failed re-verification"
+
+    def test_wrong_solution_exits_one_with_nothing_on_stdout(self, wrong_solution, tmp_path,
+                                                              capsys):
+        path = tmp_path / "c3.json"
+        save_instance(str(path), example_instance())
+        assert main(["antipode", str(path), "--name", "twisted"]) == 1
+        assert capsys.readouterr() == ("", "check failed: solved antipode failed "
+                                           "re-verification\n")
 
     def test_non_unique_result_carries_witness(self):
         chi = DenseMap.identity(F7, 2)
