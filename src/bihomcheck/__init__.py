@@ -15,13 +15,8 @@ from .exactlin import (
 )
 from .combinat import (
     Permutation,
-    Totals,
     bar,
     flip_perm,
-    hat_of,
-    pad,
-    tilde_of,
-    totals,
     z_of,
 )
 from .coherence import (

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coherence import (
+    _DIM_CAP,
     BiHomObject,
     check_duoidal_figure,
     check_lax_figure,
@@ -321,6 +322,8 @@ def cmd_coherence(args) -> int:
         raise ParseError("--trials must be positive")
     if min(args.max_n, args.max_m, args.max_k) < 0 or args.max_dim < 1:
         raise ParseError("bounds must be non-negative (max-dim positive)")
+    if args.level == "matrix" and args.max_dim > _DIM_CAP:
+        raise ParseError(f"--max-dim must be at most {_DIM_CAP} at the matrix level")
     field = GF(args.modulus)
 
     if args.level == "symbolic":
@@ -425,7 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
     p.add_argument("--max-m", type=int, default=3, dest="max_m")
     p.add_argument("--max-k", type=int, default=4, dest="max_k")
-    p.add_argument("--max-dim", type=int, default=2, dest="max_dim")
+    p.add_argument("--max-dim", type=int, default=2, dest="max_dim",
+                   help="largest carrier dimension (matrix level); a trial is redrawn "
+                        f"until max-dim ** (number of objects) <= {_DIM_CAP}")
     p.add_argument("--modulus", type=int, default=7)
     p.set_defaults(fn=cmd_coherence)
 

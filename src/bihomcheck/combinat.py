@@ -1,27 +1,24 @@
 """Integer bookkeeping behind the coherence formulas.
 
-The kernel drives everything off (ragged) sequences of non-negative integers:
-row sums and zero counts, the derived tilde/hat double sequences, the tensor
-flip permutations tau_{n,p}, and unit-padding of grouped object lists.
+The kernel drives everything off (ragged) sequences of non-negative integers,
+checked where they enter (validate_index_seq, validate_double_seq), and off
+the tensor flip permutations tau_{n,p}.  The tilde, hat and K+Z paddings of a
+double sequence are not built here: coherence._lax_shapes builds them once,
+from the grouped objects.  Permutation stays for its traced matrix form.
 Positions are 0-based internally; row/slot numbering in docstrings is 1-based
 to match the usual mathematical convention.
-
-A sequence is checked once, where it enters (validate_index_seq): the result,
-and what is derived from it here by lengths or sums, pass unread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from .errors import LengthMismatch, ShapeMismatch
 from .exactlin import DenseMap, FieldTag, _index_map
 
 import numpy as np
-
-T = TypeVar("T")
 
 IndexSeq = Sequence[int]
 DoubleSeq = Sequence[Sequence[int]]
@@ -39,14 +36,8 @@ def bar(m: int) -> int:
     return m + z_of(m)
 
 
-class _Seq(tuple):
-    """A checked sequence; it prints, compares and hashes as the plain tuple."""
-
-
 def validate_index_seq(k: IndexSeq) -> tuple:
-    if type(k) is _Seq:
-        return k
-    items = _Seq(int(v) for v in k)
+    items = tuple(int(v) for v in k)
     if any(v < 0 for v in items):
         raise ValueError(f"negative entry in {items}")
     return items
@@ -54,43 +45,6 @@ def validate_index_seq(k: IndexSeq) -> tuple:
 
 def validate_double_seq(rows: DoubleSeq) -> tuple:
     return tuple(map(validate_index_seq, rows))
-
-
-@dataclass(frozen=True)
-class Totals:
-    """Row and grand totals of a double sequence.
-
-    row_sums[i] = K_i, row_zeros[i] = Z_i, total = K, zeros = Z,
-    row_lengths[i] = m_i, length_sum = M, and
-    tilde_zeros = Z + sum_i z_of(m_i) = Z + sum_i z_of(K_i + Z_i).
-    """
-
-    row_sums: tuple
-    row_zeros: tuple
-    total: int
-    zeros: int
-    row_lengths: tuple
-    length_sum: int
-    tilde_zeros: int
-
-
-def totals(rows: DoubleSeq) -> Totals:
-    rows = validate_double_seq(rows)
-    row_sums, row_lengths = _Seq(map(sum, rows)), _Seq(map(len, rows))
-    row_zeros = _Seq(r.count(0) for r in rows)
-    zeros = sum(row_zeros)
-    return Totals(row_sums, row_zeros, sum(row_sums), zeros, row_lengths, sum(row_lengths),
-                  zeros + row_lengths.count(0))
-
-
-def tilde_of(rows: DoubleSeq) -> tuple:
-    """Row i of length bar(m_i): copies of row i, or the single entry 0."""
-    return tuple(r if r else (0,) for r in validate_double_seq(rows))
-
-
-def hat_of(rows: DoubleSeq) -> tuple:
-    """Row i of length bar(m_i): copies when K_i > 0, else (1, 0, ..., 0)."""
-    return tuple(r if sum(r) else (1,) + r[1:] for r in validate_double_seq(rows))
 
 
 @dataclass(frozen=True)
@@ -194,38 +148,3 @@ def flip_perm(n: int, p: int, block_dims: Optional[Sequence[int]] = None,
     axes = np.arange(n * p).reshape(p, n).T.reshape(-1)  # output slot (j, i) reads (i, j)
     src_of_dst = np.arange(math.prod(block_dims)).reshape(block_dims).transpose(axes)
     return _index_map(field, src_of_dst.reshape(-1))
-
-
-def pad(objects_per_slot: Sequence[Sequence[T]], k: IndexSeq, unit: T) -> list:
-    """Concatenate the slot groups, replacing each empty slot by one unit.
-
-    Slot i must hold exactly k_i objects; slots with k_i = 0 contribute a
-    single copy of the unit object.
-    """
-    k = validate_index_seq(k)
-    if len(objects_per_slot) != len(k):
-        raise LengthMismatch(
-            f"{len(objects_per_slot)} slots for a sequence of length {len(k)}"
-        )
-    out: list = []
-    for i, (group, size) in enumerate(zip(objects_per_slot, k)):
-        if len(group) != size:
-            raise LengthMismatch(f"slot {i} holds {len(group)} objects, wants {size}")
-        if size > 0:
-            out.extend(group)
-        else:
-            out.append(unit)
-    return out
-
-
-def group_by(items: Sequence[T], sizes: IndexSeq) -> list:
-    """Split a flat list into consecutive groups of the given sizes."""
-    sizes = validate_index_seq(sizes)
-    if sum(sizes) != len(items):
-        raise LengthMismatch(f"{len(items)} items grouped as {sizes}")
-    out = []
-    pos = 0
-    for s in sizes:
-        out.append(list(items[pos:pos + s]))
-        pos += s
-    return out

@@ -11,6 +11,7 @@ import time
 
 from bihomcheck.cli import InstanceData, dumps_instance, main, save_instance
 from bihomcheck.coherence import (
+    _lax_shapes,
     check_duoidal_figure,
     check_exponent_identities,
     check_lax_figure,
@@ -24,15 +25,7 @@ from bihomcheck.coherence import (
     random_lax_instance,
     unit_object,
 )
-from bihomcheck.combinat import (
-    Permutation,
-    flip_perm,
-    group_by,
-    hat_of,
-    pad,
-    tilde_of,
-    totals,
-)
+from bihomcheck.combinat import Permutation, flip_perm
 from bihomcheck.exactlin import GF, DenseMap, compose, compose_all, kron, kron_all
 from bihomcheck.fixtures import (
     classical_c3,
@@ -114,22 +107,36 @@ def test_criterion_2_tau_identities():
                 assert outer.compose(inner) == flip_perm(n, sum(k)), (n, p, k)
 
 
-@criterion(3, "padding-functor diagrams, 500 random sequences", 5)
-def test_criterion_3_padding_diagrams():
+@criterion(3, "padded shapes of the lax figure, 500 random double sequences", 5)
+def test_criterion_3_padded_shapes():
     rng = random.Random(1003)
     for _ in range(500):
-        m = rng.randint(0, 6)
-        ks = tuple(rng.randint(0, 4) for _ in range(m))
-        objs = [[f"x{i}.{j}" for j in range(ks[i])] for i in range(m)]
-        flat = [o for g in objs for o in g]
-        t = totals([ks])
-        tl, ht = tilde_of([ks])[0], hat_of([ks])[0]
-        via_tilde = pad(group_by(flat, tl), tl, "U")
-        left = pad([pad(objs, ks, "U")], (t.total + t.zeros,), "U")
-        assert left == via_tilde, ks
-        step = pad([flat], (t.total,), "U")
-        right = pad(group_by(step, ht), ht, "U")
-        assert right == via_tilde, ks
+        _, k = random_double_seq(rng, 4, 3, 4)
+        labels = itertools.count()
+        objs = [[[next(labels) for _ in range(v)] for v in row] for row in k]
+        prods = [[f"b{i}.{j}" for j in range(len(row))] for i, row in enumerate(k)]
+        items = [x for row in objs for g in row for x in g]
+        sums = [sum(row) for row in k]
+        # the group lengths of each padded sequence, from its definition
+        want = {
+            "m": [[len(row) for row in k]],
+            "rows": [list(row) for row in k],
+            "tilde": [[v for row in k for v in row or (0,)]],
+            "KZ": [[s + row.count(0) for s, row in zip(sums, k)]],
+            "K": [sums],
+            "flat": [[v for row in k for v in row]],
+            "hat": [[v for s, row in zip(sums, k)
+                     for v in (row if s else (1,) + (0,) * (max(len(row), 1) - 1))]],
+        }
+        units = {"KZ": sum(row.count(0) for row in k), "hat": sums.count(0)}
+        shapes = _lax_shapes(objs, prods, "U")
+        assert set(shapes) == set(want)
+        for name, group_lists in shapes.items():
+            assert [[len(g) for g in groups] for groups in group_lists] == want[name], (name, k)
+            held = [x for groups in group_lists for g in groups for x in g]
+            assert held.count("U") == units.get(name, 0), (name, k)
+            if name != "m":
+                assert [x for x in held if x != "U"] == items, (name, k)
 
 
 @criterion(4, "lax coherence figure, 50 seeded matrix instances", 30)

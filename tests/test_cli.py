@@ -452,6 +452,12 @@ class TestCoherenceCommand:
     def test_bad_bounds_exit_two(self):
         assert main(["coherence", "--trials", "5", "--max-dim", "0"]) == 2
 
+    def test_max_dim_at_the_cap_runs(self, capsys):
+        # a --max-dim above the cap is refused (TestRefusalTexts)
+        assert main(["coherence", "--level", "matrix", "--trials", "1", "--seed", "1",
+                     "--max-dim", str(coherence._DIM_CAP)]) == 0
+        assert capsys.readouterr() == ("1/1 trials passed (matrix, seed 1)\n", "")
+
     def test_unknown_level_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["coherence", "--level", "banana"])
@@ -491,6 +497,47 @@ class TestModuleAndObjectErrors:
             json.dump(doc, fh)
         assert main(["check", c3_file, "--structure", kind, "--name", name]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _edited(edit):
+    """The document after edit, which changes it in place."""
+    def apply(doc):
+        edit(doc)
+        return doc
+    return apply
+
+
+_CHECK = ["check", "--structure", "bimonoid", "--name", "twisted"]
+
+
+class TestRefusalTexts:
+    """Each refusal exits 2 with nothing on stdout and its one error line;
+    an edit, if any, rewrites the instance file that the command reads."""
+
+    @pytest.mark.parametrize("edit, argv, message", [
+        (_edited(_drop("field")), _CHECK, "field block must carry a kind"),
+        (_edited(_set(("field",), {"modulus": 7})), _CHECK, "field block must carry a kind"),
+        (_edited(_drop("field", "modulus")), _CHECK, "prime_field needs an integer modulus"),
+        (_edited(_set_modulus("7x")), _CHECK, "bad modulus '7x'"),
+        (_edited(_set(("field", "kind"), "reals")), _CHECK, "unknown field kind 'reals'"),
+        (lambda doc: [doc], _CHECK, "instance file must be a JSON object"),
+        (_edited(_set(("format_version",), "2")), _CHECK, "unsupported format_version '2'"),
+        (_edited(_drop("format_version")), _CHECK, "unsupported format_version None"),
+        (None, ["coherence", "--max-n", "-1"], "bounds must be non-negative (max-dim positive)"),
+        (None, ["coherence", "--level", "matrix", "--max-dim", "4097"],
+         "--max-dim must be at most 4096 at the matrix level"),
+    ], ids=["no-field", "field-without-kind", "prime-field-without-modulus", "modulus-7x",
+            "kind-reals", "top-level-list", "format-version-2", "no-format-version",
+            "coherence-negative-max-n", "coherence-max-dim-past-cap"])
+    def test_one_error_line(self, c3_file, capsys, edit, argv, message):
+        if edit is not None:
+            with open(c3_file) as fh:
+                doc = edit(json.load(fh))
+            with open(c3_file, "w") as fh:
+                json.dump(doc, fh)
+            argv = [argv[0], c3_file, *argv[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _drop_oplax_pair(doc):
@@ -731,9 +778,7 @@ class TestDeltaCommand:
                                         ["--check-all-sequences", "--max-K", "-2"]])
     def test_negative_bounds_exit_two(self, c3_file, capsys, bounds):
         assert main(["delta", c3_file, "--name", "twisted"] + bounds) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert capsys.readouterr() == ("", "error: -n and --max-K must be non-negative\n")
 
 
 def kernel_call_counts(monkeypatch):

@@ -35,11 +35,6 @@ from bihomcheck import cli, coherence
 from bihomcheck.combinat import (
     Permutation,
     bar,
-    group_by,
-    hat_of,
-    pad,
-    tilde_of,
-    totals,
     validate_double_seq,
     validate_index_seq,
     z_of,
@@ -409,23 +404,26 @@ class TestExponentIdentities:
 def lax_exponents_by_copy(k):
     """Reference for _lax_path_exponents: each map of the lax figure built
     from its definition, with its exponents read from phi_exponents and
-    written item by item, every copy of a slot label included."""
+    written item by item, every copy of a slot label included.  The padded
+    groups come from local arithmetic, not from coherence._lax_shapes."""
     kinds = {"Phi": BIG_PHI, "phi": SMALL_PHI}
     prods = [[(i, j) for j in range(1, len(row) + 1)] for i, row in enumerate(k, 1)]
     objs = [[[slot] * v for slot, v in zip(p, row)] for p, row in zip(prods, k)]
     cat = lambda parts: [x for part in parts for x in part]
-    rows = [cat(row) for row in objs]
-    t, tl, ht = totals(k), tilde_of(k), hat_of(k)
+    split = lambda items, sizes: [items[end - size:end]
+                                  for size, end in zip(sizes, itertools.accumulate(sizes))]
+    padded = lambda groups: [x for g in groups for x in g or [None]]
+    rows, sums = [cat(row) for row in objs], [sum(row) for row in k]
+    tl = [row or (0,) for row in k]
+    ht = [row if s else (1, *row[1:]) for row, s in zip(k, sums)]
     shapes = {
         "m": [([len(row) for row in k], prods)],
         "rows": list(zip(k, objs)),
-        "tilde": [(cat(tl), cat(group_by(r, s) for r, s in zip(rows, tl)))],
-        "KZ": [([a + z for a, z in zip(t.row_sums, t.row_zeros)],
-                [pad(row, ks, None) for row, ks in zip(objs, k)])],
-        "K": [(t.row_sums, rows)],
+        "tilde": [(cat(tl), cat(split(r, s) for r, s in zip(rows, tl)))],
+        "KZ": [([s + row.count(0) for s, row in zip(sums, k)], [padded(row) for row in objs])],
+        "K": [(sums, rows)],
         "flat": [(cat(k), cat(objs))],
-        "hat": [(cat(ht), cat(group_by(pad([r], (s,), None), h)
-                              for r, s, h in zip(rows, t.row_sums, ht)))],
+        "hat": [(cat(ht), cat(split(padded([r]), h) for r, h in zip(rows, ht)))],
     }
     exps = {}
     for _, *paths in coherence._LAX_REGIONS:
@@ -693,31 +691,22 @@ class TestExponentTable:
         assert [list(g) for g in first] == phi_exponents([1, 2], BIG_PHI)
 
 
-# The three forms of a sequence holding -1.  A validator never returns a
-# negative entry, so the third form holds what one returned beside the -1: a
-# tuple operation on a checked sequence gives a plain tuple, checked again.
-INDEX_FORMS = ([2, -1], (2, -1), validate_index_seq((2, 5))[:1] + (-1,))
-DOUBLE_FORMS = ([[1], [2, -1]], ((1,), (2, -1)),
-                validate_double_seq([[1]]) + (validate_index_seq([2]) + (-1,),))
+# The two forms of a sequence holding -1.
+INDEX_FORMS = ([2, -1], (2, -1))
+DOUBLE_FORMS = ([[1], [2, -1]], ((1,), (2, -1)))
 
 
 class TestSequencesCheckedOnce:
-    """A sequence is checked where it enters; what a validator returned passes
-    the helpers unread, and nothing else is let through unchecked."""
+    """A sequence is checked where it enters: each entry point refuses a
+    negative entry, in a list or a tuple, with the one ValueError."""
 
     @pytest.mark.parametrize("call, forms", [
         (validate_index_seq, INDEX_FORMS),
         (validate_double_seq, DOUBLE_FORMS),
-        (lambda k: pad([["x", "y"], []], k, "unit"), INDEX_FORMS),
-        (lambda k: group_by(["x"], k), INDEX_FORMS),
-        (totals, DOUBLE_FORMS),
-        (tilde_of, DOUBLE_FORMS),
-        (hat_of, DOUBLE_FORMS),
         (lambda k: phi_exponents(k, BIG_PHI), INDEX_FORMS),
         (lambda m: check_exponent_identities(2, m, [[1], []], 1, 1), INDEX_FORMS),
         (lambda k: check_exponent_identities(2, (1, 2), k, 1, 1), DOUBLE_FORMS),
-    ], ids=["validate_index_seq", "validate_double_seq", "pad", "group_by", "totals",
-            "tilde_of", "hat_of", "phi_exponents",
+    ], ids=["validate_index_seq", "validate_double_seq", "phi_exponents",
             "check_exponent_identities-m", "check_exponent_identities-k"])
     def test_negative_entry_refused_in_every_form(self, call, forms):
         for form in forms:
@@ -725,15 +714,3 @@ class TestSequencesCheckedOnce:
                 call(form)
             assert type(info.value) is ValueError
             assert str(info.value) == "negative entry in (2, -1)", form
-
-    def test_validated_sequences_read_as_plain_tuples(self):
-        seq, rows = validate_index_seq([3, 0, 1]), validate_double_seq([[3, 0], [], [1]])
-        for checked, plain in [(seq, (3, 0, 1)), (rows, ((3, 0), (), (1,))),
-                               (rows[0], (3, 0)), (validate_index_seq([]), ())]:
-            assert checked == plain and plain == checked
-            assert hash(checked) == hash(plain)
-            assert repr(checked) == repr(plain) and str(checked) == str(plain)
-            assert json.dumps(checked) == json.dumps(plain)
-            assert {checked: 1} == {plain: 1}
-        assert validate_index_seq(seq) is seq
-        assert all(a is b for a, b in zip(validate_double_seq(rows), rows, strict=True))

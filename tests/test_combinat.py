@@ -2,25 +2,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from bihomcheck.combinat import (
     Permutation,
     bar,
     flip_perm,
-    group_by,
-    hat_of,
-    pad,
-    tilde_of,
-    totals,
+    validate_double_seq,
+    validate_index_seq,
     z_of,
 )
-from bihomcheck.errors import LengthMismatch, ShapeMismatch
+from bihomcheck.errors import ShapeMismatch
 from bihomcheck.exactlin import GF, QQ, DenseMap, compose, kron
-
-double_seqs = st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=4)
-index_seqs = st.lists(st.integers(0, 4), max_size=6)
 
 
 def test_z_and_bar():
@@ -32,67 +24,11 @@ def test_z_and_bar():
         z_of(-1)
 
 
-class TestTotals:
-    def test_hand_evaluated_rows(self):
-        t = totals([[0, 3], []])
-        assert t.row_sums == (3, 0)
-        assert t.row_zeros == (1, 0)
-        assert t.total == 3
-        assert t.zeros == 1
-        # both closed forms: Z + sum z(m_i) and Z + sum z(K_i + Z_i)
-        assert t.tilde_zeros == 1 + 0 + 1
-        assert t.tilde_zeros == t.zeros + sum(
-            z_of(ks + zs) for ks, zs in zip(t.row_sums, t.row_zeros))
-
-    def test_no_zero_rows(self):
-        t = totals([[1, 1]])
-        assert (t.total, t.zeros, t.tilde_zeros) == (2, 0, 0)
-
-    def test_empty(self):
-        t = totals([])
-        assert (t.total, t.zeros, t.length_sum, t.tilde_zeros) == (0, 0, 0, 0)
-
-    @given(double_seqs)
-    def test_tilde_z_closed_forms_agree(self, rows):
-        t = totals(rows)
-        tl = tilde_of(rows)
-        assert t.tilde_zeros == sum(z_of(v) for r in tl for v in r)
-        assert t.tilde_zeros == t.zeros + sum(
-            z_of(ks + zs) for ks, zs in zip(t.row_sums, t.row_zeros))
-
-    @given(index_seqs)
-    def test_length_plus_zeros_bounds(self, seq):
-        t = totals([seq])
-        m_total = t.row_sums[0] + t.row_zeros[0]
-        assert m_total >= len(seq)
-        assert (m_total == 0) == (len(seq) == 0)
-
-
-class TestTildeHat:
-    def test_empty_row(self):
-        assert tilde_of([[]]) == ((0,),)
-        assert hat_of([[]]) == ((1,),)
-
-    def test_zero_sum_row(self):
-        assert hat_of([[0, 0]]) == ((1, 0),)
-        assert tilde_of([[0, 0]]) == ((0, 0),)
-
-    def test_positive_rows_copied(self):
-        assert tilde_of([[2, 3]]) == ((2, 3),)
-        assert hat_of([[2, 3]]) == ((2, 3),)
-
-    @given(double_seqs)
-    def test_row_lengths_are_bar(self, rows):
-        for src, tl, ht in zip(rows, tilde_of(rows), hat_of(rows)):
-            assert len(tl) == bar(len(src))
-            assert len(ht) == bar(len(src))
-
-    @given(double_seqs)
-    def test_weight_sum_identity(self, rows):
-        t = totals(rows)
-        tl, ht = tilde_of(rows), hat_of(rows)
-        weight = lambda seq: sum(v + z_of(v) for r in seq for v in r)
-        assert weight(ht) == weight(tl) == t.total + t.tilde_zeros
+def test_validators_return_plain_tuples():
+    assert type(validate_index_seq([1, 0])) is tuple
+    rows = validate_double_seq([[3, 0], []])
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert rows == ((3, 0), ())
 
 
 class TestFlipPerm:
@@ -185,37 +121,3 @@ class TestPermutation:
     def test_inverse(self):
         p = Permutation((2, 0, 1))
         assert p.compose(p.inverse()).is_identity()
-
-
-class TestPad:
-    def test_direct_reading(self):
-        out = pad([["x", "y"], [], ["z"]], (2, 0, 1), "unit")
-        assert out == ["x", "y", "unit", "z"]
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            pad([["x"]], (2,), "unit")
-        with pytest.raises(LengthMismatch):
-            pad([["x"]], (1, 1), "unit")
-
-    @staticmethod
-    def _padding_round(rng):
-        m = rng.randint(0, 4)
-        ks = tuple(rng.randint(0, 4) for _ in range(m))
-        objs = [[f"x{i}.{j}" for j in range(ks[i])] for i in range(m)]
-        flat = [o for g in objs for o in g]
-        t = totals([ks])
-        tl, ht = tilde_of([ks])[0], hat_of([ks])[0]
-        via_tilde = pad(group_by(flat, tl), tl, "U")
-        # first diagram: pad by the sequence, then by its padded total
-        left = pad([pad(objs, ks, "U")], (t.total + t.zeros,), "U")
-        assert left == via_tilde
-        # second diagram: pad the whole list, regroup by hat, pad again
-        step = pad([flat], (t.total,), "U")
-        right = pad(group_by(step, ht), ht, "U")
-        assert right == via_tilde
-
-    def test_padding_diagrams(self):
-        rng = random.Random(12)
-        for _ in range(200):
-            self._padding_round(rng)
