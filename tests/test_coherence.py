@@ -401,6 +401,99 @@ class TestExponentIdentities:
                 assert all(check_exponent_identities(n, m, k, i, j)), (m, k, i, j)
 
 
+def shape_lengths(k):
+    """Each shape of _lax_shapes for k, one item per unit of k_ij, as the
+    group lengths of each of its maps."""
+    prods = [[(i, j) for j in range(len(row))] for i, row in enumerate(k)]
+    objs = [[[slot] * v for slot, v in zip(p, row)] for p, row in zip(prods, k)]
+    return {name: [tuple(map(len, groups)) for groups in group_lists]
+            for name, group_lists in coherence._lax_shapes(objs, prods, "U").items()}
+
+
+def weight(seq):
+    """The objects a padded sequence holds: v items, or one unit when v is 0."""
+    return sum(v + z_of(v) for v in seq)
+
+
+double_seqs = st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=4)
+
+
+class TestLaxShapes:
+    """The tilde, hat and K+Z paddings that _lax_shapes builds: hand-evaluated
+    rows, and the identities that tie the shapes of one sequence together."""
+
+    def test_hand_evaluated_rows(self):
+        s = shape_lengths([[0, 3], []])
+        assert s["m"] == [(2, 0)]
+        assert s["rows"] == [(0, 3), ()]
+        assert s["K"] == [(3, 0)] and s["KZ"] == [(4, 0)]
+        assert s["flat"] == [(0, 3)]
+        assert s["tilde"] == [(0, 3, 0)] and s["hat"] == [(0, 3, 1)]
+        # both closed forms of tilde's zeros: Z + sum z(K_i + Z_i), and sum z(v)
+        assert s["tilde"][0].count(0) == 1 + sum(map(z_of, s["KZ"][0])) == 2
+
+    def test_no_zero_rows(self):
+        s = shape_lengths([[1, 1]])
+        assert s["K"] == s["KZ"] == [(2,)]
+        assert s["tilde"] == s["hat"] == s["flat"] == [(1, 1)]
+
+    def test_empty(self):
+        s = shape_lengths([])
+        assert s["rows"] == []
+        assert all(s[name] == [()] for name in ("m", "tilde", "KZ", "K", "flat", "hat"))
+
+    def test_empty_row(self):
+        s = shape_lengths([[]])
+        assert s["tilde"] == [(0,)] and s["hat"] == [(1,)]
+
+    def test_zero_sum_row(self):
+        s = shape_lengths([[0, 0]])
+        assert s["hat"] == [(1, 0)] and s["tilde"] == [(0, 0)]
+
+    def test_positive_rows_copied(self):
+        s = shape_lengths([[2, 3]])
+        assert s["tilde"] == s["hat"] == [(2, 3)]
+
+    @given(double_seqs)
+    def test_row_lengths_are_bar(self, rows):
+        for row in rows:
+            s = shape_lengths([row])
+            assert len(s["tilde"][0]) == len(s["hat"][0]) == bar(len(row)), row
+
+    @given(double_seqs)
+    def test_tilde_z_closed_forms_agree(self, rows):
+        s = shape_lengths(rows)
+        zeros = s["flat"][0].count(0)
+        assert s["tilde"][0].count(0) == zeros + sum(map(z_of, s["KZ"][0]))
+
+    @given(double_seqs)
+    def test_weight_sum_identity(self, rows):
+        s = shape_lengths(rows)
+        total, tilde_zeros = sum(s["K"][0]), s["tilde"][0].count(0)
+        assert weight(s["hat"][0]) == weight(s["tilde"][0]) == total + tilde_zeros
+
+    @given(double_seqs)
+    def test_length_plus_zeros_bounds(self, rows):
+        s = shape_lengths(rows)
+        for m_i, kz in zip(s["m"][0], s["KZ"][0], strict=True):
+            assert kz >= m_i
+            assert (kz == 0) == (m_i == 0)
+
+    def test_padding_diagrams(self):
+        # the two routes round the padding diagram: tilde, K+Z and hat hold the
+        # same objects once each empty group is read as one unit
+        rng = random.Random(12)
+        for _ in range(200):
+            _, k = random_double_seq(rng, 4, 3, 4)
+            objs = [[[f"x{i}.{j}.{t}" for t in range(v)] for j, v in enumerate(row)]
+                    for i, row in enumerate(k)]
+            prods = [[f"b{i}.{j}" for j in range(len(row))] for i, row in enumerate(k)]
+            shapes = coherence._lax_shapes(objs, prods, "U")
+            padded = {name: [x for groups in shapes[name] for g in groups for x in g or ["U"]]
+                      for name in ("tilde", "KZ", "hat")}
+            assert padded["tilde"] == padded["KZ"] == padded["hat"], k
+
+
 def lax_exponents_by_copy(k):
     """Reference for _lax_path_exponents: each map of the lax figure built
     from its definition, with its exponents read from phi_exponents and
