@@ -329,11 +329,11 @@ def cmd_coherence(args) -> int:
     if args.level == "symbolic":
         def trial(i):
             rng = _trial_rng(args.seed, i)
-            m, k = random_double_seq(rng, args.max_n, args.max_m, args.max_k)
+            k = random_double_seq(rng, args.max_n, args.max_m, args.max_k)
             for (si, sj), flags in exponent_identities(k).items():
                 if not all(flags):
                     return f"trial {i}: identities {flags} fail at "\
-                           f"m={m} k={k} slot ({si},{sj})"
+                           f"m={tuple(map(len, k))} k={k} slot ({si},{sj})"
             return None
     else:
         def trial(i):

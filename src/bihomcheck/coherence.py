@@ -22,13 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combinat import IndexSeq, flip_perm, validate_double_seq, validate_index_seq
-from .errors import (
-    FieldMismatch,
-    InvariantViolation,
-    MissingEndomorphism,
-    ShapeMismatch,
-    SlotOutOfRange,
-)
+from .errors import FieldMismatch, InvariantViolation, MissingEndomorphism, ShapeMismatch
 from .exactlin import DenseMap, FieldTag, _canonical, _check_budget, compose, compose_all, kron_all
 from .report import CheckReport, compare_entry, make_report
 
@@ -303,23 +297,19 @@ def exponent_identities(k) -> dict:
             for slot, sides in _lax_path_exponents(k).items()}
 
 
-def check_exponent_identities(n: int, m: IndexSeq, k, i: int, j: int):
+def check_exponent_identities(k, i: int, j: int):
     """Verify the four exponent identities at slot (i, j), both mirror forms.
 
-    i, j are 1-based with 1 <= i <= n and 1 <= j <= m_i.  Returns a 4-tuple of
-    booleans, one per identity; each is True only if both the plain and the
-    mirrored form hold exactly.  The sides being compared are the accumulated
-    endomorphism exponents of the objects sitting at slot (i, j), so a slot
-    with k_ij = 0 carries no objects and is vacuously true.
+    i, j are 1-based with 1 <= i <= n and 1 <= j <= m_i, where k has the n
+    rows of lengths m_i.  Returns a 4-tuple of booleans, one per identity;
+    each is True only if both the plain and the mirrored form hold exactly.
+    The sides being compared are the accumulated endomorphism exponents of
+    the objects sitting at slot (i, j), so a slot with k_ij = 0 carries no
+    objects and is vacuously true.
     """
-    m = validate_index_seq(m)
-    if n != len(m):
-        raise ShapeMismatch(f"n={n} but {len(m)} row lengths")
     k = validate_double_seq(k)
-    if len(k) != n or any(len(k[t]) != m[t] for t in range(n)):
-        raise ShapeMismatch("double sequence does not match row lengths")
-    if not (1 <= i <= n) or not (1 <= j <= m[i - 1]):
-        raise SlotOutOfRange(f"slot ({i}, {j}) outside rows {m}")
+    if not (1 <= i <= len(k)) or not (1 <= j <= len(k[i - 1])):
+        raise ShapeMismatch(f"slot ({i}, {j}) outside rows {tuple(map(len, k))}")
     if k[i - 1][j - 1] == 0:
         return (True, True, True, True)
     return exponent_identities(k)[(i, j)]
@@ -459,7 +449,7 @@ def random_diagonal_endo(rng, field: FieldTag, dim: int) -> DenseMap:
     _check_budget(dim, dim)
     num = np.zeros((dim, dim), dtype=object if max(diag) >= 1 << 62 else np.int64)
     np.fill_diagonal(num, diag)
-    return _canonical(field, dim, dim, num)
+    return _canonical(field, num)
 
 
 def random_object(rng, field: FieldTag, max_dim: int, four: bool) -> BiHomObject:
@@ -476,7 +466,7 @@ def random_object(rng, field: FieldTag, max_dim: int, four: bool) -> BiHomObject
 def random_lax_instance(rng, field: FieldTag, max_n: int = 2, max_m: int = 2,
                         max_k: int = 2, max_dim: int = 2) -> LaxInstance:
     while True:
-        _, k = random_double_seq(rng, max_n, max_m, max_k)
+        k = random_double_seq(rng, max_n, max_m, max_k)
         if max_dim ** sum(sum(r) for r in k) <= _DIM_CAP:
             break
     objects = tuple(tuple([random_object(rng, field, max_dim, four=False) for _ in range(v)]
@@ -499,8 +489,8 @@ def random_duoidal_instance(rng, field: FieldTag, max_n: int = 2, max_p: int = 2
     return DuoidalInstance(k, objects, field)
 
 
-def random_double_seq(rng, max_n: int = 4, max_m: int = 3, max_k: int = 4):
+def random_double_seq(rng, max_n: int = 4, max_m: int = 3, max_k: int = 4) -> tuple:
+    """A double sequence k: n rows, then the row lengths m_i, then the entries."""
     n = rng.randint(0, max_n)
-    m = tuple(rng.randint(0, max_m) for _ in range(n))
-    k = tuple(tuple(rng.randint(0, max_k) for _ in range(m[i])) for i in range(n))
-    return m, k
+    m = [rng.randint(0, max_m) for _ in range(n)]
+    return tuple(tuple(rng.randint(0, max_k) for _ in range(row)) for row in m)

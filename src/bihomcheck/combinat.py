@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import LengthMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 from .exactlin import DenseMap, FieldTag, _index_map
 
 import numpy as np
@@ -97,9 +97,7 @@ class Permutation:
         images[b].
         """
         if len(block_sizes) != self.size:
-            raise LengthMismatch(
-                f"{len(block_sizes)} block sizes for a permutation of {self.size}"
-            )
+            raise ShapeMismatch(f"{len(block_sizes)} block sizes for a permutation of {self.size}")
         in_off = [0] * self.size
         for b in range(1, self.size):
             in_off[b] = in_off[b - 1] + block_sizes[b - 1]
@@ -123,28 +121,23 @@ class Permutation:
         dimension dims[s].  The map keeps only its index array (see DenseMap).
         """
         if len(dims) != self.size:
-            raise LengthMismatch(f"{len(dims)} dims for a permutation of {self.size}")
+            raise ShapeMismatch(f"{len(dims)} dims for a permutation of {self.size}")
         total = math.prod(dims)
         src_of_dst = np.arange(total).reshape(dims).transpose(self.inverse().images)
         return DenseMap.permutation(field, src_of_dst)
 
 
-def flip_perm(n: int, p: int, block_dims: Optional[Sequence[int]] = None,
-              field: Optional[FieldTag] = None):
+def flip_perm(n: int, p: int, block_dims: Sequence[int], field: FieldTag) -> DenseMap:
     """The transposition tau_{n,p}: p groups of n slots -> n groups of p.
 
     Input slot (i, j) (group i < p, position j < n, flat i*n + j) is sent to
-    output position (j, i) (flat j*p + i).  With block_dims (a flat list of
-    n*p slot dimensions in input order) and a field, the permutation is
-    returned as its index map on the tensor product (see DenseMap): one
-    transpose of arange over the slot dimensions, with no Permutation built.
+    output position (j, i) (flat j*p + i).  block_dims is a flat list of the
+    n*p slot dimensions in input order; the permutation is returned as its
+    index map on the tensor product (see DenseMap): one transpose of arange
+    over the slot dimensions, with no Permutation built.
     """
-    if block_dims is None:
-        return Permutation(tuple((s % n) * p + s // n for s in range(n * p)))
-    if field is None:
-        raise ValueError("field required for the DenseMap form")
     if len(block_dims) != n * p:
-        raise LengthMismatch(f"{len(block_dims)} dims for a permutation of {n * p}")
+        raise ShapeMismatch(f"{len(block_dims)} dims for a permutation of {n * p}")
     axes = np.arange(n * p).reshape(p, n).T.reshape(-1)  # output slot (j, i) reads (i, j)
     src_of_dst = np.arange(math.prod(block_dims)).reshape(block_dims).transpose(axes)
     return _index_map(field, src_of_dst.reshape(-1))

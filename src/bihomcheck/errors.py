@@ -1,4 +1,10 @@
-"""Exception types shared across the kernel."""
+"""Exception types shared across the kernel.
+
+cli.main exits 2 on ParseError, UnknownName, TooLarge, MissingMap and
+MissingEndomorphism (input errors, raised before a check decides anything),
+and 1 on every other BihomError.  ShapeMismatch is the one shape fault: maps,
+sequences, slots or dimensions that do not fit together.
+"""
 
 
 class BihomError(Exception):
@@ -9,27 +15,7 @@ class FieldMismatch(BihomError):
     pass
 
 
-class DimensionMismatch(BihomError):
-    pass
-
-
-class NotSquare(BihomError):
-    pass
-
-
-class RowLengthMismatch(BihomError):
-    pass
-
-
-class LengthMismatch(BihomError):
-    pass
-
-
 class ShapeMismatch(BihomError):
-    pass
-
-
-class SlotOutOfRange(BihomError):
     pass
 
 

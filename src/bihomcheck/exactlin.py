@@ -53,14 +53,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    NotSquare,
-    ParseError,
-    RowLengthMismatch,
-    TooLarge,
-)
+from .errors import FieldMismatch, ParseError, ShapeMismatch, TooLarge
 
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
@@ -225,12 +218,11 @@ def _operands(maps: Sequence["DenseMap"], inner: int = 1) -> list:
     return [m._num.astype(object) for m in maps]
 
 
-def _canonical(field: FieldTag, dst_dim: int, src_dim: int,
-               num: np.ndarray, den: int = 1) -> "DenseMap":
-    """The map num/den, brought to canonical form: residues mod p (den is
-    always 1 over F_p), or lowest terms over Q with a positive denominator;
-    stored as int64 when every |numerator| < 2^62.  Over F_p num is reduced
-    in place, so it must be a fresh array."""
+def _canonical(field: FieldTag, num: np.ndarray, den: int = 1) -> "DenseMap":
+    """The map num/den, of num's shape, brought to canonical form: residues
+    mod p (den is always 1 over F_p), or lowest terms over Q with a positive
+    denominator; stored as int64 when every |numerator| < 2^62.  Over F_p num
+    is reduced in place, so it must be a fresh array."""
     if field.kind == PRIME_FIELD:
         if field.modulus > _INT64_ENTRY_LIMIT:
             num = num.astype(object, copy=False)
@@ -243,7 +235,7 @@ def _canonical(field: FieldTag, dst_dim: int, src_dim: int,
         top = int(np.abs(num).max(initial=0))
         num = num.astype(np.int64 if top < _INT64_ENTRY_LIMIT else object, copy=False)
     num.flags.writeable = False
-    return DenseMap(field, dst_dim, src_dim, num, den=den, top=top)
+    return DenseMap(field, *num.shape, num, den=den, top=top)
 
 
 def _index_map(field: FieldTag, src_of_dst: np.ndarray) -> "DenseMap":
@@ -280,9 +272,7 @@ class DenseMap:
                  array: Optional[np.ndarray], src_of_dst: Optional[np.ndarray] = None,
                  den: int = 1, top: Optional[int] = None):
         if array is not None and array.shape != (dst_dim, src_dim):
-            raise DimensionMismatch(
-                f"array shape {array.shape} != ({dst_dim}, {src_dim})"
-            )
+            raise ShapeMismatch(f"array shape {array.shape} != ({dst_dim}, {src_dim})")
         self.field = field
         self.dst_dim = dst_dim
         self.src_dim = src_dim
@@ -335,17 +325,17 @@ class DenseMap:
                   src_dim: Optional[int] = None) -> "DenseMap":
         src = len(rows[0]) if len(rows) else (src_dim or 0)
         if src_dim is not None and src_dim != src:
-            raise DimensionMismatch(f"row length {src} != src_dim {src_dim}")
+            raise ShapeMismatch(f"row length {src} != src_dim {src_dim}")
         for i, row in enumerate(rows):
             if len(row) != src:
-                raise RowLengthMismatch(f"row {i} has length {len(row)}, expected {src}")
+                raise ShapeMismatch(f"row {i} has length {len(row)}, expected {src}")
         return DenseMap.from_flat(field, len(rows), src, [v for row in rows for v in row])
 
     @staticmethod
     def from_flat(field: FieldTag, dst_dim: int, src_dim: int,
                   entries: Sequence[RawScalar]) -> "DenseMap":
         if len(entries) != dst_dim * src_dim:
-            raise DimensionMismatch(f"{len(entries)} entries for a {dst_dim}x{src_dim} map")
+            raise ShapeMismatch(f"{len(entries)} entries for a {dst_dim}x{src_dim} map")
         found, p = _int64_entries(entries), field.modulus
         if found is None:  # the per-entry path, which also words every error
             values, den = [_coerce(field, v) for v in entries], 1
@@ -354,7 +344,7 @@ class DenseMap:
                 den = math.lcm(*(v.denominator for v in fractions))
                 values = [v.numerator * (den // v.denominator) for v in values]
             num = np.array(values, dtype=object).reshape(dst_dim, src_dim)
-            m = _canonical(field, dst_dim, src_dim, num, den)
+            m = _canonical(field, num, den)
         else:  # canonical as read when _canonical would leave every value as it is
             num, values = found[0].reshape(dst_dim, src_dim), found[1]
             limit = min(p or _INT64_ENTRY_LIMIT, _INT64_ENTRY_LIMIT)  # residues, or |numerators|
@@ -362,7 +352,7 @@ class DenseMap:
                 num.flags.writeable = False
                 m = DenseMap(field, dst_dim, src_dim, num)
             else:
-                m = _canonical(field, dst_dim, src_dim, num)
+                m = _canonical(field, num)
                 values = {v % p for v in values} if p else values
         # values holds m's numerators: a 0/1 permutation matrix is kept as its index array
         if dst_dim == src_dim and m._den == 1 and {0, 1}.issuperset(values):
@@ -377,7 +367,7 @@ class DenseMap:
         """The 0/1 map whose row i has its one in column src_of_dst[i]."""
         idx = np.array(src_of_dst, dtype=np.intp).reshape(-1)
         if not np.array_equal(np.sort(idx), np.arange(idx.size)):
-            raise DimensionMismatch(f"not a permutation of range({idx.size})")
+            raise ShapeMismatch(f"not a permutation of range({idx.size})")
         return _index_map(field, idx)
 
     @staticmethod
@@ -388,8 +378,7 @@ class DenseMap:
 
     @staticmethod
     def zero(field: FieldTag, dst_dim: int, src_dim: int) -> "DenseMap":
-        return _canonical(field, dst_dim, src_dim,
-                          np.zeros((dst_dim, src_dim), dtype=np.int64))
+        return _canonical(field, np.zeros((dst_dim, src_dim), dtype=np.int64))
 
     # -- views -------------------------------------------------------------
 
@@ -442,15 +431,16 @@ class DenseMap:
         return bool(np.array_equal(self._num, other._num))
 
     def __hash__(self):
-        return hash((self.field, self.dst_dim, self.src_dim, self._den,
-                     tuple(self._num.reshape(-1).tolist())))
+        """Equal maps have equal shapes and, being canonical, equal
+        denominators; the entries are left out, so no dense view is built."""
+        return hash((self.field, self.dst_dim, self.src_dim, self._den))
 
     def first_difference(self, other: "DenseMap"):
         """First (row, col, lhs, rhs) where the two maps differ, else None; one
         pass of !=, whose argmax is the first mismatch in row-major order.
         Two index maps with equal index arrays are equal, as in __eq__."""
         if self.dst_dim != other.dst_dim or self.src_dim != other.src_dim:
-            raise DimensionMismatch("comparing maps of different shapes")
+            raise ShapeMismatch("comparing maps of different shapes")
         if self is other or self._identity and other._identity:
             return None
         if self._src_of_dst is not None and other._src_of_dst is not None and \
@@ -472,9 +462,9 @@ class DenseMap:
     def _entrywise(self, other: "DenseMap", op, verb: str) -> "DenseMap":
         self._check_field(other)
         if (self.dst_dim, self.src_dim) != (other.dst_dim, other.src_dim):
-            raise DimensionMismatch(f"{verb} maps of different shapes")
+            raise ShapeMismatch(f"{verb} maps of different shapes")
         a, b, den = _common_denominator(self, other)
-        return _canonical(self.field, self.dst_dim, self.src_dim, op(a, b), den)
+        return _canonical(self.field, op(a, b), den)
 
     def __add__(self, other: "DenseMap") -> "DenseMap":
         return self._entrywise(other, np.add, "adding")
@@ -484,14 +474,14 @@ class DenseMap:
 
     def scale(self, value: RawScalar) -> "DenseMap":
         v = _coerce(self.field, value)
-        return _canonical(self.field, self.dst_dim, self.src_dim,
-                          self._num.astype(object) * v.numerator, self._den * v.denominator)
+        return _canonical(self.field, self._num.astype(object) * v.numerator,
+                          self._den * v.denominator)
 
     def with_entry(self, i: int, j: int, value: RawScalar) -> "DenseMap":
         v = _coerce(self.field, value)
         num = self._num.astype(object) * v.denominator
         num[i, j] = v.numerator * self._den
-        return _canonical(self.field, self.dst_dim, self.src_dim, num, self._den * v.denominator)
+        return _canonical(self.field, num, self._den * v.denominator)
 
     def transpose(self) -> "DenseMap":
         """For an index map its inverse, built once (an identity is its own);
@@ -510,7 +500,7 @@ class DenseMap:
         """k-th composition power (k >= 0, square map), squaring from the top
         bit of k down: bit_length(k) - 1 squarings, popcount(k) - 1 products."""
         if not self.is_square():
-            raise NotSquare("powering a non-square map")
+            raise ShapeMismatch("powering a non-square map")
         if k < 0:
             raise ValueError("negative power")
         if k == 0:
@@ -537,9 +527,7 @@ def compose(f: DenseMap, g: DenseMap) -> DenseMap:
     other's rows or columns (by the inverse of g), kept as it stands."""
     f._check_field(g)
     if f.src_dim != g.dst_dim:
-        raise DimensionMismatch(
-            f"compose: f is {f.dst_dim}x{f.src_dim}, g is {g.dst_dim}x{g.src_dim}"
-        )
+        raise ShapeMismatch(f"compose: f is {f.dst_dim}x{f.src_dim}, g is {g.dst_dim}x{g.src_dim}")
     if f._identity or g._identity:
         return g if f._identity else f
     fp, gp = f._src_of_dst, g._src_of_dst
@@ -551,7 +539,7 @@ def compose(f: DenseMap, g: DenseMap) -> DenseMap:
         return _gathered(f, f._num[:, g.transpose()._src_of_dst])
     _check_budget(f.dst_dim, g.src_dim)
     num = np.dot(*_operands((f, g), f.src_dim))
-    return _canonical(f.field, f.dst_dim, g.src_dim, num, f._den * g._den)
+    return _canonical(f.field, num, f._den * g._den)
 
 
 def compose_all(maps: Sequence[DenseMap]) -> DenseMap:
@@ -582,8 +570,7 @@ def kron(f: DenseMap, g: DenseMap) -> DenseMap:
     _check_budget(dst_dim, src_dim)
     a, b = _operands((f, g))
     num = a[:, None, :, None] * b[None, :, None, :]
-    return _canonical(f.field, dst_dim, src_dim, num.reshape(dst_dim, src_dim),
-                      f._den * g._den)
+    return _canonical(f.field, num.reshape(dst_dim, src_dim), f._den * g._den)
 
 
 def kron_all(field: FieldTag, maps: Iterable[DenseMap]) -> DenseMap:
@@ -596,19 +583,18 @@ def kron_all(field: FieldTag, maps: Iterable[DenseMap]) -> DenseMap:
     return functools.reduce(kron, maps) if maps else DenseMap.identity(field, 1)
 
 
-def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> DenseMap:
-    """compose(kron_all(field, factors), g), without the Kronecker product:
+def kron_compose(factors: Sequence[DenseMap], g: DenseMap) -> DenseMap:
+    """compose(kron_all(g.field, factors), g), without the Kronecker product:
     the rows of g form one tensor leg per factor, and each factor acts on its
     own leg (Van Loan, J. Comput. Appl. Math. 123, 2000).  Identities are
     skipped, other permutations re-index their leg by a gather kept as it
     stands, and every other factor is contracted into it under the overflow
     guard and entry budget of compose, those that shrink their leg (a counit) first."""
-    for m in (*factors, g):
-        if m.field is not field and m.field != field:
-            raise FieldMismatch(f"{field} vs {m.field}")
+    for f in factors:
+        g._check_field(f)
     legs = [f.src_dim for f in factors]
     if math.prod(legs) != g.dst_dim:
-        raise DimensionMismatch(f"kron_compose: factors on {legs}, g is {g.dst_dim}x{g.src_dim}")
+        raise ShapeMismatch(f"kron_compose: factors on {legs}, g is {g.dst_dim}x{g.src_dim}")
     out = g
     for i in sorted(range(len(factors)), key=lambda i: factors[i].dst_dim - factors[i].src_dim):
         f, p = factors[i], factors[i]._src_of_dst
@@ -623,7 +609,7 @@ def kron_compose(field: FieldTag, factors: Sequence[DenseMap], g: DenseMap) -> D
         else:
             a, b = _operands((f, out), f.src_dim)
             num = (a @ b.reshape(lead, f.src_dim, trail)).reshape(rows, g.src_dim)
-            out = _canonical(field, rows, g.src_dim, num, f._den * out._den)
+            out = _canonical(g.field, num, f._den * out._den)
     return out
 
 
@@ -674,7 +660,7 @@ def _reconstruct(residues: np.ndarray, p: int) -> Optional[DenseMap]:
         return None
     lcm = math.lcm(*np.unique(den).tolist())
     num = (r1 * np.sign(t1)).astype(object) * (lcm // den.astype(object))
-    return _canonical(QQ, *residues.shape, num, lcm)
+    return _canonical(QQ, num, lcm)
 
 
 def _rref_over_q(a: np.ndarray):
@@ -721,7 +707,7 @@ def invert(f: DenseMap) -> Optional[DenseMap]:
     """Exact inverse, or None if singular: an index map by its inverse index
     array, every other map by _solve of [num(f) | I]."""
     if not f.is_square():
-        raise NotSquare(f"inverting a {f.dst_dim}x{f.src_dim} map")
+        raise ShapeMismatch(f"inverting a {f.dst_dim}x{f.src_dim} map")
     if f._src_of_dst is not None:
         return f.transpose()
     n = f.dst_dim
@@ -729,7 +715,7 @@ def invert(f: DenseMap) -> Optional[DenseMap]:
     status, num, d = _solve(DenseMap(f.field, n, 2 * n, augmented), n)
     if status != UNIQUE:
         return None
-    inv = _canonical(f.field, n, n, num, d)  # num(f)^-1, and f^-1 = den(f) num(f)^-1
+    inv = _canonical(f.field, num, d)  # num(f)^-1, and f^-1 = den(f) num(f)^-1
     return inv if f._den == 1 else inv.scale(f._den)
 
 
@@ -755,15 +741,13 @@ def solve_linear(system: Sequence[tuple], unknowns: int,
     """Classify and solve a linear system given as (coefficient-row, rhs) pairs."""
     for idx, (coeffs, _) in enumerate(system):
         if len(coeffs) != unknowns:
-            raise RowLengthMismatch(
-                f"row {idx} has {len(coeffs)} coefficients, expected {unknowns}"
-            )
+            raise ShapeMismatch(f"row {idx} has {len(coeffs)} coefficients, expected {unknowns}")
     augmented = DenseMap.from_flat(field, len(system), unknowns + 1,
                                    [v for coeffs, rhs in system for v in (*coeffs, rhs)])
     status, solution, d = _solve(augmented, unknowns)
     if status == NO_SOLUTION:
         return SolveResult(NO_SOLUTION)
-    return SolveResult(status, _canonical(field, unknowns, 1, solution, d).entries)
+    return SolveResult(status, _canonical(field, solution, d).entries)
 
 
 def _eliminate(a: np.ndarray, unknowns: int, p: Optional[int]):

@@ -37,13 +37,7 @@ from .coherence import (
     xi_map,
 )
 from .combinat import bar, validate_index_seq
-from .errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    InvariantViolation,
-    MissingMap,
-    MixedStructures,
-)
+from .errors import FieldMismatch, InvariantViolation, MissingMap, MixedStructures, ShapeMismatch
 from .exactlin import (
     DenseMap,
     _canonical,
@@ -64,9 +58,7 @@ def _expect_shape(name: str, m: DenseMap, dst: int, src: int, field):
     if m.field != field:
         raise FieldMismatch(f"{name} over {m.field}, object over {field}")
     if (m.dst_dim, m.src_dim) != (dst, src):
-        raise DimensionMismatch(
-            f"{name} is {m.dst_dim}x{m.src_dim}, expected {dst}x{src}"
-        )
+        raise ShapeMismatch(f"{name} is {m.dst_dim}x{m.src_dim}, expected {dst}x{src}")
 
 
 # The (dst, src) shape of each structure map on an object of dimension d.
@@ -166,9 +158,8 @@ class _Side:
         """chain(m, kron_all(factors)) by kron_compose, which the monoid side
         applies to the transposed maps."""
         if self.co:
-            return kron_compose(m.field, factors, m)
-        return kron_compose(m.field, [f.transpose() for f in factors],
-                            m.transpose()).transpose()
+            return kron_compose(factors, m)
+        return kron_compose([f.transpose() for f in factors], m.transpose()).transpose()
 
     def text(self, monoid: str, comonoid: str) -> str:
         return comonoid if self.co else monoid
@@ -244,17 +235,17 @@ def _unit_entries(b: StructureBundle, side: _Side):
     return entries
 
 
-def _interchange_rhs(x: BiHomObject, b: StructureBundle, action: DenseMap,
-                     coaction: DenseMap) -> DenseMap:
+def _interchange_rhs(b: StructureBundle, action: DenseMap, coaction: DenseMap) -> DenseMap:
     """(action (x) mu) . xi . (coaction (x) delta), acting and coacting
     factorwise through the middle interchange of x (x) a (x) a (x) a.
 
     It is one contraction of the four maps read as 3-tensors A[i,p,q],
     M[j,r,s], C[p,r,x], D[q,s,y]:  rhs[(i,j), (x,y)] = sum over p, q, r, s of
     A M C D.  It runs as A.C and M.D, then their product over (q, r): X^3 a^2
-    + a^5 + X^2 a^4 products for carrier dimension X, where the dense square
-    costs X^3 a^5.  Over F_p the first two steps are reduced mod p."""
-    X, a, field = x.dim, b.obj.dim, x.field
+    + a^5 + X^2 a^4 products for carrier dimension X (the action's dst_dim),
+    where the dense square costs X^3 a^5.  Over F_p the first two steps are
+    reduced mod p."""
+    X, a, field = action.dst_dim, b.obj.dim, b.obj.field
     maps = (action, b.mu, coaction, b.delta)
     _check_budget(X * a, X * a)
     _check_budget(a * a, a * a)
@@ -268,15 +259,15 @@ def _interchange_rhs(x: BiHomObject, b: StructureBundle, action: DenseMap,
     AC = contract(A, C, ([1], [0]))  # [i, q, r, x]
     MD = contract(M, D, ([2], [1]))  # [j, r, q, y]
     num = np.tensordot(AC, MD, ([1, 2], [2, 1])).transpose(0, 2, 1, 3).reshape(X * a, X * a)
-    return _canonical(field, X * a, X * a, num, math.prod(m._den for m in maps))
+    return _canonical(field, num, math.prod(m._den for m in maps))
 
 
-def _interchange_entry(name: str, law: str, x: BiHomObject, b: StructureBundle,
-                       action: DenseMap, coaction: DenseMap):
+def _interchange_entry(name: str, law: str, b: StructureBundle, action: DenseMap,
+                       coaction: DenseMap):
     """Coacting on an action of a on x equals acting and coacting factorwise
     through the middle interchange (see _interchange_rhs)."""
     return compare_entry(name, law, compose(coaction, action),
-                         _interchange_rhs(x, b, action, coaction))
+                         _interchange_rhs(b, action, coaction))
 
 
 def _bisemigroup_extra_entries(b: StructureBundle):
@@ -284,7 +275,7 @@ def _bisemigroup_extra_entries(b: StructureBundle):
     return [_interchange_entry(
         "bisemigroup/compatibility",
         "comultiplication of a product via the middle interchange",
-        b.obj, b, b.mu, b.delta)]
+        b, b.mu, b.delta)]
 
 
 def _bimonoid_extra_entries(b: StructureBundle):
@@ -495,7 +486,7 @@ def check_hopf_module(mod: ModuleInst, com: ComoduleInst) -> CheckReport:
     entries = list(check_module(mod).entries) + list(check_comodule(com).entries)
     entries.append(_interchange_entry(
         "hopf-module/compatibility", "coaction of an action via the middle interchange",
-        mod.carrier, b, mod.action, com.coaction))
+        b, mod.action, com.coaction))
     return make_report("hopf-module", entries)
 
 

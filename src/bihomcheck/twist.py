@@ -23,7 +23,6 @@ import numpy as np
 
 from .coherence import BiHomObject
 from .errors import (
-    DimensionMismatch,
     FieldMismatch,
     InvariantViolation,
     MissingEndomorphism,
@@ -160,12 +159,12 @@ def _antipode_system(pre: DenseMap, delta: DenseMap, rhs: DenseMap) -> DenseMap:
     if den != 1:  # both sides over one denominator, on Python ints
         coeffs = coeffs.astype(object) * (den // block_den)
         b = b.astype(object) * (den // rhs._den)
-    return _canonical(field, 2 * d * d, d * d + 1, np.hstack((coeffs, b)), den)
+    return _canonical(field, np.hstack((coeffs, b)), den)
 
 
 def _verify_antipode(pre: DenseMap, delta: DenseMap, rhs: DenseMap, chi: DenseMap) -> bool:
     one = DenseMap.identity(chi.field, chi.dst_dim)
-    return all(compose(pre, kron_compose(chi.field, legs, delta)) == rhs
+    return all(compose(pre, kron_compose(legs, delta)) == rhs
                for legs in ([one, chi], [chi, one]))
 
 
@@ -196,22 +195,21 @@ def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
     status, solution, den = _solve(_antipode_system(pre, delta, rhs), obj.dim ** 2)
     if status == NO_SOLUTION:
         return AntipodeResult(None, NO_ANTIPODE)
-    chi = _canonical(obj.field, obj.dim, obj.dim, solution.reshape(obj.dim, obj.dim), den)
+    chi = _canonical(obj.field, solution.reshape(obj.dim, obj.dim), den)
     if not _verify_antipode(pre, delta, rhs, chi):
         raise InvariantViolation("solved antipode failed re-verification")
     status = FOUND if status == UNIQUE else NON_UNIQUE
     return AntipodeResult(chi, status)
 
 
-def canonical_morphism(x: ModuleInst, y: BiHomObject,
-                       b: StructureBundle):
-    """The Galois-style map on x (x) y (x) a and whether it is invertible.
+def canonical_morphism(x: ModuleInst, y: BiHomObject):
+    """The Galois-style map on x (x) y (x) a and whether it is invertible,
+    for the module x over the structure b = x.over on a.
 
     Built as (action (x) 1 (x) 1) . (1 (x) swap (x) 1) . (1 (x) 1 (x) delta),
     the first two Kronecker products applied leg by leg.
     """
-    if x.over != b:
-        raise DimensionMismatch("module does not live over the given structure")
+    b = x.over
     if y.field != b.obj.field:
         raise FieldMismatch("mixed fields")
     b.require("delta")
@@ -223,5 +221,5 @@ def canonical_morphism(x: ModuleInst, y: BiHomObject,
     swap = DenseMap.permutation(field, np.arange(y.dim * a.dim).reshape(y.dim, a.dim).T)
     m = kron(kron(idx, idy), b.delta)
     for factors in ([idx, swap, ida], [x.action, idy, ida]):
-        m = kron_compose(field, factors, m)
+        m = kron_compose(factors, m)
     return m, invert(m) is not None

@@ -8,6 +8,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from bihomcheck import exactlin
+from bihomcheck.combinat import Permutation
 from bihomcheck.exactlin import GF, QQ, DenseMap
 from bihomcheck.twist import BIMONOID, COMONOID, MONOID
 
@@ -31,6 +32,21 @@ def naive_kron(a_rows, b_rows, a_shape, b_shape):
                 for c in range(bsrc):
                     out[i * bd + r][j * bsrc + c] = a_rows[i][j] * b_rows[r][c]
     return out
+
+
+def reference_flip_images(n, p):
+    """The images of tau_{n,p}: input slot (i, j), flat i*n + j, goes to
+    output position (j, i), flat j*p + i."""
+    images = [0] * (n * p)
+    for i in range(p):
+        for j in range(n):
+            images[i * n + j] = j * p + i
+    return tuple(images)
+
+
+def flip_permutation(n, p):
+    """tau_{n,p} as a Permutation of its n*p slots (flip_perm builds its index map)."""
+    return Permutation(reference_flip_images(n, p))
 
 
 _DIRECTION_NAMES = {COMONOID: "comonoid", MONOID: "monoid", BIMONOID: "bimonoid"}

@@ -25,7 +25,7 @@ from bihomcheck.coherence import (
     random_lax_instance,
     unit_object,
 )
-from bihomcheck.combinat import Permutation, flip_perm
+from bihomcheck.combinat import Permutation
 from bihomcheck.exactlin import GF, DenseMap, compose, compose_all, kron, kron_all
 from bihomcheck.fixtures import (
     classical_c3,
@@ -58,6 +58,8 @@ from bihomcheck.twist import (
     yau_twist,
 )
 
+from conftest import flip_permutation
+
 F7 = GF(7)
 
 
@@ -83,35 +85,34 @@ def criterion(number, title, budget_seconds):
 def test_criterion_1_exponent_identities():
     rng = random.Random(1001)
     for _ in range(1000):
-        m, k = random_double_seq(rng, max_n=4, max_m=3, max_k=4)
-        n = len(m)
-        for i in range(1, n + 1):
-            for j in range(1, m[i - 1] + 1):
-                flags = check_exponent_identities(n, m, k, i, j)
-                assert all(flags), (m, k, i, j, flags)
+        k = random_double_seq(rng, max_n=4, max_m=3, max_k=4)
+        for i, row in enumerate(k, 1):
+            for j in range(1, len(row) + 1):
+                flags = check_exponent_identities(k, i, j)
+                assert all(flags), (k, i, j, flags)
 
 
 @criterion(2, "flip-permutation identities, exhaustive to 4", 5)
 def test_criterion_2_tau_identities():
     for n in range(5):
         for p in range(5):
-            tau_np, tau_pn = flip_perm(n, p), flip_perm(p, n)
+            tau_np, tau_pn = flip_permutation(n, p), flip_permutation(p, n)
             assert tau_np.compose(tau_pn).is_identity()
             assert tau_pn.compose(tau_np).is_identity()
-        assert flip_perm(n, 1).is_identity()
+        assert flip_permutation(n, 1).is_identity()
         for p in range(5):
             for k in itertools.product(range(5), repeat=p):
-                inner = Permutation.direct_sum([flip_perm(n, v) for v in k])
+                inner = Permutation.direct_sum([flip_permutation(n, v) for v in k])
                 sizes = [v for v in k for _ in range(n)]
-                outer = flip_perm(n, p).blown_up(sizes)
-                assert outer.compose(inner) == flip_perm(n, sum(k)), (n, p, k)
+                outer = flip_permutation(n, p).blown_up(sizes)
+                assert outer.compose(inner) == flip_permutation(n, sum(k)), (n, p, k)
 
 
 @criterion(3, "padded shapes of the lax figure, 500 random double sequences", 5)
 def test_criterion_3_padded_shapes():
     rng = random.Random(1003)
     for _ in range(500):
-        _, k = random_double_seq(rng, 4, 3, 4)
+        k = random_double_seq(rng, 4, 3, 4)
         labels = itertools.count()
         objs = [[[next(labels) for _ in range(v)] for v in row] for row in k]
         prods = [[f"b{i}.{j}" for j in range(len(row))] for i, row in enumerate(k)]
@@ -216,14 +217,12 @@ def test_criterion_8_antipodes():
     assert compose(twisted.epsilon, squarer) == twisted.epsilon  # sanity on rhs
     assert left == rhs and right == rhs
 
-    _, invertible = canonical_morphism(regular_module(twisted),
-                                       unit_object(F7), twisted)
+    _, invertible = canonical_morphism(regular_module(twisted), unit_object(F7))
     assert invertible
 
     non_hopf = idempotent_monoid_bialgebra()
     assert antipode_solve(non_hopf, DIRECT).status == NO_ANTIPODE
-    _, invertible = canonical_morphism(regular_module(non_hopf),
-                                       unit_object(non_hopf.obj.field), non_hopf)
+    _, invertible = canonical_morphism(regular_module(non_hopf), unit_object(non_hopf.obj.field))
     assert not invertible
 
 

@@ -419,6 +419,25 @@ class TestCoherenceCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_symbolic_failure_line(self, monkeypatch, capsys):
+        # no drawn sequence fails an identity, so the third call (trial 2,
+        # whose k has an empty row and a zero slot) fails its last slot
+        calls, real = [], cli.exponent_identities
+
+        def failing(k):
+            table = real(k)
+            calls.append(k)
+            if len(calls) == 3:
+                table[list(table)[-1]] = (True, False, True, True)
+            return table
+
+        monkeypatch.setattr(cli, "exponent_identities", failing)
+        assert main(["coherence", "--level", "symbolic", "--trials", "4", "--seed", "6"]) == 1
+        assert capsys.readouterr().out == (
+            "trial 2: identities (True, False, True, True) fail at m=(3, 0, 2, 3) "
+            "k=((4, 1, 3), (), (2, 0), (3, 1, 4)) slot (4,3)\n"
+            "3/4 trials passed (symbolic, seed 6)\n")
+
     def test_matrix_level(self, capsys):
         code = main(["coherence", "--level", "matrix", "--trials", "6",
                      "--seed", "7", "--max-dim", "2"])

@@ -44,7 +44,6 @@ from bihomcheck.errors import (
     MissingEndomorphism,
     ParseError,
     ShapeMismatch,
-    SlotOutOfRange,
 )
 from bihomcheck.exactlin import GF, QQ, DenseMap, compose, kron, kron_all
 from bihomcheck.fixtures import cyclic_group_bundle
@@ -352,36 +351,31 @@ class TestXiMap:
 class TestExponentIdentities:
     def test_single_row_holds(self):
         for k in [(1,), (0, 2), (3, 0, 1)]:
-            n, m = 1, (len(k),)
             for j in range(1, len(k) + 1):
-                assert all(check_exponent_identities(n, m, (k,), 1, j))
+                assert all(check_exponent_identities((k,), 1, j))
 
     def test_hand_example_both_sides_one(self):
         # identity 2, plain form, at slot (1, 2) of m = (2, 0), k = ((0, 3), ()):
         # the second exponents summed along the lower-left region's two paths
         first, second = _lax_path_exponents(((0, 3), ()))[(1, 2)]["lower-left"]
         assert (first[1], second[1]) == (1, 1)
-        assert all(check_exponent_identities(2, (2, 0), ((0, 3), ()), 1, 2))
+        assert all(check_exponent_identities(((0, 3), ()), 1, 2))
 
     def test_whole_sequence_matches_per_slot(self):
         rng = random.Random(11)
         for _ in range(50):
-            m, k = random_double_seq(rng, 4, 3, 4)
+            k = random_double_seq(rng, 4, 3, 4)
             table = exponent_identities(k)
-            assert list(table) == [(i, j) for i in range(1, len(m) + 1)
-                                   for j in range(1, m[i - 1] + 1) if k[i - 1][j - 1]]
+            assert list(table) == [(i, j) for i, row in enumerate(k, 1)
+                                   for j, v in enumerate(row, 1) if v]
             for (i, j), flags in table.items():
-                assert flags == check_exponent_identities(len(m), m, k, i, j)
+                assert flags == check_exponent_identities(k, i, j)
 
     def test_slot_out_of_range(self):
-        with pytest.raises(SlotOutOfRange):
-            check_exponent_identities(1, (2,), ((1, 1),), 1, 3)
-        with pytest.raises(SlotOutOfRange):
-            check_exponent_identities(1, (2,), ((1, 1),), 2, 1)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            check_exponent_identities(2, (1,), ((1,),), 1, 1)
+        for i, j in [(1, 3), (2, 1), (1, 0)]:
+            with pytest.raises(ShapeMismatch) as info:
+                check_exponent_identities(((1, 1),), i, j)
+            assert str(info.value) == f"slot ({i}, {j}) outside rows (2,)"
 
     @given(st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=4))
     @settings(max_examples=200, deadline=None)
@@ -394,11 +388,10 @@ class TestExponentIdentities:
     @settings(max_examples=120, deadline=None)
     def test_random_instances(self, trial):
         rng = random.Random(trial)
-        m, k = random_double_seq(rng, 4, 3, 4)
-        n = len(m)
-        for i in range(1, n + 1):
-            for j in range(1, m[i - 1] + 1):
-                assert all(check_exponent_identities(n, m, k, i, j)), (m, k, i, j)
+        k = random_double_seq(rng, 4, 3, 4)
+        for i, row in enumerate(k, 1):
+            for j in range(1, len(row) + 1):
+                assert all(check_exponent_identities(k, i, j)), (k, i, j)
 
 
 def shape_lengths(k):
@@ -484,7 +477,7 @@ class TestLaxShapes:
         # same objects once each empty group is read as one unit
         rng = random.Random(12)
         for _ in range(200):
-            _, k = random_double_seq(rng, 4, 3, 4)
+            k = random_double_seq(rng, 4, 3, 4)
             objs = [[[f"x{i}.{j}.{t}" for t in range(v)] for j, v in enumerate(row)]
                     for i, row in enumerate(k)]
             prods = [[f"b{i}.{j}" for j in range(len(row))] for i, row in enumerate(k)]
@@ -558,7 +551,7 @@ class TestOneRegionTable:
         r = coherence._IDENTITY_REGIONS.index(region)
         rng = random.Random(0)
         flags = [f for _ in range(200)
-                 for f in exponent_identities(random_double_seq(rng)[1]).values()]
+                 for f in exponent_identities(random_double_seq(rng)).values()]
         assert any(not f[r] for f in flags)
         assert all(all(f[:r] + f[r + 1:]) for f in flags)
 
@@ -624,13 +617,13 @@ class TestFigures:
         max_n, max_m, max_k, max_dim = bounds
         fitted = 0
         for s in range(200):
-            m, k = random_double_seq(random.Random(s), max_n, max_m, max_k)
+            k = random_double_seq(random.Random(s), max_n, max_m, max_k)
             if max_dim ** sum(map(sum, k)) > coherence._DIM_CAP:
                 continue  # random_lax_instance draws again
             fitted += 1
             inst = random_lax_instance(random.Random(s), F7, *bounds)
             rows = inst.objects
-            assert (tuple(map(len, rows)), tuple(tuple(map(len, r)) for r in rows)) == (m, k)
+            assert tuple(tuple(map(len, r)) for r in rows) == k
         assert fitted >= 100
 
     def test_random_duoidal_instances(self):
@@ -797,10 +790,9 @@ class TestSequencesCheckedOnce:
         (validate_index_seq, INDEX_FORMS),
         (validate_double_seq, DOUBLE_FORMS),
         (lambda k: phi_exponents(k, BIG_PHI), INDEX_FORMS),
-        (lambda m: check_exponent_identities(2, m, [[1], []], 1, 1), INDEX_FORMS),
-        (lambda k: check_exponent_identities(2, (1, 2), k, 1, 1), DOUBLE_FORMS),
+        (lambda k: check_exponent_identities(k, 1, 1), DOUBLE_FORMS),
     ], ids=["validate_index_seq", "validate_double_seq", "phi_exponents",
-            "check_exponent_identities-m", "check_exponent_identities-k"])
+            "check_exponent_identities-k"])
     def test_negative_entry_refused_in_every_form(self, call, forms):
         for form in forms:
             with pytest.raises(ValueError) as info:

@@ -14,6 +14,8 @@ from bihomcheck.combinat import (
 from bihomcheck.errors import ShapeMismatch
 from bihomcheck.exactlin import GF, QQ, DenseMap, compose, kron
 
+from conftest import flip_permutation
+
 
 def test_z_and_bar():
     assert z_of(0) == 1
@@ -33,24 +35,24 @@ def test_validators_return_plain_tuples():
 
 class TestFlipPerm:
     def test_trivial_cases(self):
-        assert flip_perm(3, 1).is_identity()
-        assert flip_perm(1, 4).is_identity()
-        assert flip_perm(0, 0).size == 0
+        assert flip_permutation(3, 1).is_identity()
+        assert flip_permutation(1, 4).is_identity()
+        assert flip_permutation(0, 0).size == 0
 
     def test_inverse_pair(self):
         for n in range(5):
             for p in range(5):
-                assert flip_perm(n, p).compose(flip_perm(p, n)).is_identity()
-                assert flip_perm(p, n).compose(flip_perm(n, p)).is_identity()
+                assert flip_permutation(n, p).compose(flip_permutation(p, n)).is_identity()
+                assert flip_permutation(p, n).compose(flip_permutation(n, p)).is_identity()
 
     def test_composition_law(self):
         # tau_{n,p} after the blockwise tau_{n,k_i} equals tau_{n,sum k}
         for n, p in itertools.product(range(4), range(4)):
             for k in itertools.product(range(4), repeat=p):
-                inner = Permutation.direct_sum([flip_perm(n, v) for v in k])
+                inner = Permutation.direct_sum([flip_permutation(n, v) for v in k])
                 sizes = [v for v in k for _ in range(n)]
-                outer = flip_perm(n, p).blown_up(sizes)
-                assert outer.compose(inner) == flip_perm(n, sum(k))
+                outer = flip_permutation(n, p).blown_up(sizes)
+                assert outer.compose(inner) == flip_permutation(n, sum(k))
 
     def test_matrix_form_is_homomorphism(self):
         rng = random.Random(0)
@@ -60,7 +62,7 @@ class TestFlipPerm:
             dims = [rng.randint(1, 2) for _ in range(n * p)]
             m = flip_perm(n, p, block_dims=dims, field=field)
             inv_dims = [0] * (n * p)
-            perm = flip_perm(n, p)
+            perm = flip_permutation(n, p)
             for s, d in enumerate(dims):
                 inv_dims[perm(s)] = d
             back = flip_perm(p, n, block_dims=inv_dims, field=field)
@@ -77,13 +79,13 @@ class TestFlipPerm:
                 inner = kron(inner, flip_perm(n, v, block_dims=d, field=field))
             inner_dims = []
             for v, d in enumerate(dims_per_block):
-                perm = flip_perm(n, k[v])
+                perm = flip_permutation(n, k[v])
                 out = [0] * len(d)
                 for s, dim in enumerate(d):
                     out[perm(s)] = dim
                 inner_dims.extend(out)
             sizes = [v for v in k for _ in range(n)]
-            outer = flip_perm(n, p).blown_up(sizes).matrix(inner_dims, field)
+            outer = flip_permutation(n, p).blown_up(sizes).matrix(inner_dims, field)
             flat_dims = [d for block in dims_per_block for d in block]
             total = flip_perm(n, sum(k), block_dims=flat_dims, field=field)
             assert compose(outer, inner) == total, (n, p, k)
@@ -93,7 +95,7 @@ class TestFlipPerm:
         field = QQ
         dims = [2, 3, 2, 3]  # tau_{2,2}: 2 groups of 2 slots
         m = flip_perm(2, 2, block_dims=dims, field=field)
-        perm = flip_perm(2, 2)
+        perm = flip_permutation(2, 2)
         out_dims = [0] * 4
         for s, d in enumerate(dims):
             out_dims[perm(s)] = d

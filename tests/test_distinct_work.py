@@ -75,7 +75,7 @@ ENDOS = ("alpha", "beta", "kappa", "nu")
 
 def twin(m):
     """An equal map that is a distinct object, held densely."""
-    return _canonical(m.field, m.dst_dim, m.src_dim, m._num.copy(), m._den)
+    return _canonical(m.field, m._num.copy(), m._den)
 
 
 def with_endos(bundle, *endos):

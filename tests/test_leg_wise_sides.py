@@ -254,7 +254,7 @@ def test_random_modules_match_dense(field, data):
     b, mod, com = data.draw(modules(field))
     assert_modules_match(b, mod, com)
     y = random_object(field, dense_maps(data.draw, field, False), data.draw(st.integers(1, 2)))
-    m, invertible = canonical_morphism(mod, y, b)
+    m, invertible = canonical_morphism(mod, y)
     want = ref_canonical_morphism(mod, y, b)
     assert m == want and invertible == (invert(want) is not None)
 

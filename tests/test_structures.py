@@ -3,9 +3,9 @@ import random
 import pytest
 
 from bihomcheck import exactlin, structures
-from bihomcheck.coherence import BiHomObject, nprod, xi_map
+from bihomcheck.coherence import BiHomObject, check_exponent_identities, nprod, xi_map
+from bihomcheck.combinat import Permutation, flip_perm
 from bihomcheck.errors import (
-    DimensionMismatch,
     FieldMismatch,
     InvariantViolation,
     MissingEndomorphism,
@@ -13,7 +13,7 @@ from bihomcheck.errors import (
     MixedStructures,
     ShapeMismatch,
 )
-from bihomcheck.exactlin import GF, DenseMap, compose, compose_all, kron
+from bihomcheck.exactlin import GF, DenseMap, compose, compose_all, invert, kron
 from bihomcheck.fixtures import (
     classical_c3,
     cyclic_group_bundle,
@@ -380,7 +380,7 @@ C3, C3_F5 = twisted_c3(), cyclic_group_bundle(F5, 3, 2)
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: StructureBundle(C3.obj, mu=DenseMap.identity(F7, 3)),
-     DimensionMismatch, "mu is 3x3, expected 3x9"),
+     ShapeMismatch, "mu is 3x3, expected 3x9"),
     (lambda: StructureBundle(C3.obj, mu=C3_F5.mu), FieldMismatch, "mu over F_5, object over F_7"),
     (lambda: ModuleInst(C3_F5.obj, C3.mu, C3),
      FieldMismatch, "module carrier and structure over different fields"),
@@ -395,9 +395,23 @@ C3, C3_F5 = twisted_c3(), cyclic_group_bundle(F5, 3, 2)
     (lambda: antipode_solve(C3, "bogus"), ValueError, "unknown method 'bogus'"),
     (lambda: delta_n(C3, -1), ValueError, "negative arity"),
     (lambda: delta_n(C3, 3, "bogus"), ValueError, "unknown variant 'bogus'"),
+    (lambda: compose(DenseMap.identity(F7, 2), C3.mu), ShapeMismatch,
+     "compose: f is 2x2, g is 3x9"),
+    (lambda: C3.mu.power(2), ShapeMismatch, "powering a non-square map"),
+    (lambda: invert(C3.mu), ShapeMismatch, "inverting a 3x9 map"),
+    (lambda: DenseMap.from_rows(F7, [[1, 2], [3]]), ShapeMismatch,
+     "row 1 has length 1, expected 2"),
+    (lambda: flip_perm(2, 2, [2, 2, 2], F7), ShapeMismatch, "3 dims for a permutation of 4"),
+    (lambda: Permutation((1, 2, 0)).matrix([2, 2], F7), ShapeMismatch,
+     "2 dims for a permutation of 3"),
+    (lambda: Permutation((1, 2, 0)).blown_up([2, 2]), ShapeMismatch,
+     "2 block sizes for a permutation of 3"),
+    (lambda: check_exponent_identities(((1, 1), ()), 2, 1), ShapeMismatch,
+     "slot (2, 1) outside rows (2, 0)"),
 ], ids=["bundle-shape", "bundle-field", "module-field", "comodule-field", "object-shape",
         "object-field", "nprod-fields", "xi-ragged", "antipode-method", "delta-arity",
-        "delta-variant"])
+        "delta-variant", "compose-shape", "power-square", "invert-square", "rows-ragged",
+        "flip-dims", "matrix-dims", "blown-up-sizes", "slot-outside-k"])
 def test_refused_at_the_boundary(build, error, message):
     with pytest.raises(error) as info:
         build()
