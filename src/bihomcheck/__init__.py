@@ -6,7 +6,6 @@ from .exactlin import (
     QQ,
     DenseMap,
     FieldTag,
-    Scalar,
     SolveResult,
     compose,
     invert,

@@ -23,8 +23,9 @@ when they are canonical; every other entry goes through the per-entry parser,
 which words every parse error.
 No operation builds a dense array of more than ENTRY_BUDGET entries; it raises
 TooLarge, which the CLI reports with exit code 2.  Every exact linear system
-goes through one solver, _solve, which classifies C X = B for any number of
-right-hand columns; invert is _solve of [num(f) | I].  _solve first fixes
+goes through one solver, solve_linear, which classifies C X = B from the
+augmented map [C | B], for any number of right-hand columns, and returns X
+as a map; invert is solve_linear of [num(f) | I].  solve_linear first fixes
 each unknown that some row holds as its only open coefficient, by exact
 division, so a monomial system needs no elimination; the rest goes to one
 elimination.  Over F_p it reads the reduced row echelon form mod p.  Over Q
@@ -128,16 +129,12 @@ def GF(p: int) -> FieldTag:
     return FieldTag(PRIME_FIELD, p)
 
 
-RawScalar = Union[int, Fraction, str, "Scalar"]
+RawScalar = Union[int, Fraction, str]
 
 
 def _coerce(field: FieldTag, value: RawScalar):
     """Normalize a raw value into the field: a residue mod p, or over Q a
     Python int for an int or an integer string and a Fraction otherwise."""
-    if isinstance(value, Scalar):
-        if value.field != field:
-            raise FieldMismatch(f"scalar over {value.field}, expected {field}")
-        return value.value
     if isinstance(value, str):
         return _parse(field, value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer, Fraction)):
@@ -167,22 +164,6 @@ def _parse(field: FieldTag, text: str):
         return int(text, 10) % field.modulus
     except ValueError as exc:
         raise ParseError(f"bad residue {text!r}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field."""
-
-    field: FieldTag
-    value: Union[Fraction, int]
-
-    @staticmethod
-    def of(field: FieldTag, value: RawScalar) -> "Scalar":
-        v = _coerce(field, value)
-        return Scalar(field, Fraction(v) if field.kind == RATIONALS else v)
-
-    def __str__(self):
-        return str(self.value)  # a Fraction prints p/q in lowest terms, or plain p
 
 
 def _int64_entries(entries: Sequence[RawScalar]) -> Optional[tuple]:
@@ -257,9 +238,9 @@ class DenseMap:
     The entries are integer numerators `_num` over one positive denominator
     `_den`, kept canonical: residues mod p over F_p (`_den` is 1), lowest
     terms over Q (so `_den` is 1 for every integral map).  `_num` is int64
-    while every |numerator| < 2^62, so a sum of two cannot overflow, and
-    Python ints otherwise; compose and kron work in int64 whenever
-    max|A| * max|B| * inner < 2^63.  A permutation map (identities and 0/1
+    while every |numerator| < 2^62, and Python ints otherwise; compose and
+    kron work in int64 whenever max|A| * max|B| * inner < 2^63.  A
+    permutation map (identities and 0/1
     permutation matrices read by from_flat included) keeps only src_of_dst
     (row i has its one in column src_of_dst[i]); its dense numerators are
     built on first read.
@@ -313,10 +294,6 @@ class DenseMap:
             self._top = (min(self.dst_dim, 1) if self._src_of_dst is not None
                          else int(np.abs(self._num).max(initial=0)))
         return self._top
-
-    def _value(self, i: int, j: int) -> Union[Fraction, int]:
-        v = int(self._num[i, j])
-        return Fraction(v, self._den) if self.field.kind == RATIONALS else v
 
     # -- constructors ------------------------------------------------------
 
@@ -376,14 +353,12 @@ class DenseMap:
         m._identity = True
         return m
 
-    @staticmethod
-    def zero(field: FieldTag, dst_dim: int, src_dim: int) -> "DenseMap":
-        return _canonical(field, np.zeros((dst_dim, src_dim), dtype=np.int64))
-
     # -- views -------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self._value(i, j))
+    def entry(self, i: int, j: int) -> Union[Fraction, int]:
+        """The field value at (i, j): a Fraction over Q, a residue over F_p."""
+        v = int(self._num[i, j])
+        return Fraction(v, self._den) if self.field.kind == RATIONALS else v
 
     def rows(self):
         """Entries as nested lists of canonical raw values (row-major)."""
@@ -401,10 +376,6 @@ class DenseMap:
 
     def flat_strings(self):
         return [str(v) for _, values in self.value_blocks() for v in values]
-
-    @property
-    def entries(self):
-        return tuple(Scalar(self.field, v) for v in self._values().reshape(-1).tolist())
 
     def is_square(self) -> bool:
         return self.dst_dim == self.src_dim
@@ -451,26 +422,13 @@ class DenseMap:
         if not ne.any():
             return None
         i, j = divmod(int(ne.argmax()), self.src_dim)
-        return (i, j, str(self._value(i, j)), str(other._value(i, j)))
+        return (i, j, str(self.entry(i, j)), str(other.entry(i, j)))
 
     # -- algebra -----------------------------------------------------------
 
     def _check_field(self, other: "DenseMap"):
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def _entrywise(self, other: "DenseMap", op, verb: str) -> "DenseMap":
-        self._check_field(other)
-        if (self.dst_dim, self.src_dim) != (other.dst_dim, other.src_dim):
-            raise ShapeMismatch(f"{verb} maps of different shapes")
-        a, b, den = _common_denominator(self, other)
-        return _canonical(self.field, op(a, b), den)
-
-    def __add__(self, other: "DenseMap") -> "DenseMap":
-        return self._entrywise(other, np.add, "adding")
-
-    def __sub__(self, other: "DenseMap") -> "DenseMap":
-        return self._entrywise(other, np.subtract, "subtracting")
 
     def scale(self, value: RawScalar) -> "DenseMap":
         v = _coerce(self.field, value)
@@ -496,6 +454,15 @@ class DenseMap:
             self._inverse._inverse = self
         return self._inverse
 
+    def reshape(self, dst_dim: int, src_dim: int) -> "DenseMap":
+        """The dst_dim x src_dim map of the same entries in row-major order:
+        a read-only view, canonical as the map is, with its bound."""
+        if dst_dim * src_dim != self.dst_dim * self.src_dim:
+            raise ShapeMismatch(f"reshaping a {self.dst_dim}x{self.src_dim} map "
+                                f"to {dst_dim}x{src_dim}")
+        return DenseMap(self.field, dst_dim, src_dim, self._num.reshape(dst_dim, src_dim),
+                        den=self._den, top=self._top)
+
     def power(self, k: int) -> "DenseMap":
         """k-th composition power (k >= 0, square map), squaring from the top
         bit of k down: bit_length(k) - 1 squarings, popcount(k) - 1 products."""
@@ -514,8 +481,7 @@ class DenseMap:
 
 
 def _common_denominator(f: DenseMap, g: DenseMap):
-    """The numerators of f and g over one denominator, and that denominator.
-    Stored numerators are below 2^62, so int64 sums of two cannot overflow."""
+    """The numerators of f and g over one denominator, and that denominator."""
     if f._den == g._den:
         return f._num, g._num, f._den
     return f._num.astype(object) * g._den, g._num.astype(object) * f._den, f._den * g._den
@@ -705,17 +671,17 @@ def _rref_over_q(a: np.ndarray):
 
 def invert(f: DenseMap) -> Optional[DenseMap]:
     """Exact inverse, or None if singular: an index map by its inverse index
-    array, every other map by _solve of [num(f) | I]."""
+    array, every other map by solve_linear of [num(f) | I]."""
     if not f.is_square():
         raise ShapeMismatch(f"inverting a {f.dst_dim}x{f.src_dim} map")
     if f._src_of_dst is not None:
         return f.transpose()
     n = f.dst_dim
     augmented = np.hstack((f._num, np.identity(n, dtype=np.int64)))
-    status, num, d = _solve(DenseMap(f.field, n, 2 * n, augmented), n)
-    if status != UNIQUE:
+    result = solve_linear(DenseMap(f.field, n, 2 * n, augmented), n)
+    if result.status != UNIQUE:
         return None
-    inv = _canonical(f.field, num, d)  # num(f)^-1, and f^-1 = den(f) num(f)^-1
+    inv = result.solution  # num(f)^-1, and f^-1 = den(f) num(f)^-1
     return inv if f._den == 1 else inv.scale(f._den)
 
 
@@ -728,31 +694,20 @@ UNDERDETERMINED = "underdetermined"
 class SolveResult:
     """Outcome of an exact linear solve.
 
-    status is one of 'unique', 'none', 'underdetermined'; solution carries the
-    unique solution, or one particular witness in the underdetermined case.
+    status is one of 'unique', 'none', 'underdetermined'; solution is the
+    unique solution, or in the underdetermined case the witness with every
+    free unknown zero, as an unknowns x (right-hand columns) map; None when
+    some column has no solution.
     """
 
     status: str
-    solution: Optional[tuple] = None
-
-
-def solve_linear(system: Sequence[tuple], unknowns: int,
-                 field: FieldTag) -> SolveResult:
-    """Classify and solve a linear system given as (coefficient-row, rhs) pairs."""
-    for idx, (coeffs, _) in enumerate(system):
-        if len(coeffs) != unknowns:
-            raise ShapeMismatch(f"row {idx} has {len(coeffs)} coefficients, expected {unknowns}")
-    augmented = DenseMap.from_flat(field, len(system), unknowns + 1,
-                                   [v for coeffs, rhs in system for v in (*coeffs, rhs)])
-    status, solution, d = _solve(augmented, unknowns)
-    if status == NO_SOLUTION:
-        return SolveResult(NO_SOLUTION)
-    return SolveResult(status, _canonical(field, solution, d).entries)
+    solution: Optional[DenseMap] = None
 
 
 def _eliminate(a: np.ndarray, unknowns: int, p: Optional[int]):
-    """_solve of the whole augmented array a, from its reduced row echelon
-    form: by _reduce_mod over F_p, certified by _rref_over_q over Q."""
+    """The status, solution numerators and their denominator of the whole
+    augmented array a, from its reduced row echelon form: by _reduce_mod over
+    F_p, certified by _rref_over_q over Q."""
     if p is None:
         num, pivots, d = _rref_over_q(a)
     else:
@@ -773,11 +728,11 @@ def _substitute(b: np.ndarray, scale: int, c: np.ndarray, x: np.ndarray, p: Opti
     return out if p is None else out % p
 
 
-def _solve(augmented: DenseMap, unknowns: int):
-    """Classify and solve C X = B from the augmented map [C | B], for every
-    column of B at once.  Returns the status, then the numerators of a
-    solution X as a fresh array (every free unknown zero in each column) and
-    their denominator; both are None when some column has no solution.
+def solve_linear(augmented: DenseMap, unknowns: int) -> SolveResult:
+    """Classify and solve C X = B from the augmented map [C | B], whose first
+    `unknowns` columns are C, for every column of B at once: the status, and
+    the solution X (every free unknown zero in each column), or None when
+    some column has no solution.
 
     A presolve fixes, round after round, each unknown j that some row r (the
     first) holds as its only open coefficient: x_j = b_r / c_rj exactly, mod
@@ -791,7 +746,11 @@ def _solve(augmented: DenseMap, unknowns: int):
     open rows and columns gives the whole system's status and witness (of
     all of it when no row has a single coefficient).  Neither status nor
     solution depends on the order of the rows."""
-    p, a = augmented.field.modulus, augmented._num
+    if not 0 <= unknowns <= augmented.src_dim:
+        raise ShapeMismatch(f"{unknowns} unknowns in a {augmented.dst_dim}x"
+                            f"{augmented.src_dim} augmented map")
+    field, a = augmented.field, augmented._num
+    p = field.modulus
     c, b = a[:, :unknowns], a[:, unknowns:]
     count = np.count_nonzero(c, axis=1)  # the open coefficients of each row
     fixed = np.zeros(unknowns, dtype=bool)
@@ -808,14 +767,15 @@ def _solve(augmented: DenseMap, unknowns: int):
         count -= np.count_nonzero(c[:, cols], axis=1)
         fixed[cols] = True
     if not fixed.any():
-        return _eliminate(a, unknowns, p)
-    if b[count == 0].any():
-        return NO_SOLUTION, None, None
-    if fixed.all():
-        return UNIQUE, x, den
-    status, y, d = _eliminate(np.hstack((c[count > 0][:, ~fixed], b[count > 0])), (~fixed).sum(), p)
-    if status == NO_SOLUTION:
-        return status, None, None
-    x = x * d
-    x[~fixed] = y
-    return status, x, den * d
+        status, x, den = _eliminate(a, unknowns, p)
+    elif b[count == 0].any():
+        status = NO_SOLUTION
+    elif fixed.all():
+        status = UNIQUE
+    else:
+        status, y, d = _eliminate(np.hstack((c[count > 0][:, ~fixed], b[count > 0])),
+                                  (~fixed).sum(), p)
+        if status != NO_SOLUTION:
+            x, den = x * d, den * d
+            x[~fixed] = y
+    return SolveResult(status, None if status == NO_SOLUTION else _canonical(field, x, den))

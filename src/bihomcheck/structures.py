@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .coherence import (
     BIG_PHI,
     BIG_PSI,
@@ -252,13 +250,15 @@ def _interchange_rhs(b: StructureBundle, action: DenseMap, coaction: DenseMap) -
     A, M, C, D = (num.reshape(shape) for num, shape in zip(
         _operands(maps, X * a ** 3), ((X, X, a), (a, a, a), (X, a, X), (a, a, a))))
 
-    def contract(u, v, axes):
-        out = np.tensordot(u, v, axes)
+    def contract(u, v):
+        out = u @ v
         return out if field.modulus is None else out % field.modulus
 
-    AC = contract(A, C, ([1], [0]))  # [i, q, r, x]
-    MD = contract(M, D, ([2], [1]))  # [j, r, q, y]
-    num = np.tensordot(AC, MD, ([1, 2], [2, 1])).transpose(0, 2, 1, 3).reshape(X * a, X * a)
+    AC = contract(A.transpose(0, 2, 1).reshape(X * a, X), C.reshape(X, a * X))  # [(i, q), (r, x)]
+    MD = contract(M.reshape(a * a, a), D.transpose(1, 0, 2).reshape(a, a * a))  # [(j, r), (q, y)]
+    num = (AC.reshape(X, a, a, X).transpose(0, 3, 1, 2).reshape(X * X, a * a)  # [(i, x), (q, r)]
+           @ MD.reshape(a, a, a, a).transpose(2, 1, 0, 3).reshape(a * a, a * a))
+    num = num.reshape(X, X, a, a).transpose(0, 2, 1, 3).reshape(X * a, X * a)
     return _canonical(field, num, math.prod(m._den for m in maps))
 
 

@@ -8,8 +8,9 @@ are invertible the construction is reversible, and the antipode of the
 underlying classical bimonoid solves the deformed antipode equation
 mu . (beta nu (x) alpha kappa) . (1 (x) chi) . delta = eta . epsilon (and its
 mirror, with chi (x) 1).  Both the direct linear solve of that equation and the
-route through untwisting are provided, together with the canonical Galois-style
-morphism whose invertibility detects Hopf-ness in the invertible case.
+route through untwisting are provided, each one call of exactlin.solve_linear,
+the kernel's single solver; so is the canonical Galois-style morphism whose
+invertibility detects Hopf-ness in the invertible case.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .errors import (
     MissingMap,
     NotInvertible,
 )
-from .exactlin import DenseMap, _canonical, _operands, _solve, compose, invert, kron, kron_compose
-from .exactlin import NO_SOLUTION, UNIQUE
+from .exactlin import DenseMap, _canonical, _operands, compose, invert, kron, kron_compose
+from .exactlin import NO_SOLUTION, UNIQUE, solve_linear
 from .structures import COMONOID_SIDE, MAP_SHAPES, MONOID_SIDE, ModuleInst, StructureBundle
 from .structures import check_bimonoid, morphism_sides
 
@@ -147,12 +148,13 @@ def _antipode_system(pre: DenseMap, delta: DenseMap, rhs: DenseMap) -> DenseMap:
 
     With pre and delta read as d x d x d arrays P and D, the coefficient of
     chi[j, k] in entry (r, c) is sum_a P[r, a, j] D[a, k, c] in the first
-    equation and sum_a P[r, j, a] D[k, a, c] in the second: one tensordot
-    each over the numerators."""
+    equation and sum_a P[r, j, a] D[k, a, c] in the second: one matrix
+    product each over the numerators."""
     field, d = delta.field, delta.src_dim
     P, D = (a.reshape(d, d, d) for a in _operands((pre, delta), d))
-    coeffs = np.vstack([np.tensordot(P, D, axes).transpose(0, 3, 1, 2).reshape(d * d, d * d)
-                        for axes in (([1], [0]), ([2], [1]))])
+    coeffs = np.vstack([(u.reshape(d * d, d) @ v.reshape(d, d * d))  # [(r, j), (k, c)]
+                        .reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+                        for u, v in ((P.transpose(0, 2, 1), D), (P, D.transpose(1, 0, 2)))])
     b = np.tile(rhs._num.reshape(-1, 1), (2, 1))
     block_den = pre._den * delta._den
     den = math.lcm(block_den, rhs._den)
@@ -192,14 +194,13 @@ def antipode_solve(b: StructureBundle, method: str = DIRECT) -> AntipodeResult:
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    status, solution, den = _solve(_antipode_system(pre, delta, rhs), obj.dim ** 2)
-    if status == NO_SOLUTION:
+    result = solve_linear(_antipode_system(pre, delta, rhs), obj.dim ** 2)
+    if result.status == NO_SOLUTION:
         return AntipodeResult(None, NO_ANTIPODE)
-    chi = _canonical(obj.field, solution.reshape(obj.dim, obj.dim), den)
+    chi = result.solution.reshape(obj.dim, obj.dim)
     if not _verify_antipode(pre, delta, rhs, chi):
         raise InvariantViolation("solved antipode failed re-verification")
-    status = FOUND if status == UNIQUE else NON_UNIQUE
-    return AntipodeResult(chi, status)
+    return AntipodeResult(chi, FOUND if result.status == UNIQUE else NON_UNIQUE)
 
 
 def canonical_morphism(x: ModuleInst, y: BiHomObject):

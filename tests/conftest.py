@@ -64,6 +64,20 @@ def chain(side, *maps):
     return functools.reduce(side.chain, maps)
 
 
+def zero_map(field, dst, src):
+    return DenseMap.from_flat(field, dst, src, [0] * (dst * src))
+
+
+def combination(*terms):
+    """The sum of c * m over the (c, m) pairs of terms, entry by entry, read
+    back by from_flat."""
+    m = terms[0][1]
+    flat = [0] * (m.dst_dim * m.src_dim)
+    for c, term in terms:
+        flat = [x + c * v for x, v in zip(flat, sum(term.rows(), []))]
+    return DenseMap.from_flat(m.field, m.dst_dim, m.src_dim, flat)
+
+
 def as_rational_map(rows):
     return DenseMap.from_rows(QQ, [[Fraction(v) for v in row] for row in rows])
 

@@ -173,7 +173,7 @@ def test_criterion_6_delta_equivalence_and_sweep():
     rng = random.Random(1006)
     b = twisted_c3()
     r, c = rng.randrange(9), rng.randrange(3)
-    bumped = (int(b.delta.entry(r, c).value) + 1) % 7
+    bumped = (int(b.delta.entry(r, c)) + 1) % 7
     bad = b.replace(delta=b.delta.with_entry(r, c, bumped))
     assert any(not check_generalized_coassoc(bad, k).passed
                for k in coassoc_sequences(3))

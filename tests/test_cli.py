@@ -638,7 +638,7 @@ class TestTwistCommand:
         from bihomcheck.fixtures import classical_c3
         from bihomcheck.structures import StructureBundle
         c = classical_c3()
-        zero = DenseMap.zero(F7, 3, 3)
+        zero = DenseMap.from_flat(F7, 3, 3, [0] * 9)
         ident = DenseMap.identity(F7, 3)
         obj = BiHomObject(3, F7, ident, ident, zero, ident)
         data = InstanceData(F7, {"o": obj},
@@ -700,7 +700,7 @@ class TestDeltaCommand:
     def test_perturbed_delta_sweep_exits_one(self, tmp_path, capsys):
         data = example_instance()
         t = data.structures["twisted"]
-        bumped = (int(t.delta.entry(0, 0).value) + 1) % 7
+        bumped = (int(t.delta.entry(0, 0)) + 1) % 7
         data.structures["twisted"] = t.replace(
             delta=t.delta.with_entry(0, 0, bumped))
         path = tmp_path / "bad.json"

@@ -123,7 +123,7 @@ for _modulus in ("7", "2"):
 
 def _bumped(bundle, key, i, j):
     m = getattr(bundle, key)
-    return bundle.replace(**{key: m.with_entry(i, j, m.entry(i, j).value + 1)})
+    return bundle.replace(**{key: m.with_entry(i, j, m.entry(i, j) + 1)})
 
 
 def _cyclic_instance(field, order, power) -> InstanceData:

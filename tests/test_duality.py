@@ -70,7 +70,7 @@ def distinct_endos(field):
 
 
 def bump(m, i, j):
-    return m.with_entry(i, j, m.entry(i, j).value + 1)
+    return m.with_entry(i, j, m.entry(i, j) + 1)
 
 
 def bundles():

@@ -23,7 +23,7 @@ from bihomcheck.exactlin import (
     UNIQUE,
     DenseMap,
     FieldTag,
-    Scalar,
+    SolveResult,
     compose,
     compose_all,
     invert,
@@ -57,6 +57,7 @@ from conftest import (
     operand_dtypes,
     rational_matrix,
     small_fracs,
+    zero_map,
 )
 
 F7 = GF(7)
@@ -133,23 +134,23 @@ class TestFieldTag:
             compose(m, DenseMap.from_rows(GF(11), [[1, 1], [0, 1]]))
 
 
-class TestScalar:
+class TestEntryValues:
     def test_lowest_terms(self):
-        s = Scalar.of(QQ, "2/4")
-        assert s.value == Fraction(1, 2)
-        assert str(s) == "1/2"
+        value = DenseMap.from_flat(QQ, 1, 1, ["2/4"]).entry(0, 0)
+        assert value == Fraction(1, 2) and type(value) is Fraction
+        assert str(value) == "1/2"
 
     def test_canonical_residue(self):
-        assert Scalar.of(F7, 15).value == 1
-        assert Scalar.of(F7, -1).value == 6
+        m = DenseMap.from_flat(F7, 1, 2, [15, -1])
+        assert (m.entry(0, 0), m.entry(0, 1)) == (1, 6)
 
     def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
-            Scalar.of(F7, Scalar.of(QQ, 1))
+        with pytest.raises(FieldMismatch, match="non-integral value 1/2 in F_7"):
+            DenseMap.from_flat(F7, 1, 1, [Fraction(1, 2)])
 
     def test_malformed_fraction(self):
         with pytest.raises(ParseError):
-            Scalar.of(QQ, "3/0")
+            DenseMap.from_flat(QQ, 1, 1, ["3/0"])
 
     def test_floats_rejected(self):
         for value in (1.5, 2.9, 2.0, np.float64(0.5)):
@@ -158,7 +159,7 @@ class TestScalar:
             with pytest.raises(ParseError):
                 DenseMap.from_flat(F7, 1, 1, [value])
             with pytest.raises(ParseError):
-                Scalar.of(QQ, value)
+                zero_map(QQ, 1, 1).with_entry(0, 0, value)
 
     def test_integers_accepted(self):
         assert DenseMap.from_rows(QQ, [[3, np.int64(-2)]]).rows() == [[3, -2]]
@@ -171,8 +172,8 @@ class TestScalar:
                          ids=lambda v: "object()" if type(v) is object else repr(v))
 def test_non_scalars_rejected(field, value):
     for build in (lambda: DenseMap.from_flat(field, 1, 1, [value]),
-                  lambda: Scalar.of(field, value),
-                  lambda: DenseMap.zero(field, 1, 1).with_entry(0, 0, value)):
+                  lambda: zero_map(field, 1, 1).scale(value),
+                  lambda: zero_map(field, 1, 1).with_entry(0, 0, value)):
         with pytest.raises(ParseError, match="is not an exact scalar"):
             build()
 
@@ -182,10 +183,13 @@ def test_non_scalars_rejected(field, value):
     (3, 3), (np.int64(3), 3), (np.uint8(3), 3), ("3", 3), (Fraction(6, 2), 3),
     ("-4", -4), (-4, -4)])
 def test_scalar_types_still_accepted(field, value, expected):
-    expected = Scalar.of(field, Fraction(expected))
-    assert DenseMap.from_flat(field, 1, 1, [value]).entry(0, 0) == expected
-    assert Scalar.of(field, value) == expected
-    assert Scalar.of(field, Scalar.of(field, value)) == expected
+    # entry gives the field value: a Fraction over Q, a residue over F_p
+    expected = Fraction(expected) if field == QQ else expected % field.modulus
+    for m in (DenseMap.from_flat(field, 1, 1, [value]),
+              zero_map(field, 1, 1).with_entry(0, 0, value),
+              DenseMap.identity(field, 1).scale(value)):
+        got = m.entry(0, 0)
+        assert (type(got), got) == (type(expected), expected)
 
 
 class TestCompose:
@@ -355,7 +359,7 @@ class TestKronCompose:
             kron_compose([DenseMap.identity(QQ, 2)], DenseMap.identity(F7, 2))
 
     def test_past_budget_raises_before_allocating(self):
-        tall, wide = DenseMap.zero(F7, 2 ** 14, 1), DenseMap.zero(F7, 1, 2 ** 14)
+        tall, wide = zero_map(F7, 2 ** 14, 1), zero_map(F7, 1, 2 ** 14)
         with pytest.raises(TooLarge):
             compose(kron_all(F7, [tall]), wide)
         tracemalloc.start()
@@ -412,48 +416,77 @@ class TestInvert:
 
     def test_not_square(self):
         with pytest.raises(ShapeMismatch):
-            invert(DenseMap.zero(QQ, 2, 3))
+            invert(zero_map(QQ, 2, 3))
 
 
+@pytest.mark.parametrize("field", (F7, GF(2 ** 61 - 1), QQ), ids=str)
 class TestSolveLinear:
-    def test_unique(self):
-        res = solve_linear([([1], 3)], 1, QQ)
+    """solve_linear on [C | B] as a map: its status and witness equal the
+    Fraction reference over every field, and the Bareiss one over Q."""
+
+    @staticmethod
+    def solved(field, unknowns, system):
+        got = solve_linear(system_map(field, unknowns, system), unknowns)
+        assert got == reference_solve(system, unknowns, field)
+        if field == QQ:
+            assert got == solved_map(bareiss_solve(system_map(QQ, unknowns, system), unknowns))
+        return got
+
+    def test_unique(self, field):
+        res = self.solved(field, 1, [([1], 3)])
         assert res.status == UNIQUE
-        assert res.solution[0].value == 3
+        assert res.solution == DenseMap.from_flat(field, 1, 1, [3])
+        assert res.solution.entry(0, 0) == 3
 
-    def test_underdetermined_witness(self):
-        res = solve_linear([([1, 1], 1)], 2, QQ)
+    def test_underdetermined_witness(self, field):
+        # every free unknown is zero: x = 1, y = 0
+        res = self.solved(field, 2, [([1, 1], 1)])
         assert res.status == UNDERDETERMINED
-        x, y = (s.value for s in res.solution)
-        assert x + y == 1
+        assert res.solution.rows() == [[1], [0]]
 
-    def test_inconsistent(self):
-        res = solve_linear([([1], 0), ([1], 1)], 1, QQ)
-        assert res.status == NO_SOLUTION
+    def test_inconsistent(self, field):
+        res = self.solved(field, 1, [([1], 0), ([1], 1)])
+        assert res == SolveResult(NO_SOLUTION)
         assert res.solution is None
 
-    def test_row_length_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            solve_linear([([1, 2], 0)], 3, QQ)
+    def test_unknowns_outside_the_map(self, field):
+        augmented = DenseMap.from_rows(field, [[1, 2, 0]])
+        for unknowns in (-1, 4):
+            with pytest.raises(ShapeMismatch, match=f"{unknowns} unknowns in a 1x3 augmented map"):
+                solve_linear(augmented, unknowns)
 
-    def test_mod_p_system(self):
-        # 3x = 1 over F_7 has the unique solution x = 5
-        res = solve_linear([([3], 1)], 1, F7)
+    def test_division(self, field):
+        # 3x = 1: x = 1/3 over Q, and 5 over F_7
+        res = self.solved(field, 1, [([3], 1)])
         assert res.status == UNIQUE
-        assert res.solution[0].value == 5
+        assert res.solution.entry(0, 0) == (
+            Fraction(1, 3) if field == QQ else pow(3, -1, field.modulus))
 
-    def test_random_consistency(self):
+    def test_random_consistency(self, field):
         rng = random.Random(9)
         for _ in range(20):
-            m = rand_map(rng, F7, 3, 3)
-            x = [rng.randrange(7) for _ in range(3)]
-            rhs = naive_matmul(m.rows(), [[v] for v in x])
-            system = [(m.rows()[i], rhs[i][0]) for i in range(3)]
-            res = solve_linear(system, 3, F7)
+            m = rand_map(rng, field, 3, 3)
+            rhs = compose(m, rand_map(rng, field, 3, 1))
+            res = solve_linear(DenseMap.from_rows(field, [a + b for a, b in
+                                                          zip(m.rows(), rhs.rows())]), 3)
             assert res.status in (UNIQUE, UNDERDETERMINED)
-            got = [s.value for s in res.solution]
-            again = naive_matmul(m.rows(), [[v] for v in got])
-            assert [r[0] % 7 for r in again] == [r[0] % 7 for r in rhs]
+            assert compose(m, res.solution) == rhs
+
+    def test_several_right_hand_columns(self, field):
+        # one solve for every column of B, each the solve of its own column
+        rng = random.Random(12)
+        c = rand_map(rng, field, 3, 2)
+        b = rand_map(rng, field, 3, 3)
+        res = solve_linear(DenseMap.from_rows(field, [x + y for x, y in zip(c.rows(), b.rows())]),
+                           2)
+        columns = [solve_linear(DenseMap.from_rows(field, [x + [y[k]] for x, y in
+                                                           zip(c.rows(), b.rows())]), 2)
+                   for k in range(3)]
+        if res.status == NO_SOLUTION:
+            assert NO_SOLUTION in {r.status for r in columns}
+        else:
+            assert res.solution.rows() == [[r.solution.entry(i, 0) for r in columns]
+                                           for i in range(2)]
 
 
 class TestLargeModulus:
@@ -503,7 +536,7 @@ class TestLargeModulus:
     def test_residues_canonical(self):
         field = GF(2 ** 31 - 1)
         m = DenseMap.from_rows(field, [[-1]])
-        assert m.entry(0, 0).value == 2 ** 31 - 2
+        assert m.entry(0, 0) == 2 ** 31 - 2
 
 
 class TestPowers:
@@ -516,7 +549,7 @@ class TestPowers:
             by_hand = compose(by_hand, m)
 
     def test_zero_power_is_identity(self):
-        assert DenseMap.zero(QQ, 2, 2).power(0) == DenseMap.identity(QQ, 2)
+        assert zero_map(QQ, 2, 2).power(0) == DenseMap.identity(QQ, 2)
 
     @pytest.mark.parametrize("field", (F7, GF(2 ** 61 - 1), QQ), ids=str)
     @pytest.mark.parametrize("kind", ("permutation", "diagonal", "dense"))
@@ -541,7 +574,7 @@ class TestPowers:
 
     def test_errors(self):
         with pytest.raises(ShapeMismatch, match="powering a non-square map"):
-            DenseMap.zero(F7, 2, 3).power(2)
+            zero_map(F7, 2, 3).power(2)
         with pytest.raises(ValueError, match="negative power"):
             DenseMap.identity(F7, 2).power(-1)
 
@@ -625,18 +658,24 @@ def test_kernel_against_fraction_reference(case):
     assert a.rows() == ra
     ab, rab = compose(a, b), ref(naive_matmul(ra, rb))
     assert ab.rows() == rab
-    assert (ab + ab).rows() == [[canon(2 * x) for x in row] for row in rab]
+    assert ab.scale(2).rows() == [[canon(2 * x) for x in row] for row in rab]
     assert kron(a, b).rows() == ref(naive_kron(
         ra, rb, (a.dst_dim, a.src_dim), (b.dst_dim, b.src_dim)))
-    assert (a + c).rows() == [[canon(x + y) for x, y in zip(r, s)] for r, s in zip(ra, rc)]
-    assert (a - c).rows() == [[canon(x - y) for x, y in zip(r, s)] for r, s in zip(ra, rc)]
+    # a + c and a - c as [a | c] applied to the stacked [I; +-I]
+    side_by_side = DenseMap.from_rows(field, [x + y for x, y in zip(a_rows, c_rows)])
+    for sign in (1, -1):
+        stacked = DenseMap.from_rows(field, [[int(k == m) * (sign if half else 1)
+                                              for m in range(len(b_rows))]
+                                             for half in (0, 1) for k in range(len(b_rows))])
+        assert compose(side_by_side, stacked).rows() == \
+            [[canon(x + sign * y) for x, y in zip(r, s)] for r, s in zip(ra, rc)]
     assert a.transpose().rows() == [list(col) for col in zip(*ra)]
     edited = [list(row) for row in ra]
     edited[i][j] = canon(v)
     assert a.with_entry(i, j, v).rows() == edited
     assert a.scale(v).rows() == [[canon(x * canon(v)) for x in row] for row in ra]
 
-    rebuilt = (a + c) - c
+    rebuilt = DenseMap.from_flat(field, a.dst_dim, a.src_dim, a.flat_strings())
     assert rebuilt == a and hash(rebuilt) == hash(a)
     assert (a == c) == (ra == rc)
     expected = next(((r, k, str(x), str(y))
@@ -644,21 +683,22 @@ def test_kernel_against_fraction_reference(case):
                      for k, (x, y) in enumerate(zip(row_a, row_c)) if x != y), None)
     assert a.first_difference(c) == expected
     if field == QQ:
-        for m in (a, compose(a, b), DenseMap.identity(QQ, 2), DenseMap.zero(QQ, 1, 2)):
+        for m in (a, compose(a, b), DenseMap.identity(QQ, 2), zero_map(QQ, 1, 2)):
             assert all(type(x) is Fraction for row in m.rows() for x in row)
 
 
 def test_int64_results_past_2_62_are_widened():
     # (2^31 + 1)^2 lies in [2^62, 2^63): the product runs in int64, and the
-    # result must be stored as Python ints so that a sum of two is exact
+    # result must be stored as Python ints, and products with it stay exact
     a = DenseMap.from_rows(QQ, [[2 ** 31 + 1]])
     for m in (compose(a, a), kron(a, a)):
-        assert (m + m).rows() == [[2 * (2 ** 31 + 1) ** 2]]
+        assert m._num.dtype == object and m._bound() == (2 ** 31 + 1) ** 2
+        assert compose(m, DenseMap.from_rows(QQ, [[2]])).rows() == [[2 * (2 ** 31 + 1) ** 2]]
 
 
 class TestEntryBudget:
     def test_past_budget_raises_before_allocating(self):
-        wide = DenseMap.zero(F7, 1, 2 ** 14)
+        wide = zero_map(F7, 1, 2 ** 14)
         tall = wide.transpose()
         builds = (lambda: kron(wide, wide),                       # dense kron
                   lambda: compose(tall, wide),                    # np.dot branch
@@ -739,6 +779,12 @@ def reference_invert(f):
     return DenseMap.from_rows(f.field, [row[n:] for row in rows])
 
 
+def system_map(field, unknowns, system):
+    """[C | b] of a system given as (coefficient row, right-hand side) pairs."""
+    return DenseMap.from_flat(field, len(system), unknowns + 1,
+                              [v for coeffs, rhs in system for v in (*coeffs, rhs)])
+
+
 def reference_solve(system, unknowns, field):
     rows = []
     for coeffs, rhs in system:
@@ -747,12 +793,12 @@ def reference_solve(system, unknowns, field):
     pivots = reference_row_reduce(field, rows, unknowns)
     for i in range(len(pivots), len(rows)):
         if rows[i][unknowns] != 0:
-            return exactlin.SolveResult(NO_SOLUTION)
+            return SolveResult(NO_SOLUTION)
     solution = [exactlin._coerce(field, 0)] * unknowns
     for row_idx, col in enumerate(pivots):
         solution[col] = rows[row_idx][unknowns]
     status = UNIQUE if len(pivots) == unknowns else UNDERDETERMINED
-    return exactlin.SolveResult(status, tuple(Scalar.of(field, v) for v in solution))
+    return SolveResult(status, DenseMap.from_flat(field, unknowns, 1, solution))
 
 
 # F_(2^31 - 1) is the largest modulus eliminated on int64 residues, and
@@ -844,17 +890,11 @@ def linear_system(draw, square=False, sparse=False, singletons=False,
     return field, unknowns, [(r[:unknowns], r[unknowns]) for r in rows]
 
 
-def _typed(result):
-    return result.status, result.solution and [
-        (type(s.value), s.value) for s in result.solution]
-
-
 @settings(deadline=None, max_examples=300)
 @given(linear_system())
 def test_solve_linear_against_fraction_reference(case):
     field, unknowns, system = case
-    assert _typed(solve_linear(system, unknowns, field)) == \
-        _typed(reference_solve(system, unknowns, field))
+    assert solve_linear(*_as_augmented(case)) == reference_solve(system, unknowns, field)
 
 
 @settings(deadline=None, max_examples=300)
@@ -869,8 +909,7 @@ def test_invert_against_fraction_reference(case):
 @given(linear_system(sparse=True))
 def test_sparse_solve_against_fraction_reference(case):
     field, unknowns, system = case
-    assert _typed(solve_linear(system, unknowns, field)) == \
-        _typed(reference_solve(system, unknowns, field))
+    assert solve_linear(*_as_augmented(case)) == reference_solve(system, unknowns, field)
 
 
 @settings(deadline=None, max_examples=150)
@@ -885,8 +924,7 @@ def test_sparse_invert_against_fraction_reference(case):
 @given(linear_system(singletons=True))
 def test_singleton_solve_against_fraction_reference(case):
     field, unknowns, system = case
-    assert _typed(solve_linear(system, unknowns, field)) == \
-        _typed(reference_solve(system, unknowns, field))
+    assert solve_linear(*_as_augmented(case)) == reference_solve(system, unknowns, field)
 
 
 @settings(deadline=None, max_examples=150)
@@ -930,7 +968,7 @@ def permuted_augmented_system(draw, fields=(F7, GF(2 ** 61 - 1), QQ)):
     b = compose(c, matrix(unknowns, columns)) if draw(st.booleans()) else matrix(n_rows, columns)
     if n_rows and draw(st.booleans()):
         i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, columns - 1))
-        b = b.with_entry(i, j, b.entry(i, j).value + 1)
+        b = b.with_entry(i, j, b.entry(i, j) + 1)
     rows = [cr + br for cr, br in zip(c.rows(), b.rows())]
     order = draw(st.permutations(range(n_rows)))
     width = unknowns + columns
@@ -941,15 +979,10 @@ def permuted_augmented_system(draw, fields=(F7, GF(2 ** 61 - 1), QQ)):
 @settings(deadline=None, max_examples=300)
 @given(permuted_augmented_system())
 def test_solve_ignores_row_order(case):
-    # _solve reads the reduced row echelon form, which the row order leaves
-    # alone: the same status, and the same solution in lowest terms
+    # solve_linear reads the reduced row echelon form, which the row order
+    # leaves alone: the same status, and the same solution in lowest terms
     augmented, permuted, unknowns = case
-
-    def solved(m):
-        status, num, d = exactlin._solve(m, unknowns)
-        return status, num if num is None else exactlin._canonical(m.field, num, d)
-
-    assert solved(permuted) == solved(augmented)
+    assert solve_linear(permuted, unknowns) == solve_linear(augmented, unknowns)
 
 
 # The fraction-free elimination over Q as it was written in exactlin, kept
@@ -977,7 +1010,7 @@ def _row_reduce(num: np.ndarray, ncols: int):
 
 
 def bareiss_solve(augmented: DenseMap, unknowns: int):
-    """_solve's (status, numerators, denominator) over Q, by _row_reduce."""
+    """The (status, numerators, denominator) of solve_linear over Q, by _row_reduce."""
     num = augmented._num.astype(object)  # the rows scaled by the common denominator
     pivots, d = _row_reduce(num, unknowns)
     if num[len(pivots):, unknowns:].any():
@@ -992,17 +1025,18 @@ def fraction_solve(augmented: DenseMap, unknowns: int):
     rows, columns = augmented.rows(), augmented.src_dim - unknowns
     pivots = reference_row_reduce(QQ, rows, unknowns)
     if any(v for row in rows[len(pivots):] for v in row[unknowns:]):
-        return NO_SOLUTION, None
+        return SolveResult(NO_SOLUTION)
     solution = [[0] * columns for _ in range(unknowns)]
     for i, col in enumerate(pivots):
         solution[col] = rows[i][unknowns:]
-    return ((UNIQUE if len(pivots) == unknowns else UNDERDETERMINED),
-            DenseMap.from_rows(QQ, solution, columns))
+    return SolveResult(UNIQUE if len(pivots) == unknowns else UNDERDETERMINED,
+                       DenseMap.from_rows(QQ, solution, columns))
 
 
 def solved_map(result):
+    """A (status, numerators, denominator) triple over Q as a SolveResult."""
     status, num, d = result
-    return status, num if num is None else exactlin._canonical(QQ, num, d)
+    return SolveResult(status, None if num is None else exactlin._canonical(QQ, num, d))
 
 
 P = exactlin._MODULAR_PRIME
@@ -1047,9 +1081,8 @@ def multi_prime_system(draw):
 
 
 def _as_augmented(case):
-    _, unknowns, system = case
-    return DenseMap.from_flat(QQ, len(system), unknowns + 1,
-                              [v for coeffs, rhs in system for v in (*coeffs, rhs)]), unknowns
+    field, unknowns, system = case
+    return system_map(field, unknowns, system), unknowns
 
 
 @settings(deadline=None, max_examples=300)
@@ -1058,7 +1091,7 @@ def _as_augmented(case):
                  multi_prime_system()))
 def test_solve_over_q_against_bareiss_and_fraction_references(case):
     augmented, unknowns = case
-    got = solved_map(exactlin._solve(augmented, unknowns))
+    got = solve_linear(augmented, unknowns)
     assert got == solved_map(bareiss_solve(augmented, unknowns))
     assert got == fraction_solve(augmented, unknowns)
 
@@ -1088,12 +1121,12 @@ PRIMES = [P] + [q for q in range(P - 2, P - 100, -2) if trial_division_is_prime(
 
 
 def eliminated(augmented: DenseMap, unknowns: int):
-    """_solve's answer by the elimination route alone, with no presolve."""
+    """The answer of solve_linear by the elimination route alone, with no presolve."""
     return exactlin._eliminate(augmented._num, unknowns, augmented.field.modulus)
 
 
 def inverse_system(f: DenseMap) -> DenseMap:
-    """[num(f) | I], the augmented map invert hands to _solve."""
+    """[num(f) | I], the augmented map invert hands to solve_linear."""
     n = f.dst_dim
     return DenseMap(f.field, n, 2 * n, np.hstack((f._num, np.identity(n, dtype=np.int64))))
 
@@ -1103,7 +1136,7 @@ class TestModularElimination:
     on to the primes below it, and the results equal the references.
     Reconstruction runs at 1, 2, 4, ... primes since the last better pivot
     list.  Most of these systems have a row with one nonzero coefficient,
-    which the presolve of _solve solves with no elimination, so the route
+    which the presolve of solve_linear solves with no elimination, so the route
     is run directly.  The test names are those of the Bareiss fallback these
     inputs once reached."""
 
@@ -1127,9 +1160,8 @@ class TestModularElimination:
         assert elimination_calls["reconstructed"] == reconstructed
         assert solved_map(got) == \
             solved_map(bareiss_solve(augmented, unknowns)) == \
-            solved_map(exactlin._solve(augmented, unknowns))
-        assert _typed(solve_linear(system, unknowns, QQ)) == \
-            _typed(reference_solve(system, unknowns, QQ))
+            solve_linear(augmented, unknowns) == \
+            reference_solve(system, unknowns, QQ)
 
     @pytest.mark.parametrize("rows, primes, reconstructed", [
         ([[P, 0], [0, 1]], 5, [True, True, False, True]),
@@ -1160,7 +1192,7 @@ class TestModularElimination:
             got = eliminated(inverse_system(f), n)
             assert solved_map(got) == solved_map(bareiss_solve(inverse_system(f), n))
         assert elimination_calls["primes"] == [P] * 3
-        assert _typed(solve_linear(system, 2, QQ)) == _typed(reference_solve(system, 2, QQ))
+        assert solve_linear(augmented, 2) == reference_solve(system, 2, QQ)
         for f in maps:
             assert invert(f) == reference_invert(f)
 
@@ -1170,17 +1202,17 @@ class TestModularElimination:
         # over F_p one _reduce_mod per solve, modulo p itself, and no
         # reconstruction; no row has a single nonzero coefficient mod any p
         system = [([1, 1], 3), ([1, -1], 1), ([1, 3], 5)]
-        got = solve_linear(system, 2, field)
+        got = solve_linear(system_map(field, 2, system), 2)
         f = DenseMap.from_rows(field, [[3, 1], [1, 1]])  # singular mod 2
         inv = invert(f)
         assert elimination_calls == {"primes": [field.modulus] * 2, "reconstructed": []}
-        assert _typed(got) == _typed(reference_solve(system, 2, field))
+        assert got == reference_solve(system, 2, field)
         assert inv == reference_invert(f)
 
 
 class TestPresolve:
     """Systems with one nonzero coefficient per row, once the unknowns fixed
-    in earlier rounds are substituted, are solved by the presolve of _solve
+    in earlier rounds are substituted, are solved by the presolve of solve_linear
     with no elimination: no _reduce_mod, which _rref_over_q starts with."""
 
     @pytest.mark.parametrize("field", [QQ, F7], ids=str)
@@ -1218,12 +1250,42 @@ class TestPresolve:
         # twisted Q[C_12] with e = 2: no row has a single coefficient, and the
         # witness is that of the elimination route on the whole system
         systems = []
-        monkeypatch.setattr(twist, "_solve", lambda m, u: systems.append(m) or exactlin._solve(m, u))
+        monkeypatch.setattr(twist, "solve_linear",
+                            lambda m, u: systems.append(m) or exactlin.solve_linear(m, u))
         res = antipode_solve(yau_twist(PlainStructure(cyclic_group_bundle(QQ, 12, 2))), DIRECT)
         assert res.status == NON_UNIQUE and elimination_calls["primes"][0] == P
         status, num, d = eliminated(systems[0], 144)
         assert status == UNDERDETERMINED
         assert res.chi == exactlin._canonical(QQ, num.reshape(12, 12), d)
+
+
+class TestOneSolver:
+    """Every exact solve of the kernel is one call of solve_linear under its
+    public name, the one a tracer of the module sees."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls, real = [], exactlin.solve_linear
+
+        def spy(augmented, unknowns):
+            calls.append(unknowns)
+            return real(augmented, unknowns)
+        for module in (exactlin, twist):
+            monkeypatch.setattr(module, "solve_linear", spy)
+        return calls
+
+    @pytest.mark.parametrize("field", [QQ, F7], ids=str)
+    @pytest.mark.parametrize("method", [DIRECT, VIA_UNTWIST])
+    def test_antipode_solve(self, solves, field, method):
+        res = antipode_solve(yau_twist(PlainStructure(cyclic_group_bundle(field, 5, 2))), method)
+        assert res.status == FOUND and solves == [25]
+
+    @pytest.mark.parametrize("field", [QQ, F7], ids=str)
+    def test_invert(self, solves, field):
+        f = DenseMap.from_rows(field, [[2, 1], [1, 1]])
+        assert compose(f, invert(f)) == DenseMap.identity(field, 2) and solves == [2]
+        invert(DenseMap.permutation(field, [1, 0]))  # by its index array, with no solve
+        assert solves == [2]
 
 
 @settings(deadline=None, max_examples=60)
@@ -1249,26 +1311,22 @@ def test_invert_index_map_against_fraction_reference(field, images, read):
 
 def test_elimination_edge_cases():
     for field in ELIMINATION_FIELDS:
-        assert invert(DenseMap.zero(field, 0, 0)) == DenseMap.zero(field, 0, 0)
-        assert solve_linear([], 0, field) == exactlin.SolveResult(UNIQUE, ())
-        assert solve_linear([([], 1)], 0, field).status == NO_SOLUTION
-        res = solve_linear([], 2, field)
+        assert invert(zero_map(field, 0, 0)) == zero_map(field, 0, 0)
+        assert solve_linear(zero_map(field, 0, 1), 0) == SolveResult(UNIQUE, zero_map(field, 0, 1))
+        assert solve_linear(DenseMap.from_flat(field, 1, 1, [1]), 0).status == NO_SOLUTION
+        res = solve_linear(zero_map(field, 0, 3), 2)
         assert res.status == UNDERDETERMINED
-        assert [s.value for s in res.solution] == [0, 0]
+        assert res.solution == zero_map(field, 2, 1)
     # the witness sets the free unknown to zero: x + y = 1/2, 2x + 2y = 1
-    res = solve_linear([([1, 1], Fraction(1, 2)), ([2, 2], 1)], 2, QQ)
+    res = solve_linear(system_map(QQ, 2, [([1, 1], Fraction(1, 2)), ([2, 2], 1)]), 2)
     assert res.status == UNDERDETERMINED
-    assert [s.value for s in res.solution] == [Fraction(1, 2), 0]
+    assert res.solution.rows() == [[Fraction(1, 2)], [0]]
 
 
 # The ingest of from_flat as it was written, one Fraction per entry over Q,
 # kept as the reference for the integer path.
 
 def reference_coerce(field: FieldTag, value):
-    if isinstance(value, Scalar):
-        if value.field != field:
-            raise FieldMismatch(f"scalar over {value.field}, expected {field}")
-        return value.value
     if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
         kind = "float" if isinstance(value, float) else type(value).__name__
         raise ParseError(f"{kind} {value!r} is not an exact scalar")
@@ -1320,10 +1378,8 @@ odd_strings = st.text(alphabet="0123456789+-_/. eE١x", max_size=6)
 
 def ingest_entries(field: FieldTag):
     fractions = st.builds(Fraction, any_ints, st.integers(1, 7))
-    scalars = any_ints | fractions if field == QQ else any_ints
     return st.one_of(any_ints, integer_strings, ratio_strings, odd_strings, fractions,
-                     st.sampled_from(["1.5", "-2e3", " 7/14 ", "0", "-0"]),
-                     st.builds(lambda v: Scalar.of(field, v), scalars))
+                     st.sampled_from(["1.5", "-2e3", " 7/14 ", "0", "-0"]))
 
 
 @settings(deadline=None, max_examples=300)
@@ -1392,8 +1448,8 @@ def test_integer_strings_parse_as_ints():
     assert exactlin._parse(QQ, " -1_000 ") == -1000
     assert type(exactlin._parse(QQ, "+7")) is int
     assert exactlin._parse(QQ, "2/4") == Fraction(1, 2)
-    assert type(Scalar.of(QQ, "3").value) is Fraction
-    assert type(Scalar.of(QQ, 3).value) is Fraction
+    for value in ("3", 3):
+        assert type(DenseMap.from_flat(QQ, 1, 1, [value]).entry(0, 0)) is Fraction
     for text in ("3/0", "1.2.3", "", "١/0"):
         with pytest.raises(ParseError) as exc:
             exactlin._parse(QQ, text)

@@ -141,7 +141,7 @@ def perturbed(b, name, rng, field):
     m = getattr(b, name)
     i, j = rng.randrange(m.dst_dim), rng.randrange(m.src_dim)
     bump = rng.choice([2, -3, Fraction(1, 2)]) if field == QQ else rng.randrange(1, 7)
-    return b.replace(**{name: m.with_entry(i, j, m.entry(i, j).value + bump)})
+    return b.replace(**{name: m.with_entry(i, j, m.entry(i, j) + bump)})
 
 
 # (make, order, power, field): powers coprime to the order give permutation

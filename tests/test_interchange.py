@@ -102,7 +102,7 @@ def test_sums_past_int64_take_python_ints():
     wide, tall = (DenseMap.from_flat(QQ, dst, src, [big] * 27) for dst, src in ((3, 9), (9, 3)))
     x, b = plain_object(QQ, 3), StructureBundle(plain_object(QQ, 3), mu=wide, delta=tall)
     action, coaction = wide, tall
-    assert _interchange_rhs(b, action, coaction).entry(0, 0).value == 81 * big ** 4
+    assert _interchange_rhs(b, action, coaction).entry(0, 0) == 81 * big ** 4
     assert_matches_reference(x, b, action, coaction)
 
 

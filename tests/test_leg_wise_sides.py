@@ -56,7 +56,7 @@ from bihomcheck.twist import (
     yau_twist,
 )
 
-from conftest import chain, operand_dtypes
+from conftest import chain, combination, operand_dtypes
 
 MERSENNE_61 = GF(2 ** 61 - 1)
 FIELDS = [GF(7), MERSENNE_61, QQ]
@@ -206,7 +206,8 @@ def random_object(field, dense, dim):
     (so they commute): r, r^2, r + 1 and r^2 - r."""
     r = dense(dim, dim)
     one = DenseMap.identity(field, dim)
-    return BiHomObject(dim, field, r, r.power(2), r + one, r.power(2) - r)
+    return BiHomObject(dim, field, r, r.power(2), combination((1, r), (1, one)),
+                       combination((1, r.power(2)), (-1, r)))
 
 
 @st.composite
@@ -311,7 +312,7 @@ def perturbed(b, name, rng):
     m = getattr(b, name)
     i, j = rng.randrange(m.dst_dim), rng.randrange(m.src_dim)
     bump = Fraction(1, 2) if b.obj.field == QQ else 1
-    return b.replace(**{name: m.with_entry(i, j, m.entry(i, j).value + bump)})
+    return b.replace(**{name: m.with_entry(i, j, m.entry(i, j) + bump)})
 
 
 def ref_twisted(b, side, endos):

@@ -47,7 +47,7 @@ from bihomcheck.exactlin import (
     kron_compose,
 )
 
-from conftest import reference_flip_images, small_fracs
+from conftest import reference_flip_images, small_fracs, zero_map
 
 F7 = GF(7)
 MERSENNE_61 = GF(2 ** 61 - 1)
@@ -76,7 +76,7 @@ def reference_first_difference(f, g):
     if not len(hits):
         return None
     i, j = int(hits[0, 0]), int(hits[0, 1])
-    return (i, j, str(f._value(i, j)), str(g._value(i, j)))
+    return (i, j, str(f.entry(i, j)), str(g.entry(i, j)))
 
 
 @st.composite
@@ -120,12 +120,12 @@ def test_first_difference_against_argwhere(pair):
 def test_first_difference_edge_shapes():
     for field in (F7, MERSENNE_61, QQ):
         for dst, src in ((0, 0), (0, 3), (3, 0)):
-            z = DenseMap.zero(field, dst, src)
+            z = zero_map(field, dst, src)
             assert z.first_difference(z) is None
         wide = DenseMap.from_flat(field, 2, 3, [0, 0, 0, 0, 0, 1])
-        assert wide.first_difference(DenseMap.zero(field, 2, 3)) == (1, 2, "1", "0")
+        assert wide.first_difference(zero_map(field, 2, 3)) == (1, 2, "1", "0")
         tall = wide.transpose()
-        assert tall.first_difference(DenseMap.zero(field, 3, 2)) == (2, 1, "1", "0")
+        assert tall.first_difference(zero_map(field, 3, 2)) == (2, 1, "1", "0")
     half = DenseMap.from_flat(QQ, 1, 2, [Fraction(1, 2), 1])
     third = DenseMap.from_flat(QQ, 1, 2, [Fraction(1, 2), Fraction(1, 3)])
     assert half.first_difference(third) == (0, 1, "1", "1/3")

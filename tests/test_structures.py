@@ -230,7 +230,7 @@ class TestGeneralizedCoassoc:
         rng = random.Random(6)
         b = twisted_c3()
         r, c = rng.randrange(9), rng.randrange(3)
-        bad = b.replace(delta=b.delta.with_entry(r, c, (int(b.delta.entry(r, c).value) + 1) % 7))
+        bad = b.replace(delta=b.delta.with_entry(r, c, (int(b.delta.entry(r, c)) + 1) % 7))
         failing = [k for k in coassoc_sequences(3)
                    if not check_generalized_coassoc(bad, k).passed]
         assert failing, "perturbation went undetected"
@@ -320,7 +320,7 @@ class TestModules:
     def test_perturbed_compatibility_fails(self):
         b = twisted_c3()
         mod = regular_module(b)
-        bumped = (int(b.delta.entry(0, 0).value) + 1) % 7
+        bumped = (int(b.delta.entry(0, 0)) + 1) % 7
         bad_co = ComoduleInst(b.obj, b.delta.with_entry(0, 0, bumped), b)
         rep = check_hopf_module(mod, bad_co)
         assert not rep.entry("hopf-module/compatibility").passed

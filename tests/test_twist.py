@@ -17,6 +17,7 @@ from bihomcheck.exactlin import (
     UNDERDETERMINED,
     UNIQUE,
     DenseMap,
+    SolveResult,
     _operands,
     compose,
     compose_all,
@@ -36,7 +37,7 @@ from bihomcheck.fixtures import (
 )
 from bihomcheck.structures import StructureBundle, check_bimonoid, regular_module
 
-from conftest import direction_id, mod7_matrix, rational_matrix
+from conftest import direction_id, mod7_matrix, rational_matrix, zero_map
 from bihomcheck.twist import (
     BIMONOID,
     COMONOID,
@@ -135,7 +136,7 @@ class TestUntwist:
 
     def test_singular_endomorphism_refused(self):
         b = classical_c3()
-        zero = DenseMap.zero(F7, 3, 3)
+        zero = zero_map(F7, 3, 3)
         ident = DenseMap.identity(F7, 3)
         obj = BiHomObject(3, F7, ident, ident, zero, ident)
         bundle = StructureBundle(obj, mu=b.mu, eta=b.eta)
@@ -273,7 +274,7 @@ class TestAntipode:
 
     def test_untwist_method_needs_invertible_endos(self):
         b = idempotent_monoid_bialgebra(F7)
-        zero = DenseMap.zero(F7, 2, 2)
+        zero = zero_map(F7, 2, 2)
         ident = DenseMap.identity(F7, 2)
         obj = BiHomObject(2, F7, ident, ident, ident, zero)
         # endomorphisms must still be structure morphisms for a bimonoid;
@@ -286,13 +287,11 @@ class TestAntipode:
     def test_degenerate_system_is_underdetermined(self):
         # zero structure maps make every coefficient vanish: the solver must
         # report the underdetermination rather than invent a canonical answer
-        zero_mu = DenseMap.zero(F7, 2, 4)
-        zero_delta = DenseMap.zero(F7, 4, 2)
-        zero_rhs = DenseMap.zero(F7, 2, 2)
-        system = [(row[:-1], row[-1])
-                  for row in _antipode_system(zero_mu, zero_delta, zero_rhs).rows()]
-        res = solve_linear(system, 4, F7)
-        assert res.status == UNDERDETERMINED
+        zero_mu = zero_map(F7, 2, 4)
+        zero_delta = zero_map(F7, 4, 2)
+        zero_rhs = zero_map(F7, 2, 2)
+        res = solve_linear(_antipode_system(zero_mu, zero_delta, zero_rhs), 4)
+        assert res.status == UNDERDETERMINED and res.solution == zero_map(F7, 4, 1)
 
     @settings(max_examples=90, deadline=None)
     @given(data=st.data())
@@ -319,13 +318,14 @@ class TestAntipode:
 
     @pytest.fixture
     def wrong_solution(self, monkeypatch):
-        solve = twist._solve
+        solve = twist.solve_linear
 
         def off_by_one(system, unknowns):  # "unique", every entry of the solution wrong
-            _, solution, den = solve(system, unknowns)
-            return UNIQUE, solution + 1, den
+            x = solve(system, unknowns).solution
+            return SolveResult(UNIQUE, DenseMap.from_flat(
+                x.field, x.dst_dim, x.src_dim, [v + 1 for row in x.rows() for v in row]))
 
-        monkeypatch.setattr(twist, "_solve", off_by_one)
+        monkeypatch.setattr(twist, "solve_linear", off_by_one)
 
     def test_wrong_solution_refused_by_re_verification(self, wrong_solution):
         with pytest.raises(InvariantViolation) as info:
